@@ -1,8 +1,9 @@
 """Command-line entry points: run, verify, diag.
 
-Exit codes: 0 clean, 2 on configuration/numeric failure, 3 when a run
-finishes but a monitor (overshoot or Hölder persistence) flagged it; the
-run's outputs are fully written before a code-3 exit.
+Exit codes: 0 clean, 1 when ``verify`` finds a failing family, 2 on
+configuration/numeric failure, 3 when a run finishes but a monitor
+(overshoot or Hölder persistence) flagged it; the outputs are fully written
+before a code-1 or code-3 exit.
 """
 from __future__ import annotations
 

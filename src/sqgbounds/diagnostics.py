@@ -159,9 +159,12 @@ class DiagnosticsRecord:
 def record(state: SolverState,
            ps=DEFAULT_PS, ms=DEFAULT_MS, alphas=DEFAULT_ALPHAS
            ) -> DiagnosticsRecord:
-    """Aggregate all functionals for one state (one velocity solve if uncached)."""
+    """Aggregate all functionals for one state (one velocity solve).
+
+    Only |u| enters the record, so the velocity's sign convention does not.
+    """
     theta = state.theta
-    u = state.u if state.u is not None else riesz_velocity(theta)
+    u = riesz_velocity(theta)
     b1 = boundary_ratio(theta)
     slope, _ = normal_velocity_slope(u, theta.geometry)
     return DiagnosticsRecord(

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import trapezoid
 
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .geometry import Geometry, build_square_geometry, fit_ground_state_equivalence
@@ -243,7 +244,7 @@ def _gamma_integral(gamma, t: float) -> float:
     if gamma is None:
         return 0.0
     ts = np.linspace(0.0, t, 257)
-    return float(np.trapezoid([gamma(s) for s in ts], ts)) if t > 0 else 0.0
+    return float(trapezoid([gamma(s) for s in ts], ts)) if t > 0 else 0.0
 
 
 def verify_decay_envelope(result: RunResult, config: SolverConfig, B: float,

@@ -21,8 +21,8 @@ from scipy.special import erf, gamma
 from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
 from .geometry import Geometry
-from .spectral import (GridField, SpectralField, cos_eval, forward, inverse,
-                       dealiased_product, sin_analyze, sin_eval)
+from .spectral import (GridField, SpectralField, _sin_cos_eval, cos_eval,
+                       dealiased_product, forward, inverse, sin_analyze)
 
 MAX_CUTOFF_SCALE_FRAC = 0.25    # ell0 = L/4
 
@@ -230,9 +230,9 @@ def _perp_gradient(stream_coeffs: np.ndarray, geometry: Geometry,
                    j_sign: float) -> tuple[np.ndarray, np.ndarray]:
     """(u_x, u_y) = j_sign * (-d_y psi, d_x psi) at the interior nodes."""
     k = geometry.modes * np.pi / geometry.side_length
-    scale = 2.0 / geometry.side_length
-    psi_y = scale * cos_eval(sin_eval(stream_coeffs * k[None, :], axis=0), axis=1)
-    psi_x = scale * cos_eval(sin_eval(stream_coeffs * k[:, None], axis=1), axis=0)
+    n, scale = geometry.grid_size, 2.0 / geometry.side_length
+    psi_y = _sin_cos_eval(stream_coeffs * k[None, :], n, 1, scale)
+    psi_x = _sin_cos_eval(stream_coeffs * k[:, None], n, 0, scale)
     return -j_sign * psi_y, j_sign * psi_x
 
 

@@ -64,34 +64,49 @@ def mode_field(geometry: Geometry, m: int, n: int, amp: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# 1d building blocks.  All sums run over modes m = 1..P against nodes
-# i = 1..P on the grid with divisor N = P+1 (i.e. sin(pi*m*i/N)).
+# Building blocks.  Sums run over modes m = 1..P against the interior nodes
+# i = 1..N-1 of the grid with divisor N >= P+1 (i.e. sin(pi*m*i/N)).
 # ---------------------------------------------------------------------------
 
-def sin_eval(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """sum_m c_m sin(pi m i / N) at the interior nodes along ``axis``."""
-    return fft.dst(coeffs, type=1, axis=axis) / 2.0
+def cos_eval(coeffs: np.ndarray, axis: int, n_nodes: int | None = None,
+             scale: float = 1.0) -> np.ndarray:
+    """scale * sum_m c_m cos(pi m i / N) at the interior nodes along ``axis``.
 
-
-def cos_eval(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """sum_m c_m cos(pi m i / N) at the interior nodes along ``axis``.
-
-    Modes run m = 1..N-1; the m = 0 and m = N slots are zero-padded so the
-    length-(N+1) DCT-I evaluates the sum exactly.
+    Modes run m = 1..M with N = ``n_nodes`` (default M + 1).  They are written
+    into a zero-bordered length-(N+1) buffer (the m = 0 slot and the slots
+    above M stay zero), so the DCT-I evaluates the sum exactly.
     """
-    pad = [(0, 0)] * coeffs.ndim
-    pad[axis] = (1, 1)
-    padded = np.pad(coeffs, pad)
-    full = fft.dct(padded, type=1, axis=axis) / 2.0
-    sl = [slice(None)] * coeffs.ndim
-    sl[axis] = slice(1, -1)
-    return full[tuple(sl)]
+    n_nodes = n_nodes or coeffs.shape[axis] + 1
+    shape = list(coeffs.shape)
+    shape[axis] = n_nodes + 1
+    buf = np.zeros(shape)
+    inner = [slice(None)] * coeffs.ndim
+    inner[axis] = slice(1, coeffs.shape[axis] + 1)
+    buf[tuple(inner)] = coeffs
+    full = fft.dct(buf, type=1, axis=axis, overwrite_x=True)
+    full *= 0.5 * scale
+    inner[axis] = slice(1, n_nodes)
+    return full[tuple(inner)]
 
 
 def sin_analyze(values: np.ndarray, axis: int) -> np.ndarray:
     """Recover c_m from samples of sum_m c_m sin(pi m i / N) (exact inverse)."""
     n = values.shape[axis] + 1
     return fft.dst(values, type=1, axis=axis) / n
+
+
+def _sin_cos_eval(coeffs: np.ndarray, n_nodes: int, cos_axis: int,
+                  scale: float) -> np.ndarray:
+    """scale * sum c_{m,n} sin(pi m i/N) cos(pi n j/N) at the interior nodes.
+
+    The sine factor runs along ``1 - cos_axis`` and the cosine factor along
+    ``cos_axis``; N = ``n_nodes`` may exceed the mode count plus one (the
+    higher modes are zero).  The DST-I pass transforms only the lines that
+    hold modes.
+    """
+    sin_axis = 1 - cos_axis
+    sin_vals = fft.dst(coeffs, type=1, n=n_nodes - 1, axis=sin_axis)
+    return cos_eval(sin_vals, cos_axis, n_nodes, 0.5 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +138,13 @@ def gradient(spec: SpectralField) -> tuple[GridField, GridField]:
     """Spectral gradient, sampled at the interior nodes.
 
     sin(k_m x) differentiates to k_m cos(k_m x); the cosine factor is
-    evaluated with a zero-padded DCT-I.
+    evaluated with a zero-bordered DCT-I.
     """
     g = spec.geometry
     k = g.modes * np.pi / g.side_length
     scale = 2.0 / g.side_length
-    dx = scale * cos_eval(sin_eval(spec.coeffs * k[:, None], axis=1), axis=0)
-    dy = scale * cos_eval(sin_eval(spec.coeffs * k[None, :], axis=0), axis=1)
+    dx = _sin_cos_eval(spec.coeffs * k[:, None], g.grid_size, 0, scale)
+    dy = _sin_cos_eval(spec.coeffs * k[None, :], g.grid_size, 1, scale)
     return GridField(dx, g), GridField(dy, g)
 
 
@@ -146,27 +161,17 @@ def fine_grid_size(N: int, factor: float = 1.5) -> int:
     return int(np.ceil(factor * N))
 
 
-def _pad_coeffs(coeffs: np.ndarray, n_fine_interior: int) -> np.ndarray:
-    n = coeffs.shape[0]
-    out = np.zeros((n_fine_interior, n_fine_interior))
-    out[:n, :n] = coeffs
-    return out
-
-
 def eval_fine(spec: SpectralField, Nf: int) -> np.ndarray:
     """Evaluate the field at the interior nodes of the finer Nf-grid."""
     g = spec.geometry
-    padded = _pad_coeffs(spec.coeffs, Nf - 1)
-    return (2.0 / g.side_length) * fft.dstn(padded, type=1) / 4.0
+    return (2.0 / g.side_length) * fft.dstn(spec.coeffs, type=1,
+                                            s=(Nf - 1, Nf - 1)) / 4.0
 
 
 def eval_fine_mixed(coeffs: np.ndarray, geometry: Geometry, Nf: int,
                     cos_axis: int) -> np.ndarray:
     """Evaluate (2/L) sum c_{m,n} with a cosine factor along ``cos_axis``."""
-    padded = _pad_coeffs(coeffs, Nf - 1)
-    sin_axis = 1 - cos_axis
-    vals = cos_eval(sin_eval(padded, axis=sin_axis), axis=cos_axis)
-    return (2.0 / geometry.side_length) * vals
+    return _sin_cos_eval(coeffs, Nf, cos_axis, 2.0 / geometry.side_length)
 
 
 def forward_fine(values: np.ndarray, geometry: Geometry, Nf: int,
@@ -178,8 +183,9 @@ def forward_fine(values: np.ndarray, geometry: Geometry, Nf: int,
     advective flux).  Same-parity products carry cosine content and go
     through :func:`dealiased_product` instead.
     """
-    coeffs = (geometry.side_length / (2.0 * Nf ** 2)) * fft.dstn(values, type=1)
-    return coeffs[:n_keep, :n_keep]
+    rows = fft.dst(values, type=1, axis=0)[:n_keep]
+    coeffs = fft.dst(rows, type=1, axis=1, overwrite_x=True)[:, :n_keep]
+    return (geometry.side_length / (2.0 * Nf ** 2)) * coeffs
 
 
 def eval_closed(spec: SpectralField, Mf: int) -> np.ndarray:

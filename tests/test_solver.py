@@ -1,6 +1,7 @@
 """Integrating-factor stepping: exact dissipation, skew advection, monitors."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqgbounds.errors import ConfigurationError, NumericError
 from sqgbounds.geometry import build_square_geometry
@@ -88,8 +89,35 @@ def test_prescribed_drift_mode(geom):
 def test_cfl_halves_dt(geom):
     theta0 = sp.mode_field(geom, 1, 1, amp=50.0)
     res = sv.run(theta0, sv.SolverConfig(dt=0.05, t_end=0.1, drift_mode="sqg"))
-    assert res.rejected_steps > 0
-    assert res.final_dt < 0.05
+    # the a-priori bound fails at this amplitude, so the exact sup decides
+    # every halving
+    assert res.rejected_steps == 7
+    assert res.final_dt == 0.05 / 2 ** 7
+
+
+_SMALL = build_square_geometry(16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), top=st.integers(1, 15),
+       amp=st.floats(1e-6, 1e3), j_sign=st.sampled_from([1.0, -1.0]),
+       mode=st.sampled_from(["sqg", "prescribed"]))
+def test_velocity_bound_never_below_sup(seed, top, amp, j_sign, mode):
+    rng = np.random.default_rng(seed)
+    c = np.zeros((_SMALL.n_interior,) * 2)
+    c[:top, :top] = amp * rng.standard_normal((top, top))
+    theta = sp.SpectralField(c, _SMALL)
+    stream = sp.SpectralField(np.roll(c, 1, axis=0), _SMALL)
+    cfg = sv.SolverConfig(drift_mode=mode, j_sign=j_sign,
+                          drift_stream=stream if mode == "prescribed" else None)
+    assert sv.velocity_bound(theta, cfg) >= sv.velocity_sup(theta, cfg)
+
+
+def test_mode_plan_matches_geometry(geom):
+    plan = sv._mode_plan(geom.grid_size, geom.side_length)
+    assert np.array_equal(plan.lam, geom.eigenvalues)
+    assert np.array_equal(plan.k, geom.modes * np.pi / geom.side_length)
+    assert not plan.lam.flags.writeable
 
 
 def test_nan_raises_numeric_error(geom):

@@ -7,6 +7,7 @@ code paths).
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy import fft
 
 from sqgbounds.errors import NumericError, ShapeError
 from sqgbounds.geometry import build_square_geometry
@@ -65,6 +66,32 @@ def test_gradient_of_single_mode(geom):
     dx, dy = sp.gradient(sp.mode_field(geom, 2, 3))
     assert np.abs(dx.values - (2.0 / np.pi) * 2 * np.cos(2 * X) * np.sin(3 * Y)).max() < 1e-12
     assert np.abs(dy.values - (2.0 / np.pi) * 3 * np.sin(2 * X) * np.cos(3 * Y)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_nodes", [12, sp.fine_grid_size(12)])
+@pytest.mark.parametrize("cos_axis", [0, 1])
+def test_sin_cos_eval_matches_dense_double_sum(n_nodes, cos_axis):
+    """Coarse and fine node counts against sum c sin(pi m i/N) cos(pi n j/N)."""
+    rng = np.random.default_rng(7 + cos_axis)
+    c = rng.standard_normal((11, 11))
+    nodes = np.arange(1, n_nodes)
+    modes = np.arange(1, 12)
+    S = np.sin(np.pi * np.outer(nodes, modes) / n_nodes)
+    C = np.cos(np.pi * np.outer(nodes, modes) / n_nodes)
+    dense = 0.7 * (S @ c @ C.T if cos_axis == 1 else C @ c @ S.T)
+    got = sp._sin_cos_eval(c, n_nodes, cos_axis, 0.7)
+    assert got.shape == (n_nodes - 1, n_nodes - 1)
+    assert np.abs(got - dense).max() < 1e-12 * np.abs(c).sum()
+
+
+def test_forward_fine_matches_full_transform_then_slice(geom):
+    Nf = sp.fine_grid_size(geom.grid_size)
+    vals = np.random.default_rng(5).standard_normal((Nf - 1, Nf - 1))
+    full = (geom.side_length / (2.0 * Nf ** 2)) * fft.dstn(vals, type=1)
+    kept = full[:geom.n_interior, :geom.n_interior]
+    got = sp.forward_fine(vals, geom, Nf, geom.n_interior)
+    assert got.shape == kept.shape
+    assert np.abs(got - kept).max() < 1e-13 * np.abs(full).max()
 
 
 def test_grad_norm_parseval(geom):
