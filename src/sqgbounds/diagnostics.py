@@ -27,8 +27,13 @@ DEFAULT_ALPHAS = (0.4,)
 
 def boundary_ratio(theta: SpectralField) -> GridField:
     """b_1 = theta / w_1 at the interior nodes (w_1 > 0 there)."""
-    g = theta.geometry
-    return GridField(inverse(theta).values / g.ground_state, g)
+    return ratio_from_values(inverse(theta))
+
+
+def ratio_from_values(values: GridField) -> GridField:
+    """b_1 = theta / w_1 from the node values of theta."""
+    g = values.geometry
+    return GridField(values.values / g.ground_state, g)
 
 
 def ratio_quad(geometry: Geometry, values: np.ndarray) -> float:
@@ -54,11 +59,15 @@ def ratio_lp_norm(b1: GridField, p: float) -> float:
 
 def weighted_ratio_norm(theta: SpectralField, m: int) -> float:
     """(int w_1 b_1^{2m})^{1/2m} by boundary-extended grid quadrature."""
+    return _weighted_norm(boundary_ratio(theta), m)
+
+
+def _weighted_norm(b1: GridField, m: int) -> float:
     if m < 1:
         raise ConfigurationError(f"moment index must be >= 1, got {m}")
-    g = theta.geometry
-    b1 = boundary_ratio(theta).values
-    return float(ratio_quad(g, g.ground_state * b1 ** (2 * m)) ** (1.0 / (2 * m)))
+    g = b1.geometry
+    return float(ratio_quad(g, g.ground_state * b1.values ** (2 * m))
+                 ** (1.0 / (2 * m)))
 
 
 def interior_lipschitz(theta: SpectralField) -> float:
@@ -85,10 +94,15 @@ def holder_seminorm(theta: SpectralField, alpha: float,
     too close to the boundary to admit any displacement are skipped and
     counted.
     """
+    return _holder(inverse(theta), alpha, h_budget)
+
+
+def _holder(values: GridField, alpha: float,
+            h_budget: float = 1.0 / 32.0) -> HolderSeminorm:
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"Hölder exponent must be in (0, 1), got {alpha}")
-    g = theta.geometry
-    vals = inverse(theta).values
+    g = values.geometry
+    vals = values.values
     dx = g.spacing
     n = g.n_interior
     best = 0.0
@@ -159,23 +173,26 @@ class DiagnosticsRecord:
 def record(state: SolverState,
            ps=DEFAULT_PS, ms=DEFAULT_MS, alphas=DEFAULT_ALPHAS
            ) -> DiagnosticsRecord:
-    """Aggregate all functionals for one state (one velocity solve).
+    """Aggregate all functionals for one state.
 
-    Only |u| enters the record, so the velocity's sign convention does not.
+    One velocity solve and one grid evaluation of theta serve every
+    functional.  Only |u| enters the record, so the velocity's sign
+    convention does not.
     """
     theta = state.theta
+    values = inverse(theta)
     u = riesz_velocity(theta)
-    b1 = boundary_ratio(theta)
+    b1 = ratio_from_values(values)
     slope, _ = normal_velocity_slope(u, theta.geometry)
     return DiagnosticsRecord(
         t=state.t,
-        sup_norm=inverse(theta).sup_norm(),
+        sup_norm=values.sup_norm(),
         energy=theta.l2_norm() ** 2,
         half_norm=half_norm_sq(theta),
         lipschitz=interior_lipschitz(theta),
         b1_lp={p: ratio_lp_norm(b1, p) for p in ps},
-        weighted_norm={m: weighted_ratio_norm(theta, m) for m in ms},
-        holder={a: holder_seminorm(theta, a).value for a in alphas},
+        weighted_norm={m: _weighted_norm(b1, m) for m in ms},
+        holder={a: _holder(values, a).value for a in alphas},
         u_sup=u.sup_norm(),
         normal_rate=slope,
     )

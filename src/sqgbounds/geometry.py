@@ -99,14 +99,17 @@ def build_square_geometry(
     k = modes * np.pi / L
     eigenvalues = k[:, None] ** 2 + k[None, :] ** 2
 
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    ground_state = (2.0 / L) * np.sin(np.pi * X / L) * np.sin(np.pi * Y / L)
-    distance = np.minimum.reduce([X, L - X, Y, L - Y])
-
-    corners = [(0.0, 0.0), (0.0, L), (L, 0.0), (L, L)]
-    corner_mask = np.zeros_like(distance, dtype=bool)
-    for cx, cy in corners:
-        corner_mask |= np.hypot(X - cx, Y - cy) < corner_radius
+    # every field below is separable: evaluate per axis, combine by outer ops
+    s = np.sin(np.pi * x / L)
+    ground_state = (2.0 / L) * s[:, None] * s[None, :]
+    e = np.minimum(x, L - x)                   # distance to the nearer side
+    distance = np.minimum.outer(e, e)
+    # |x - c| for the nearer corner c is (e_i, e_j) exactly, so only nodes
+    # with both e below the radius can lie near a corner
+    near = e < corner_radius
+    corner_mask = np.zeros(distance.shape, dtype=bool)
+    corner_mask[np.ix_(near, near)] = (
+        np.hypot.outer(e[near], e[near]) < corner_radius)
 
     return Geometry(
         side_length=L,

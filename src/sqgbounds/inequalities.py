@@ -17,7 +17,8 @@ from scipy.integrate import trapezoid
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .geometry import Geometry, build_square_geometry, fit_ground_state_equivalence
 from .diagnostics import (boundary_ratio, holder_seminorm, interior_lipschitz,
-                          ratio_lp_norm, ratio_quad, weighted_ratio_norm)
+                          ratio_from_values, ratio_lp_norm, ratio_quad,
+                          weighted_ratio_norm)
 from .operators import (ConvexFn, apply_lambda_power, commutator,
                         finite_difference, heat_of_one_1d, nonlinear_dissipation,
                         riesz_velocity, short_time_velocity, standard_cutoff,
@@ -198,12 +199,12 @@ def lambda_one_values(geometry: Geometry, panels: int = 60,
     half = 0.5 * (edges[1:] - edges[:-1])
     u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     wq = (half[:, None] * wg[None, :]).ravel()
+    t = np.exp(u)
+    heat = heat_of_one_1d(t[:, None], geometry.x, L, n_images=20)
     out = np.zeros((geometry.n_interior,) * 2)
     c1 = 0.5 / np.sqrt(np.pi)
-    for uu, ww in zip(u, wq):
-        t = np.exp(uu)
-        s = heat_of_one_1d(t, geometry.x, L, n_images=20)
-        out += ww * t ** -0.5 * (1.0 - np.outer(s, s))
+    for tt, ww, s in zip(t, wq, heat):
+        out += ww * tt ** -0.5 * (1.0 - np.outer(s, s))
     # past t_max the heat of one is negligible: tail = int t^{-3/2} dt
     return c1 * (out + 2.0 / np.sqrt(t_max))
 
@@ -616,16 +617,16 @@ def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
     if len(centers) < 3:
         raise ConfigurationError(
             "grid too coarse for at least 3 dyadic commutator shells")
-    b1_sup = boundary_ratio(theta).sup_norm()
-    b1_p = b1_sup if np.isinf(p) else ratio_lp_norm(boundary_ratio(theta), p)
+    values = inverse(theta)
+    lam_values = inverse(apply_lambda_power(theta, 1.0))
+    b1_p = ratio_lp_norm(ratio_from_values(values), p)
     logs_d, logs_ratio, gammas = [], [], []
     for x0 in centers:
         d0 = min(x0[0], L - x0[0], x0[1], L - x0[1])
         ell = d0 / 2.0
         steps = max(1, int(np.floor(d0 / 32.0 / dx)))
         h = (steps * dx, 0.0)
-        C = commutator(theta, x0, ell, h)
-        sup = C.sup_norm()
+        sup = commutator(values, lam_values, x0, ell, h).sup_norm()
         if sup <= 0:
             continue
         hmag = steps * dx

@@ -22,7 +22,8 @@ from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
 from .geometry import Geometry
 from .spectral import (GridField, SpectralField, _sin_cos_eval, cos_eval,
-                       dealiased_product, forward, inverse, sin_analyze)
+                       dealiased_product, eval_fine, forward, inverse,
+                       sin_analyze)
 
 MAX_CUTOFF_SCALE_FRAC = 0.25    # ell0 = L/4
 
@@ -160,10 +161,13 @@ def heat_kernel(geometry: Geometry, x, y, t: float,
 
 def heat_of_one_1d(t: float, x: np.ndarray, L: float,
                    n_images: int = 6) -> np.ndarray:
-    """e^{t Delta} 1 on the interval (0, L), by the method of images."""
+    """e^{t Delta} 1 on the interval (0, L), by the method of images.
+
+    ``t`` and ``x`` broadcast against each other.
+    """
     s = 2.0 * np.sqrt(t)
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
+    out = np.zeros(np.broadcast_shapes(x.shape, np.shape(s)))
     for n in range(-n_images, n_images + 1):
         out += (erf((x - 2 * n * L) / s)
                 - 0.5 * erf((x - (2 * n + 1) * L) / s)
@@ -391,13 +395,22 @@ class CutoffPair:
     scale: float
     phi: GridField
     chi: GridField
+    box: tuple[slice, slice]     # node rows and columns within ell of x0
+
+
+def _box_slice(x: np.ndarray, c: float, ell: float) -> slice:
+    """Indices of the sorted nodes x with |x - c| < ell."""
+    inside = np.flatnonzero(np.abs(x - c) < ell)
+    return slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
 
 
 def standard_cutoff(geometry: Geometry, x0, ell: float) -> CutoffPair:
     """phi = profile(|x - x0| / ell), chi = profile(|x - x0| / (2 ell)).
 
     Requires the doubled bump to stay inside the domain: d(x0) >= 2 ell,
-    and ell below the fixed largest admissible scale L/4.
+    and ell below the fixed largest admissible scale L/4.  Both bumps
+    vanish for |x - x0| >= 7 ell / 8, so they are evaluated on the box of
+    nodes within ell of x0 per axis and are zero elsewhere.
     """
     cx, cy = float(x0[0]), float(x0[1])
     L = geometry.side_length
@@ -411,13 +424,16 @@ def standard_cutoff(geometry: Geometry, x0, ell: float) -> CutoffPair:
         raise PreconditionError(
             f"cutoff center too close to the boundary: d(x0) = {d0:.4g} "
             f"< 2 ell = {2 * ell:.4g}")
-    X, Y = geometry.meshgrid()
-    r = np.hypot(X - cx, Y - cy)
-    phi = smoothstep_profile(r / ell)
-    chi = smoothstep_profile(r / (2.0 * ell))
+    x = geometry.x
+    box = (_box_slice(x, cx, ell), _box_slice(x, cy, ell))
+    r = np.hypot(x[box[0], None] - cx, x[None, box[1]] - cy)
+    phi = np.zeros((geometry.n_interior,) * 2)
+    chi = np.zeros((geometry.n_interior,) * 2)
+    phi[box] = smoothstep_profile(r / ell)
+    chi[box] = smoothstep_profile(r / (2.0 * ell))
     return CutoffPair(center=(cx, cy), scale=float(ell),
                       phi=GridField(phi, geometry),
-                      chi=GridField(chi, geometry))
+                      chi=GridField(chi, geometry), box=box)
 
 
 def _commensurate_steps(h, geometry: Geometry) -> tuple[int, int]:
@@ -462,26 +478,35 @@ def finite_difference(f, h) -> GridField:
     return GridField(out, g, valid=valid)
 
 
-def commutator(theta: SpectralField, x0, ell: float, h) -> GridField:
+def commutator(values: GridField, lam_values: GridField, x0, ell: float,
+               h) -> GridField:
     """Localized commutator of the finite difference with Lambda.
 
     C_h(theta) = phi * (delta_h Lambda theta) - phi * Lambda(chi * delta_h theta),
-    where (phi, chi) is the standard cutoff pair at (x0, ell).
+    where (phi, chi) is the standard cutoff pair at (x0, ell) and ``values``,
+    ``lam_values`` sample theta and Lambda theta at the nodes.
+
+    Only Lambda needs the whole grid; everything else is computed on the
+    cutoff box, which holds both supports, and C_h is zero outside it.  The
+    box sits >= ell from the boundary and |h| <= ell / 16, so every box node
+    has its shifted neighbour in the interior and every node is valid.
     """
     hv = np.hypot(float(h[0]), float(h[1]))
     if hv > ell / 16.0 + 1e-12 * ell:
         raise PreconditionError(
             f"|h| = {hv:.4g} exceeds ell/16 = {ell / 16:.4g}")
-    g = theta.geometry
+    g = values.geometry
     cut = standard_cutoff(g, x0, ell)
-    lam_theta = apply_lambda_power(theta, 1.0)
-    d_lam = finite_difference(inverse(lam_theta), h)
-    d_theta = finite_difference(inverse(theta), h)
-    localized = cut.chi.values * d_theta.values
-    lam_loc = inverse(apply_lambda_power(forward(GridField(localized, g)), 1.0))
-    vals = cut.phi.values * (d_lam.values - lam_loc.values)
-    # the chi support sits >= 9 ell / 8 from the boundary, so every node that
-    # matters has a valid shifted neighbor; outside the phi support C_h = 0
-    valid = d_lam.valid | (cut.phi.values == 0.0)
-    vals[~valid] = 0.0
-    return GridField(vals, g, valid=valid)
+    box = rows, cols = cut.box
+    p, q = _commensurate_steps(h, g)
+    shifted = (slice(rows.start + p, rows.stop + p),
+               slice(cols.start + q, cols.stop + q))
+    localized = np.zeros(values.values.shape)
+    localized[box] = cut.chi.values[box] * (values.values[shifted]
+                                            - values.values[box])
+    lam_loc = eval_fine(apply_lambda_power(
+        forward(GridField(localized, g), cols=cols), 1.0), g.grid_size, rows)
+    d_lam = lam_values.values[shifted] - lam_values.values[box]
+    out = np.zeros(localized.shape)
+    out[box] = cut.phi.values[box] * (d_lam - lam_loc[:, cols])
+    return GridField(out, g, valid=np.ones(out.shape, dtype=bool))

@@ -113,13 +113,35 @@ def _sin_cos_eval(coeffs: np.ndarray, n_nodes: int, cos_axis: int,
 # Grid <-> spectrum
 # ---------------------------------------------------------------------------
 
-def forward(grid: GridField, tag: str = "") -> SpectralField:
-    """Project grid samples onto the eigenbasis (discrete <f, w_{m,n}>)."""
+def _dst2(a: np.ndarray, n: int, cols=slice(None),
+          rows=slice(None)) -> np.ndarray:
+    """Rows ``rows`` of ``fft.dstn(a, type=1, s=(n, n))``, skipping zero lines.
+
+    The axis-0 pass transforms only the columns ``cols`` of ``a`` (every
+    other column of ``a`` must be zero) and the axis-1 pass only the rows
+    ``rows``.  The passes keep dstn's order, axis 0 then axis 1, so the
+    result equals dstn's bit for bit; the reverse order differs in the
+    last bit.
+    """
+    first = fft.dst(a[:, cols], type=1, n=n, axis=0)
+    if first.shape[1] < a.shape[1]:       # put the skipped zero columns back
+        first, part = np.zeros((n, a.shape[1])), first
+        first[:, cols] = part
+    return fft.dst(first[rows], type=1, n=n, axis=1, overwrite_x=True)
+
+
+def forward(grid: GridField, tag: str = "",
+            cols=slice(None)) -> SpectralField:
+    """Project grid samples onto the eigenbasis (discrete <f, w_{m,n}>).
+
+    The values may be known to vanish outside the columns ``cols``; the
+    transform then skips the other columns.
+    """
     if not np.isfinite(grid.values).all():
         raise NumericError("forward transform of non-finite grid values")
     g = grid.geometry
-    coeffs = (g.side_length / (2.0 * g.grid_size ** 2)) * fft.dstn(
-        grid.values, type=1)
+    coeffs = _dst2(grid.values, g.n_interior, cols=cols)
+    coeffs *= g.side_length / (2.0 * g.grid_size ** 2)
     return SpectralField(coeffs, g, tag=tag)
 
 
@@ -130,8 +152,7 @@ def inverse(spec: SpectralField) -> GridField:
         raise ShapeError(
             f"coefficient block {spec.coeffs.shape} does not match geometry "
             f"with {g.n_interior} interior nodes per axis")
-    values = (2.0 / g.side_length) * fft.dstn(spec.coeffs, type=1) / 4.0
-    return GridField(values, g)
+    return GridField(eval_fine(spec, g.grid_size), g)
 
 
 def gradient(spec: SpectralField) -> tuple[GridField, GridField]:
@@ -161,11 +182,15 @@ def fine_grid_size(N: int, factor: float = 1.5) -> int:
     return int(np.ceil(factor * N))
 
 
-def eval_fine(spec: SpectralField, Nf: int) -> np.ndarray:
-    """Evaluate the field at the interior nodes of the finer Nf-grid."""
-    g = spec.geometry
-    return (2.0 / g.side_length) * fft.dstn(spec.coeffs, type=1,
-                                            s=(Nf - 1, Nf - 1)) / 4.0
+def eval_fine(spec: SpectralField, Nf: int, rows=slice(None)) -> np.ndarray:
+    """Evaluate the field at the node rows ``rows`` of the Nf-grid.
+
+    Nf >= N; Nf = N evaluates at the collocation nodes themselves.
+    """
+    values = _dst2(spec.coeffs, Nf - 1, rows=rows)
+    values *= 2.0 / spec.geometry.side_length
+    values /= 4.0
+    return values
 
 
 def eval_fine_mixed(coeffs: np.ndarray, geometry: Geometry, Nf: int,

@@ -116,3 +116,17 @@ def test_csv_round_trip(tmp_path, geom):
     assert lines[1] == lines[2]
     vals = [float(v) for v in lines[1].split(",")]
     assert vals[0] == rec.t and abs(vals[2] - rec.energy) < 1e-15
+
+
+def test_record_matches_single_functionals(geom):
+    theta = sp.mode_field(geom, 2, 1, amp=0.3)
+    theta.coeffs[0, 0] = 1.0
+    rec = dg.record(sv.SolverState(0.0, theta), ps=(2.0, np.inf), ms=(1, 2),
+                    alphas=(0.3, 0.6))
+    assert rec.sup_norm == sp.inverse(theta).sup_norm()
+    b1 = dg.boundary_ratio(theta)
+    assert rec.b1_lp == {p: dg.ratio_lp_norm(b1, p) for p in (2.0, np.inf)}
+    assert rec.weighted_norm == {m: dg.weighted_ratio_norm(theta, m)
+                                 for m in (1, 2)}
+    assert rec.holder == {a: dg.holder_seminorm(theta, a).value
+                          for a in (0.3, 0.6)}

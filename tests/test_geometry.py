@@ -87,3 +87,20 @@ def test_compatible():
     c = build_square_geometry(64)
     assert a.compatible(b)
     assert not a.compatible(c)
+
+
+@pytest.mark.parametrize("N", [8, 37, 128])
+@pytest.mark.parametrize("frac", [0.0, None, 0.24])
+def test_separable_fields_match_meshgrid_formulas(N, frac):
+    rc = None if frac is None else frac * np.pi
+    g = build_square_geometry(N, corner_radius=rc)
+    L = g.side_length
+    X, Y = g.meshgrid()
+    ground = (2.0 / L) * np.sin(np.pi * X / L) * np.sin(np.pi * Y / L)
+    distance = np.minimum.reduce([X, L - X, Y, L - Y])
+    corner = np.zeros_like(distance, dtype=bool)
+    for cx, cy in [(0.0, 0.0), (0.0, L), (L, 0.0), (L, L)]:
+        corner |= np.hypot(X - cx, Y - cy) < g.corner_radius
+    assert np.array_equal(g.ground_state, ground)
+    assert np.array_equal(g.distance, distance)
+    assert np.array_equal(g.corner_mask, corner)

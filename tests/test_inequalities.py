@@ -266,3 +266,25 @@ def test_report_round_trip(tmp_path, geom):
     lines = open(csv_path).read().strip().splitlines()
     assert lines[0] == "index,margin"
     assert len(lines) == len(rep.margins) + 1
+
+
+def test_lambda_one_values_match_per_node_loop():
+    """The broadcast heat-of-one evaluation keeps the per-node loop's bits."""
+    from numpy.polynomial.legendre import leggauss
+    from sqgbounds.operators import heat_of_one_1d
+    g = build_square_geometry(16)
+    L = g.side_length
+    t_max = 50.0 * (L / np.pi) ** 2
+    edges = np.linspace(np.log(1e-8), np.log(t_max), 61)
+    xg, wg = leggauss(10)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    wq = (half[:, None] * wg[None, :]).ravel()
+    out = np.zeros((g.n_interior,) * 2)
+    for uu, ww in zip(u, wq):
+        t = np.exp(uu)
+        s = heat_of_one_1d(t, g.x, L, n_images=20)
+        out += ww * t ** -0.5 * (1.0 - np.outer(s, s))
+    want = 0.5 / np.sqrt(np.pi) * (out + 2.0 / np.sqrt(t_max))
+    assert np.array_equal(iq.lambda_one_values(g), want)

@@ -1,6 +1,7 @@
 """Fractional powers, heat objects, velocity, dissipation, cutoffs, commutator."""
 import numpy as np
 import pytest
+from scipy import fft
 
 from sqgbounds.errors import (ConfigurationError, DomainError, NumericError,
                               PreconditionError)
@@ -374,16 +375,21 @@ def test_finite_difference_accepts_spectral_input(geom):
 # commutator
 # ---------------------------------------------------------------------------
 
+def _grid_pair(theta):
+    """theta and Lambda theta at the nodes, the inputs of the commutator."""
+    return sp.inverse(theta), sp.inverse(op.apply_lambda_power(theta, 1.0))
+
+
 def test_commutator_zero_displacement(geom):
-    C = op.commutator(sp.mode_field(geom, 1, 1), (np.pi / 2, np.pi / 2),
-                      np.pi / 4, (0.0, 0.0))
+    C = op.commutator(*_grid_pair(sp.mode_field(geom, 1, 1)),
+                      (np.pi / 2, np.pi / 2), np.pi / 4, (0.0, 0.0))
     assert C.sup_norm() == 0.0
 
 
 def test_commutator_precondition(geom):
     with pytest.raises(PreconditionError):
-        op.commutator(sp.mode_field(geom, 1, 1), (np.pi / 2, np.pi / 2),
-                      np.pi / 4, (np.pi / 8, 0.0))
+        op.commutator(*_grid_pair(sp.mode_field(geom, 1, 1)),
+                      (np.pi / 2, np.pi / 2), np.pi / 4, (np.pi / 8, 0.0))
 
 
 def test_commutator_cancels_for_interior_supported_field(geom):
@@ -394,7 +400,7 @@ def test_commutator_cancels_for_interior_supported_field(geom):
     r2 = (X - x0[0]) ** 2 + (Y - x0[1]) ** 2
     theta = sp.forward(sp.GridField(np.exp(-r2 / (2 * 0.08 ** 2)), geom))
     h = (geom.spacing, 0.0)
-    C = op.commutator(theta, x0, ell, h)
+    C = op.commutator(*_grid_pair(theta), x0, ell, h)
     uncut = op.finite_difference(
         sp.inverse(op.apply_lambda_power(theta, 1.0)), h)
     assert C.sup_norm() / uncut.sup_norm() < 0.1
@@ -408,6 +414,64 @@ def test_commutator_dyadic_stability(geom):
     w11 = sp.mode_field(geom, 1, 1)
     gammas = []
     for h in (2 * dx, dx):
-        C = op.commutator(w11, x0, ell, (h, 0.0))
+        C = op.commutator(*_grid_pair(w11), x0, ell, (h, 0.0))
         gammas.append(C.sup_norm() * (np.pi / 2) / h)
     assert abs(gammas[1] - gammas[0]) / gammas[0] < 0.2
+
+
+def _full_grid_cutoffs(g, x0, ell):
+    X, Y = g.meshgrid()
+    r = np.hypot(X - x0[0], Y - x0[1])
+    return op.smoothstep_profile(r / ell), op.smoothstep_profile(r / (2 * ell))
+
+
+def _full_grid_commutator(theta, x0, ell, h):
+    """The commutator on the whole grid, with plain two-dimensional DSTs."""
+    g = theta.geometry
+    L, N = g.side_length, g.grid_size
+
+    def inverse(c):
+        return sp.GridField((2.0 / L) * fft.dstn(c, type=1) / 4.0, g)
+
+    phi, chi = _full_grid_cutoffs(g, x0, ell)
+    d_lam = op.finite_difference(
+        inverse(op.apply_lambda_power(theta, 1.0).coeffs), h)
+    d_theta = op.finite_difference(inverse(theta.coeffs), h)
+    loc = (L / (2.0 * N ** 2)) * fft.dstn(chi * d_theta.values, type=1)
+    lam_loc = inverse(g.eigenvalues ** 0.5 * loc)
+    vals = phi * (d_lam.values - lam_loc.values)
+    valid = d_lam.valid | (phi == 0.0)
+    vals[~valid] = 0.0
+    return vals, valid
+
+
+@pytest.mark.parametrize("N, x0, ell, steps", [
+    (128, (np.pi / 2, np.pi / 2), np.pi / 4, (1, -1)),
+    (128, (0.8, 1.9), 0.4, (1, 0)),
+    (128, (2.2, 0.9), 0.45, (0, -1)),
+    (256, (np.pi / 4, np.pi / 2), np.pi / 8, (-1, 1)),
+    (256, (1.3, 2.05), 0.5, (0, 2)),
+    (256, (2.4, 2.4), 0.35, (-1, 0)),
+])
+def test_commutator_matches_full_grid_formula(N, x0, ell, steps):
+    """The box-local commutator equals the whole-grid formula bit for bit."""
+    g = build_square_geometry(N)
+    theta = sp.SpectralField(np.zeros((N - 1, N - 1)), g)
+    rng = np.random.default_rng(N)
+    theta.coeffs[:6, :6] = rng.standard_normal((6, 6)) / 8.0
+    theta.coeffs[0, 0] = 1.0
+    h = (steps[0] * g.spacing, steps[1] * g.spacing)
+    C = op.commutator(*_grid_pair(theta), x0, ell, h)
+    vals, valid = _full_grid_commutator(theta, x0, ell, h)
+    assert np.array_equal(C.values, vals)
+    assert np.array_equal(C.valid, valid)
+    assert C.sup_norm() > 0
+
+
+@pytest.mark.parametrize("x0, ell", [((np.pi / 2, np.pi / 2), np.pi / 4),
+                                     ((0.7, 2.1), 0.3), ((1.0, 1.0), 0.01)])
+def test_standard_cutoff_matches_full_grid_formula(geom, x0, ell):
+    cut = op.standard_cutoff(geom, x0, ell)
+    phi, chi = _full_grid_cutoffs(geom, x0, ell)
+    assert np.array_equal(cut.phi.values, phi)
+    assert np.array_equal(cut.chi.values, chi)

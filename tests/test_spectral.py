@@ -190,3 +190,35 @@ def test_sup_norm_respects_valid_mask(geom):
     mask[0, 0] = False
     assert sp.GridField(vals, geom).sup_norm() == 10.0
     assert sp.GridField(vals, geom, valid=mask).sup_norm() == 1.0
+
+
+@pytest.mark.parametrize("n", [31, 47])
+def test_restricted_dst_passes_match_dstn(n):
+    a = np.zeros((31, 31))
+    a[:, 9:20] = np.random.default_rng(n).standard_normal((31, 11))
+    full = fft.dstn(a, type=1, s=(n, n))
+    assert np.array_equal(sp._dst2(a, n), full)
+    assert np.array_equal(sp._dst2(a, n, cols=slice(9, 20)), full)
+    assert np.array_equal(sp._dst2(a, n, cols=slice(9, 20), rows=slice(4, 13)),
+                          full[4:13])
+
+
+@pytest.mark.parametrize("N", [128, 512])
+def test_eval_fine_matches_padded_dstn(N):
+    g = build_square_geometry(N)
+    f = random_field(g, 40, seed=N)
+    Mf = 2 * N
+    padded = (2.0 / g.side_length) * fft.dstn(f.coeffs, type=1,
+                                              s=(Mf - 1, Mf - 1)) / 4.0
+    assert np.array_equal(sp.eval_fine(f, Mf), padded)
+
+
+def test_eval_fine_rows_and_forward_cols_match_dstn(geom):
+    f = random_field(geom, 20, seed=8)
+    L, N = geom.side_length, geom.grid_size
+    full = (2.0 / L) * fft.dstn(f.coeffs, type=1) / 4.0
+    assert np.array_equal(sp.eval_fine(f, N, rows=slice(5, 17)), full[5:17])
+    vals = np.zeros_like(full)
+    vals[:, 3:11] = full[:, 3:11]
+    got = sp.forward(sp.GridField(vals, geom), cols=slice(3, 11)).coeffs
+    assert np.array_equal(got, (L / (2.0 * N ** 2)) * fft.dstn(vals, type=1))
