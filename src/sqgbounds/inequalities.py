@@ -510,29 +510,32 @@ def verify_finite_difference_velocity(theta: SpectralField, x0, ell: float,
             break
     deltas, c_fits, margins = {}, [], []
     supp = cut.phi.values > 0
+    theta_grid = inverse(theta)
+    per_h = []                  # the terms that do not depend on eps
+    for h in hs:
+        dux = finite_difference(u.u_x, h)
+        duy = finite_difference(u.u_y, h)
+        dtheta = finite_difference(theta_grid, h)
+        loc = forward(GridField(cut.chi.values * dtheta.values, g))
+        base = cut.phi.values * np.abs(dtheta.values)
+        per_h.append((h,
+                      cut.phi.values * np.hypot(dux.values, duy.values),
+                      np.maximum(nonlinear_dissipation(loc).values, 0.0),
+                      base, float(base[supp].max()),
+                      np.hypot(*h) * g.distance ** (-2.0 / p) * b1p,
+                      supp & dux.valid & duy.valid))
     for eps in sorted(eps_list, reverse=True):
         tau = (eps * d0) ** 2
         u_s = short_time_velocity(theta, tau)
-        for h in hs:
-            dux = finite_difference(u.u_x, h)
-            duy = finite_difference(u.u_y, h)
-            lhs = cut.phi.values * np.hypot(dux.values, duy.values)
-            dtheta = finite_difference(inverse(theta), h)
-            loc = forward(GridField(cut.chi.values * dtheta.values, g))
-            diss = np.maximum(nonlinear_dissipation(loc).values, 0.0)
+        for h, lhs, diss, base, ref, weight, sel in per_h:
             term1 = np.sqrt(eps * g.distance * diss)
             dusx = finite_difference(u_s.u_x, h)
             dusy = finite_difference(u_s.u_y, h)
             ds_mag = np.hypot(dusx.values, dusy.values)
-            base = cut.phi.values * np.abs(dtheta.values)
-            ref = float(base[supp].max())
             delta_eps = float((cut.phi.values * ds_mag)[supp].max()) / max(ref, 1e-300)
             deltas.setdefault(eps, delta_eps)
             term3 = delta_eps * base
             resid = np.maximum(lhs - term1 - term3, 0.0)
-            hmag = np.hypot(*h)
-            weight = hmag * g.distance ** (-2.0 / p) * b1p
-            sel = supp & dux.valid & duy.valid
             c_eps = float((resid[sel] / weight[sel]).max())
             c_fits.append(c_eps)
             rhs = term1 + c_eps * weight + term3

@@ -234,9 +234,9 @@ def _perp_gradient(stream_coeffs: np.ndarray, geometry: Geometry,
                    j_sign: float) -> tuple[np.ndarray, np.ndarray]:
     """(u_x, u_y) = j_sign * (-d_y psi, d_x psi) at the interior nodes."""
     k = geometry.modes * np.pi / geometry.side_length
-    n, scale = geometry.grid_size, 2.0 / geometry.side_length
-    psi_y = _sin_cos_eval(stream_coeffs * k[None, :], n, 1, scale)
-    psi_x = _sin_cos_eval(stream_coeffs * k[:, None], n, 0, scale)
+    scale = 2.0 / geometry.side_length
+    psi_y = _sin_cos_eval(stream_coeffs * k[None, :], 1, scale)
+    psi_x = _sin_cos_eval(stream_coeffs * k[:, None], 0, scale)
     return -j_sign * psi_y, j_sign * psi_x
 
 

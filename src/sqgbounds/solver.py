@@ -2,10 +2,11 @@
 
 The dissipative term is handled exactly per mode by the multiplier
 e^{-dt lam^{s/2}} (s = 1 by default).  The advective flux -u . grad(theta) is
-evaluated on a 3N/2 zero-padded grid; products of the mixed-parity factors
-(velocity components against gradient components) are sine polynomials, so
-the fine-grid projection is alias-free and the discrete advection term is
-skew-symmetric to round-off.
+evaluated at the midpoints of a grid with ceil(3N/2) nodes per axis; products
+of the mixed-parity factors (velocity components against gradient
+components) are sine polynomials, so the fine-grid projection is alias-free
+and the discrete advection term is skew-symmetric to round-off.  A run
+reuses one fine-grid workspace for every advection evaluation.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import ConfigurationError, NumericError
+from .geometry import Geometry
 from .operators import _perp_gradient
 from .spectral import (SpectralField, eval_fine_mixed, fine_grid_size,
                        forward_fine, inverse)
@@ -115,21 +117,43 @@ def _stream_coeffs(theta: SpectralField, config: SolverConfig) -> np.ndarray | N
     return None
 
 
-def advection_coeffs(theta: SpectralField, config: SolverConfig) -> np.ndarray:
-    """Coefficients of -u . grad(theta), alias-free on the retained modes."""
+def _times_k(c: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
+    """``c`` times the wavenumbers ``k`` along ``axis``.
+
+    Equal to ``c * k[:, None]`` (axis 0) or ``c * k[None, :]`` (axis 1) bit
+    for bit, but einsum needs no iterator buffer, where numpy allocates one
+    for every broadcast product.
+    """
+    return np.einsum("ij,i->ij" if axis == 0 else "ij,j->ij", c, k)
+
+
+def advection_workspace(geometry: Geometry) -> np.ndarray:
+    """Scratch for :func:`advection_coeffs`: three fine-grid Nf x Nf slots."""
+    Nf = fine_grid_size(geometry.grid_size)
+    return np.empty((3, Nf, Nf))
+
+
+def advection_coeffs(theta: SpectralField, config: SolverConfig,
+                     work: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of -u . grad(theta), alias-free on the retained modes.
+
+    ``work`` is an :func:`advection_workspace` of theta's geometry, which the
+    call overwrites; without it the call allocates its own.
+    """
     g = theta.geometry
     psi = _stream_coeffs(theta, config)
     if psi is None:
         return np.zeros_like(theta.coeffs)
+    if work is None:
+        work = advection_workspace(g)
     Nf = fine_grid_size(g.grid_size)
-    k = _plan(theta).k
+    k, c = _plan(theta).k, theta.coeffs
     # u = (-psi_y, psi_x), so -u . grad(theta) = psi_y theta_x - psi_x theta_y
-    psi_y = eval_fine_mixed(psi * k[None, :], g, Nf, cos_axis=1)
-    psi_x = eval_fine_mixed(psi * k[:, None], g, Nf, cos_axis=0)
-    tx = eval_fine_mixed(theta.coeffs * k[:, None], g, Nf, cos_axis=0)
-    ty = eval_fine_mixed(theta.coeffs * k[None, :], g, Nf, cos_axis=1)
-    flux = psi_y * tx
-    flux -= psi_x * ty
+    flux = eval_fine_mixed(_times_k(psi, k, 1), g, Nf, 1, out=work[0])
+    flux *= eval_fine_mixed(_times_k(c, k, 0), g, Nf, 0, out=work[1])
+    part = eval_fine_mixed(_times_k(psi, k, 0), g, Nf, 0, out=work[1])
+    part *= eval_fine_mixed(_times_k(c, k, 1), g, Nf, 1, out=work[2])
+    flux -= part
     return forward_fine(flux, g, Nf, g.n_interior)
 
 
@@ -158,18 +182,20 @@ def velocity_bound(theta: SpectralField, config: SolverConfig) -> float:
     return float((2.0 / theta.geometry.side_length) * amp * (1.0 + 1e-9))
 
 
-def step(state: SolverState, dt: float, config: SolverConfig) -> SolverState:
+def step(state: SolverState, dt: float, config: SolverConfig,
+         work: np.ndarray | None = None) -> SolverState:
     """One integrating-factor Heun step.
 
-    Raises ``NumericError`` with a state dump if the update is non-finite;
-    CFL acceptance is the caller's job (see :func:`run`).
+    ``work`` is passed on to :func:`advection_coeffs`.  Raises
+    ``NumericError`` with a state dump if the update is non-finite; CFL
+    acceptance is the caller's job (see :func:`run`).
     """
     g = state.theta.geometry
     decay = _decay(g.grid_size, g.side_length, dt, config.dissipation_power)
     a = state.theta.coeffs
-    k1 = advection_coeffs(state.theta, config)
+    k1 = advection_coeffs(state.theta, config, work)
     mid = SpectralField(decay * (a + dt * k1), g, tag=state.theta.tag)
-    k2 = advection_coeffs(mid, config)
+    k2 = advection_coeffs(mid, config, work)
     new = decay * a + 0.5 * dt * (decay * k1 + k2)
     if not np.isfinite(new).all():
         raise NumericError(
@@ -194,6 +220,7 @@ def run(theta0: SpectralField, config: SolverConfig) -> RunResult:
     tries :func:`velocity_bound` first and evaluates :func:`velocity_sup`
     only when the bound fails it; since the bound is never below the sup,
     each step is accepted or rejected exactly as the sup alone decides.
+    All steps share one :func:`advection_workspace`, released on return.
     """
     config.validate()
     if not np.isfinite(theta0.coeffs).all():
@@ -202,6 +229,7 @@ def run(theta0: SpectralField, config: SolverConfig) -> RunResult:
     state = SolverState(t=0.0, theta=theta0.copy(), step=0)
     dt = config.dt
     rejected = 0
+    work = advection_workspace(g)
 
     times = [0.0]
     halves = [half_norm_sq(state.theta)]
@@ -226,7 +254,7 @@ def run(theta0: SpectralField, config: SolverConfig) -> RunResult:
                 if dt < 1e-12:
                     raise NumericError("CFL halving drove dt below 1e-12")
                 continue
-        state = step(state, dt_step, config)
+        state = step(state, dt_step, config, work)
         times.append(state.t)
         halves.append(half_norm_sq(state.theta))
         sup = inverse(state.theta).sup_norm()

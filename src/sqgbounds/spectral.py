@@ -6,13 +6,18 @@ orthonormal eigenbasis w_{m,n}).  The pair (forward, inverse) is an exact
 round trip on the grid because the type-I DST quadrature is exact for the
 retained modes, and Parseval holds: sum(a^2) == h^2 * sum(f^2).
 
-Pointwise products of two fields are evaluated on a zero-padded grid (2N
-nodes per axis, comfortably above the 3N/2 the quadratic nonlinearity needs)
-and projected back onto the retained modes.  A product of two sine
-polynomials is a cosine polynomial of bounded degree, so the closed fine
-grid resolves it exactly and the projection onto the sine basis reduces to
-the analytic overlap integrals int cos(q pi x/L) sin(p pi x/L) dx.  No
-aliasing of retained-mode products survives.
+Pointwise products of two fields go through one of two fine grids.
+:func:`dealiased_product` samples both factors on the closed 2N-grid: a
+product of two sine polynomials is a cosine polynomial of bounded degree,
+which the closed grid resolves exactly, and the analytic overlap integrals
+int cos(q pi x/L) sin(p pi x/L) dx project it onto the sine basis.  The
+solver's advective flux multiplies factors of opposite parity, so it is a
+sine polynomial of degree <= 2N-2 per axis; it is sampled at the midpoints
+x_i = (i + 1/2) L/Nf, i = 0..Nf-1, of the grid with Nf = ceil(3N/2) nodes
+(DCT-III and DST-III of length Nf) and projected back by DST-II.  Since
+sum_i cos(r pi (i + 1/2)/Nf) = 0 for 0 < r < 2 Nf, that projection is exact
+whenever the degree plus the kept mode count stays below 2 Nf, and here
+(2N-2) + (N-1) < 3N <= 2 Nf.  No aliasing of retained-mode products survives.
 """
 from __future__ import annotations
 
@@ -51,8 +56,8 @@ class GridField:
     valid: np.ndarray | None = None   # optional bool mask (finite differences)
 
     def sup_norm(self) -> float:
-        vals = self.values if self.valid is None else self.values[self.valid]
-        return float(np.abs(vals).max()) if vals.size else 0.0
+        where = True if self.valid is None else self.valid
+        return float(np.max(np.abs(self.values), where=where, initial=0.0))
 
 
 def mode_field(geometry: Geometry, m: int, n: int, amp: float = 1.0,
@@ -64,28 +69,25 @@ def mode_field(geometry: Geometry, m: int, n: int, amp: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# Building blocks.  Sums run over modes m = 1..P against the interior nodes
-# i = 1..N-1 of the grid with divisor N >= P+1 (i.e. sin(pi*m*i/N)).
+# Building blocks.  Sums run over modes m = 1..N-1 against the interior nodes
+# i = 1..N-1 of the N-grid (i.e. sin(pi*m*i/N)).
 # ---------------------------------------------------------------------------
 
-def cos_eval(coeffs: np.ndarray, axis: int, n_nodes: int | None = None,
-             scale: float = 1.0) -> np.ndarray:
+def cos_eval(coeffs: np.ndarray, axis: int, scale: float = 1.0) -> np.ndarray:
     """scale * sum_m c_m cos(pi m i / N) at the interior nodes along ``axis``.
 
-    Modes run m = 1..M with N = ``n_nodes`` (default M + 1).  They are written
-    into a zero-bordered length-(N+1) buffer (the m = 0 slot and the slots
-    above M stay zero), so the DCT-I evaluates the sum exactly.
+    Modes run m = 1..N-1.  They are written into a zero-bordered
+    length-(N+1) buffer (the m = 0 and m = N slots stay zero), so the DCT-I
+    evaluates the sum exactly.
     """
-    n_nodes = n_nodes or coeffs.shape[axis] + 1
     shape = list(coeffs.shape)
-    shape[axis] = n_nodes + 1
+    shape[axis] += 2
     buf = np.zeros(shape)
     inner = [slice(None)] * coeffs.ndim
     inner[axis] = slice(1, coeffs.shape[axis] + 1)
     buf[tuple(inner)] = coeffs
     full = fft.dct(buf, type=1, axis=axis, overwrite_x=True)
     full *= 0.5 * scale
-    inner[axis] = slice(1, n_nodes)
     return full[tuple(inner)]
 
 
@@ -95,18 +97,15 @@ def sin_analyze(values: np.ndarray, axis: int) -> np.ndarray:
     return fft.dst(values, type=1, axis=axis) / n
 
 
-def _sin_cos_eval(coeffs: np.ndarray, n_nodes: int, cos_axis: int,
+def _sin_cos_eval(coeffs: np.ndarray, cos_axis: int,
                   scale: float) -> np.ndarray:
     """scale * sum c_{m,n} sin(pi m i/N) cos(pi n j/N) at the interior nodes.
 
     The sine factor runs along ``1 - cos_axis`` and the cosine factor along
-    ``cos_axis``; N = ``n_nodes`` may exceed the mode count plus one (the
-    higher modes are zero).  The DST-I pass transforms only the lines that
-    hold modes.
+    ``cos_axis``.
     """
-    sin_axis = 1 - cos_axis
-    sin_vals = fft.dst(coeffs, type=1, n=n_nodes - 1, axis=sin_axis)
-    return cos_eval(sin_vals, cos_axis, n_nodes, 0.5 * scale)
+    sin_vals = fft.dst(coeffs, type=1, axis=1 - cos_axis)
+    return cos_eval(sin_vals, cos_axis, 0.5 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +163,8 @@ def gradient(spec: SpectralField) -> tuple[GridField, GridField]:
     g = spec.geometry
     k = g.modes * np.pi / g.side_length
     scale = 2.0 / g.side_length
-    dx = _sin_cos_eval(spec.coeffs * k[:, None], g.grid_size, 0, scale)
-    dy = _sin_cos_eval(spec.coeffs * k[None, :], g.grid_size, 1, scale)
+    dx = _sin_cos_eval(spec.coeffs * k[:, None], 0, scale)
+    dy = _sin_cos_eval(spec.coeffs * k[None, :], 1, scale)
     return GridField(dx, g), GridField(dy, g)
 
 
@@ -178,8 +177,9 @@ def grad_l2_norm_sq(spec: SpectralField) -> float:
 # Fine-grid evaluation and dealiased products
 # ---------------------------------------------------------------------------
 
-def fine_grid_size(N: int, factor: float = 1.5) -> int:
-    return int(np.ceil(factor * N))
+def fine_grid_size(N: int) -> int:
+    """Nodes per axis of the advective flux's midpoint grid, ceil(3N/2)."""
+    return int(np.ceil(1.5 * N))
 
 
 def eval_fine(spec: SpectralField, Nf: int, rows=slice(None)) -> np.ndarray:
@@ -194,23 +194,52 @@ def eval_fine(spec: SpectralField, Nf: int, rows=slice(None)) -> np.ndarray:
 
 
 def eval_fine_mixed(coeffs: np.ndarray, geometry: Geometry, Nf: int,
-                    cos_axis: int) -> np.ndarray:
-    """Evaluate (2/L) sum c_{m,n} with a cosine factor along ``cos_axis``."""
-    return _sin_cos_eval(coeffs, Nf, cos_axis, 2.0 / geometry.side_length)
+                    cos_axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(2/L) sum c_{m,n} (sine factor)(cosine factor) at the Nf x Nf midpoints.
+
+    The cosine factor cos(k x) runs along ``cos_axis`` and the sine factor
+    sin(k x) along the other axis; the nodes are x_i = (i + 1/2) L/Nf,
+    i = 0..Nf-1, and Nf must exceed the mode count.  The coefficients go
+    into an Nf x Nf buffer (``out`` if given, else a new array) behind a
+    zero leading line along ``cos_axis``; a DCT-III along ``cos_axis`` over
+    the lines that hold modes and a DST-III along the other axis, both of
+    length Nf, evaluate the sum in place.  Use the returned array: it is
+    ``out`` unless scipy declined to work in place.
+    """
+    n = coeffs.shape[0]
+    buf = np.empty((Nf, Nf)) if out is None else out
+    # cosine axis last: each of the first n lines holds one sine mode
+    view, coeffs = (buf, coeffs) if cos_axis == 1 else (buf.T, coeffs.T)
+    view[n:] = 0.0
+    lines = view[:n]
+    lines[:, 0] = 0.0
+    lines[:, n + 1:] = 0.0
+    np.copyto(lines[:, 1:n + 1], coeffs)
+    cos_vals = fft.dct(lines, type=3, axis=1, overwrite_x=True)
+    if not np.may_share_memory(cos_vals, lines):   # not done in place
+        lines[...] = cos_vals
+    values = fft.dst(view, type=3, axis=0, overwrite_x=True)
+    # each type-III pass doubles the sum; scaling the whole contiguous
+    # result in place avoids numpy's buffer for a strided multiply
+    values *= 0.5 / geometry.side_length
+    return values if cos_axis == 1 else values.T
 
 
 def forward_fine(values: np.ndarray, geometry: Geometry, Nf: int,
                  n_keep: int) -> np.ndarray:
-    """Project fine-grid samples back onto the first ``n_keep`` modes per axis.
+    """Project midpoint samples back onto the first ``n_keep`` modes per axis.
 
-    Exact for samples of a sine polynomial of degree < 2*Nf - n_keep per
-    axis, which covers quadratic products of opposite-parity factors (the
-    advective flux).  Same-parity products carry cosine content and go
-    through :func:`dealiased_product` instead.
+    ``values`` holds samples at the nodes of :func:`eval_fine_mixed` and is
+    overwritten: the transforms run in place.  The DST-II pair is exact for
+    a sine polynomial of degree < 2*Nf - n_keep per axis, which covers
+    quadratic products of opposite-parity factors (the advective flux).
+    Same-parity products carry cosine content and go through
+    :func:`dealiased_product` instead.
     """
-    rows = fft.dst(values, type=1, axis=0)[:n_keep]
-    coeffs = fft.dst(rows, type=1, axis=1, overwrite_x=True)[:, :n_keep]
-    return (geometry.side_length / (2.0 * Nf ** 2)) * coeffs
+    rows = fft.dst(values, type=2, axis=0, overwrite_x=True)[:n_keep]
+    coeffs = fft.dst(rows, type=2, axis=1, overwrite_x=True)
+    coeffs *= geometry.side_length / (2.0 * Nf ** 2)
+    return coeffs[:, :n_keep].copy()
 
 
 def eval_closed(spec: SpectralField, Mf: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Integrating-factor stepping: exact dissipation, skew advection, monitors."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft
 
 from sqgbounds.errors import ConfigurationError, NumericError
 from sqgbounds.geometry import build_square_geometry
@@ -50,6 +53,80 @@ def test_advection_skew_symmetric(geom):
     u_sup = sv.velocity_sup(theta, cfg)
     grad_sq = float((geom.eigenvalues * c ** 2).sum())
     assert inner < 1e-10 * u_sup * theta.l2_norm() * np.sqrt(grad_sq)
+
+
+def closed_grid_advection(theta, j_sign):
+    """-u . grad(theta) by type-I transforms on the closed Nf-grid.
+
+    The factors are sampled at the interior nodes i L/Nf, i = 1..Nf-1 (a
+    DST-I into the padded length, then a DCT-I over a zero-bordered copy),
+    and the flux is projected back with a full DST-I and sliced.
+    """
+    g = theta.geometry
+    L, n = g.side_length, g.n_interior
+    Nf = int(np.ceil(1.5 * g.grid_size))
+    k = g.modes * np.pi / L
+    psi = j_sign * theta.coeffs / np.sqrt(g.eigenvalues)
+
+    def mixed(c, cos_axis):
+        s = fft.dst(c, type=1, n=Nf - 1, axis=1 - cos_axis)
+        pad = [(0, 0), (0, 0)]
+        pad[cos_axis] = (1, Nf - n)
+        full = fft.dct(np.pad(s, pad), type=1, axis=cos_axis)
+        inner = np.take(full, np.arange(1, Nf), axis=cos_axis)
+        return (2.0 / L) * inner / 4.0
+
+    flux = (mixed(psi * k[None, :], 1) * mixed(theta.coeffs * k[:, None], 0)
+            - mixed(psi * k[:, None], 0) * mixed(theta.coeffs * k[None, :], 1))
+    return (L / (2.0 * Nf ** 2)) * fft.dstn(flux, type=1)[:n, :n]
+
+
+@pytest.mark.parametrize("N", [16, 37, 128])
+@pytest.mark.parametrize("j_sign", [1.0, -1.0])
+def test_advection_matches_closed_grid_formula(N, j_sign):
+    """Midpoint and closed-grid dealiasing agree on full-band spectra."""
+    g = build_square_geometry(N)
+    c = np.random.default_rng(N).standard_normal((g.n_interior,) * 2)
+    theta = sp.SpectralField(c, g)
+    adv = sv.advection_coeffs(theta, sv.SolverConfig(j_sign=j_sign))
+    ref = closed_grid_advection(theta, j_sign)
+    assert np.linalg.norm(adv - ref) <= 1e-13 * np.linalg.norm(ref)
+    inner = abs(float((adv * c).sum()))
+    assert inner <= 1e-13 * np.linalg.norm(adv) * np.linalg.norm(c)
+
+
+def test_advection_workspace_matches_fresh_result(geom):
+    """A reused workspace full of stale values gives the fresh result exactly."""
+    c = np.random.default_rng(3).standard_normal((geom.n_interior,) * 2)
+    theta = sp.SpectralField(c, geom)
+    cfg = sv.SolverConfig()
+    fresh = sv.advection_coeffs(theta, cfg)
+    work = sv.advection_workspace(geom)
+    work.fill(np.nan)
+    assert np.array_equal(sv.advection_coeffs(theta, cfg, work), fresh)
+    assert np.array_equal(sv.advection_coeffs(theta, cfg, work), fresh)
+
+
+def test_advection_with_workspace_allocates_less_than_one_fine_grid(geom):
+    """With a workspace, one call at N = 128 allocates under one Nf^2 array.
+
+    NumPy reports its buffers to tracemalloc; a warm-up call fills the
+    caches first.  The returned coefficients count against the bound.
+    """
+    c = np.random.default_rng(4).standard_normal((geom.n_interior,) * 2)
+    theta = sp.SpectralField(c, geom)
+    cfg = sv.SolverConfig()
+    work = sv.advection_workspace(geom)
+    sv.advection_coeffs(theta, cfg, work)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sv.advection_coeffs(theta, cfg, work)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    Nf = sp.fine_grid_size(geom.grid_size)
+    assert peak < Nf * Nf * 8
 
 
 def test_run_monitors_and_ledger(geom):

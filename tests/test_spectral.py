@@ -4,6 +4,8 @@ Oracles: analytic sine series of sin^2 (for the ground-mode product) and a
 tensor Gauss-Legendre quadrature of <f*g, w_{m,n}> (independent of the DST
 code paths).
 """
+import types
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -71,27 +73,73 @@ def test_gradient_of_single_mode(geom):
 @pytest.mark.parametrize("n_nodes", [12, sp.fine_grid_size(12)])
 @pytest.mark.parametrize("cos_axis", [0, 1])
 def test_sin_cos_eval_matches_dense_double_sum(n_nodes, cos_axis):
-    """Coarse and fine node counts against sum c sin(pi m i/N) cos(pi n j/N)."""
+    """0.7 sum c sin(pi m x/L) cos(pi n y/L) of a 12-grid field on both grids.
+
+    n_nodes = 12: the interior collocation nodes i L/12 (``_sin_cos_eval``);
+    n_nodes = 18: the fine midpoints (i + 1/2) L/18 (``eval_fine_mixed``).
+    """
     rng = np.random.default_rng(7 + cos_axis)
     c = rng.standard_normal((11, 11))
-    nodes = np.arange(1, n_nodes)
+    if n_nodes == 12:
+        nodes = np.arange(1, n_nodes)
+        got = sp._sin_cos_eval(c, cos_axis, 0.7)
+    else:
+        g = build_square_geometry(12)
+        nodes = np.arange(n_nodes) + 0.5
+        got = 0.35 * g.side_length * sp.eval_fine_mixed(c, g, n_nodes, cos_axis)
     modes = np.arange(1, 12)
     S = np.sin(np.pi * np.outer(nodes, modes) / n_nodes)
     C = np.cos(np.pi * np.outer(nodes, modes) / n_nodes)
     dense = 0.7 * (S @ c @ C.T if cos_axis == 1 else C @ c @ S.T)
-    got = sp._sin_cos_eval(c, n_nodes, cos_axis, 0.7)
-    assert got.shape == (n_nodes - 1, n_nodes - 1)
+    assert got.shape == (len(nodes), len(nodes))
     assert np.abs(got - dense).max() < 1e-12 * np.abs(c).sum()
 
 
 def test_forward_fine_matches_full_transform_then_slice(geom):
+    """DST-II projection against the dense midpoint sum over all Nf modes."""
     Nf = sp.fine_grid_size(geom.grid_size)
-    vals = np.random.default_rng(5).standard_normal((Nf - 1, Nf - 1))
-    full = (geom.side_length / (2.0 * Nf ** 2)) * fft.dstn(vals, type=1)
+    L = geom.side_length
+    vals = np.random.default_rng(5).standard_normal((Nf, Nf))
+    # discrete <v, w_pq> with cell area (L/Nf)^2 and w_pq = (2/L) sin sin
+    S = np.sin(np.pi * np.outer(np.arange(1, Nf + 1), np.arange(Nf) + 0.5) / Nf)
+    full = (L / Nf) ** 2 * (2.0 / L) * S @ vals @ S.T
     kept = full[:geom.n_interior, :geom.n_interior]
-    got = sp.forward_fine(vals, geom, Nf, geom.n_interior)
+    got = sp.forward_fine(vals.copy(), geom, Nf, geom.n_interior)
     assert got.shape == kept.shape
     assert np.abs(got - kept).max() < 1e-13 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("cos_axis", [0, 1])
+def test_eval_fine_mixed_out_matches_fresh_result(geom, cos_axis):
+    """A reused buffer full of stale values gives the fresh result exactly."""
+    Nf = sp.fine_grid_size(geom.grid_size)
+    c = random_field(geom, geom.n_interior, seed=9 + cos_axis).coeffs
+    fresh = sp.eval_fine_mixed(c, geom, Nf, cos_axis)
+    buf = np.full((Nf, Nf), np.nan)
+    got = sp.eval_fine_mixed(c, geom, Nf, cos_axis, out=buf)
+    assert np.array_equal(got, fresh)
+    assert np.shares_memory(got, buf)
+
+
+@pytest.mark.parametrize("cos_axis", [0, 1])
+def test_fine_transforms_do_not_rely_on_in_place_fft(geom, cos_axis,
+                                                     monkeypatch):
+    """Results stand when scipy returns new arrays instead of working in place."""
+    Nf = sp.fine_grid_size(geom.grid_size)
+    c = random_field(geom, geom.n_interior, seed=11 + cos_axis).coeffs
+    values = sp.eval_fine_mixed(c, geom, Nf, cos_axis)
+    coeffs = sp.forward_fine(values.copy(), geom, Nf, geom.n_interior)
+
+    def copying(transform):
+        return lambda x, *args, **kw: transform(
+            np.array(x), *args, **{**kw, "overwrite_x": False})
+
+    monkeypatch.setattr(sp, "fft", types.SimpleNamespace(
+        dct=copying(fft.dct), dst=copying(fft.dst)))
+    got = sp.eval_fine_mixed(c, geom, Nf, cos_axis, out=np.full((Nf, Nf), np.nan))
+    assert np.array_equal(got, values)
+    assert np.array_equal(sp.forward_fine(got, geom, Nf, geom.n_interior),
+                          coeffs)
 
 
 def test_grad_norm_parseval(geom):
