@@ -16,7 +16,8 @@ import numpy as np
 from . import inequalities as iq
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
-from .diagnostics import append_csv, csv_columns, csv_row, record
+from .diagnostics import (append_csv, boundary_ratio, csv_columns, csv_row,
+                          record)
 from .errors import NumericError, SqgError
 from .geometry import build_square_geometry
 from .operators import PHI_SQUARE, ConvexFn, riesz_velocity, softplus_hinge
@@ -108,7 +109,6 @@ def _verify_dispatch(cfg: RunConfig, names) -> list:
             rep = iq.verify_cordoba(g, iq.seeded_family(g, 10, 12, cfg.seed),
                                     phi)
         elif name == "weighted_identity":
-            from .diagnostics import boundary_ratio
             ratios = [boundary_ratio(f)
                       for f in iq.seeded_family(g, 3, 12, cfg.seed)]
             rep = iq.verify_weighted_identity(ratios, mode_field(g, 1, 1),

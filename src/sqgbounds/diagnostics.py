@@ -105,6 +105,7 @@ def _holder(values: GridField, alpha: float,
     vals = values.values
     dx = g.spacing
     n = g.n_interior
+    e = g.side_distance
     best = 0.0
     admissible = np.zeros((n, n), dtype=bool)
     steps = 1
@@ -112,17 +113,45 @@ def _holder(values: GridField, alpha: float,
         for ex, ey in _DIRECTIONS:
             p, q = steps * ex, steps * ey
             hlen = np.hypot(p * dx, q * dx)
-            i0, i1 = max(0, -p), min(n, n - p)
-            j0, j1 = max(0, -q), min(n, n - q)
+            # d * h_budget >= |h| holds on the box where both e_i and e_j
+            # reach |h| / h_budget; e is unimodal, so each side is one run
+            inside = np.flatnonzero(e * h_budget >= hlen)
+            if not inside.size:
+                continue
+            i0, i1 = max(inside[0], -p), min(inside[-1] + 1, n - p)
+            j0, j1 = max(inside[0], -q), min(inside[-1] + 1, n - q)
             if i0 >= i1 or j0 >= j1:
                 continue
             diff = np.abs(vals[i0 + p:i1 + p, j0 + q:j1 + q] - vals[i0:i1, j0:j1])
-            ok = g.distance[i0:i1, j0:j1] * h_budget >= hlen
-            if ok.any():
-                best = max(best, float((diff * ok).max()) / hlen ** alpha)
-                admissible[i0:i1, j0:j1] |= ok
+            best = max(best, float(diff.max()) / hlen ** alpha)
+            admissible[i0:i1, j0:j1] = True
         steps *= 2
     return HolderSeminorm(best, int((~admissible).sum()))
+
+
+def _shell_sup(values: np.ndarray, geometry: Geometry,
+               shells: int) -> tuple[list[float], list[float]]:
+    """log top, sup of values on each nonempty shell top/2 < d <= top = L/2^(k+3)."""
+    tops = (geometry.side_length / 8.0) * 0.5 ** np.arange(shells)
+    d = geometry.distance
+    logs_d, sups = [], []
+    for t in tops:
+        sel = (d <= t) & (d > 0.5 * t)
+        if sel.any():
+            logs_d.append(float(np.log(t)))
+            sups.append(float(values[sel].max()))
+    return logs_d, sups
+
+
+def fit_line(x, y) -> tuple[float, float, float]:
+    """Least-squares line with r^2."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r2
 
 
 def normal_velocity_slope(u, geometry: Geometry, shells: int = 4
@@ -130,28 +159,18 @@ def normal_velocity_slope(u, geometry: Geometry, shells: int = 4
     """Slope (and r^2) of log sup-shell |u . n| against log shell distance.
 
     n is the inward normal of the nearest side; shells are dyadic in the
-    boundary distance below L/8.
+    boundary distance below L/8 and left out where u . n vanishes.
     """
-    X, Y = geometry.meshgrid()
-    L = geometry.side_length
-    near_x = np.minimum(X, L - X) <= np.minimum(Y, L - Y)
+    e = geometry.side_distance
+    near_x = e[:, None] <= e[None, :]
     un = np.where(near_x, np.abs(u.u_x.values), np.abs(u.u_y.values))
-    d = geometry.distance
-    tops = (L / 8.0) * 0.5 ** np.arange(shells)
-    logs_d, logs_u = [], []
-    for top in tops:
-        sel = (d <= top) & (d > 0.5 * top)
-        if sel.any() and un[sel].max() > 0:
-            logs_d.append(np.log(top))
-            logs_u.append(np.log(un[sel].max()))
-    if len(logs_d) < 2:
+    kept = [(ld, s) for ld, s in zip(*_shell_sup(un, geometry, shells))
+            if s > 0]
+    if len(kept) < 2:
         return 0.0, 0.0
-    slope, intercept = np.polyfit(logs_d, logs_u, 1)
-    fit = slope * np.asarray(logs_d) + intercept
-    ss_res = float(((np.asarray(logs_u) - fit) ** 2).sum())
-    ss_tot = float(((np.asarray(logs_u) - np.mean(logs_u)) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
+    logs_d, sups = zip(*kept)
+    slope, _, r2 = fit_line(logs_d, np.log(sups))
+    return slope, r2
 
 
 @dataclass

@@ -54,6 +54,11 @@ class Geometry:
     def area(self) -> float:
         return self.side_length ** 2
 
+    @property
+    def side_distance(self) -> np.ndarray:
+        """e_i = min(x_i, L - x_i) per axis; ``distance`` is min(e_i, e_j)."""
+        return np.minimum(self.x, self.side_length - self.x)
+
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """Node coordinates X[i,j] = x_i, Y[i,j] = y_j."""
         return np.meshgrid(self.x, self.x, indexing="ij")

@@ -16,11 +16,13 @@ from scipy.integrate import trapezoid
 
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .geometry import Geometry, build_square_geometry, fit_ground_state_equivalence
-from .diagnostics import (boundary_ratio, holder_seminorm, interior_lipschitz,
+from .diagnostics import (_shell_sup, boundary_ratio, fit_line,
+                          holder_seminorm, interior_lipschitz,
                           ratio_from_values, ratio_lp_norm, ratio_quad,
                           weighted_ratio_norm)
-from .operators import (ConvexFn, apply_lambda_power, commutator,
-                        finite_difference, heat_of_one_1d, nonlinear_dissipation,
+from .operators import (ConvexFn, apply_lambda_power, commutator, eigensum_1d,
+                        finite_difference, heat_of_one_1d, heat_semigroup,
+                        lambda_of_values, nonlinear_dissipation,
                         riesz_velocity, short_time_velocity, standard_cutoff,
                         weighted_convexity_terms)
 from .solver import RunResult, SolverConfig
@@ -42,17 +44,6 @@ class InequalityReport:
     margins: list = field(default_factory=list)
     sample_plan: dict = field(default_factory=dict)
     notes: str = ""
-
-
-def fit_line(x, y) -> tuple[float, float, float]:
-    """Least-squares line with r^2."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
 
 
 def seeded_family(geometry: Geometry, count: int, max_mode: int,
@@ -112,9 +103,8 @@ def verify_cordoba(geometry: Geometry, fields: list[SpectralField],
         fv = inverse(f).values
         lam_f = inverse(apply_lambda_power(f, 1.0)).values
         phif = np.asarray(phi(fv), float)
-        lam_phif = inverse(apply_lambda_power(
-            forward(GridField(phif, geometry)), 1.0)).values
-        lhs = np.asarray(phi.deriv(fv), float) * lam_f - lam_phif
+        lhs = (np.asarray(phi.deriv(fv), float) * lam_f
+               - lambda_of_values(phif, geometry))
         denom = fv * np.asarray(phi.deriv(fv), float) - phif
         scale = max(float(np.abs(denom).max()), 1e-300)
         ratio_ok = keep & (denom > 1e-12 * scale)
@@ -140,40 +130,19 @@ def verify_cordoba(geometry: Geometry, fields: list[SpectralField],
 def verify_weighted_identity(ratios: list[GridField], w: SpectralField,
                              phis: list[ConvexFn],
                              tolerance: float = 1e-8) -> InequalityReport:
-    """Nonnegativity of the convexity defect D_Phi for each ratio and profile.
-
-    As a sanity check the defect of the concave reflection -Phi is recomputed
-    from the same terms and must flip sign exactly (the defect is linear in
-    the profile).
-    """
+    """Nonnegativity of the convexity defect D_Phi for each ratio and profile."""
     margins = []
-    flip = 0.0
-    g = w.geometry
-    wv = inverse(w).values
-    lam_w = inverse(apply_lambda_power(w, 1.0)).values
-
-    def lam_of(values):
-        return inverse(apply_lambda_power(forward(GridField(values, g)), 1.0)).values
-
     for b in ratios:
         for phi in phis:
-            lhs, rhs_core, defect = weighted_convexity_terms(b, w, phi)
+            lhs, _, defect = weighted_convexity_terms(b, w, phi)
             scale = max(float(np.abs(lhs.values).max()), 1e-300)
             margins.append(float(defect.values.min()) / scale)
-            # concave reflection, computed without the convexity gate
-            bv = b.values
-            phib = -np.asarray(phi(bv), float)
-            dphib = -np.asarray(phi.deriv(bv), float)
-            neg = (dphib * lam_of(wv * bv) - lam_of(wv * phib)
-                   - lam_w * (bv * dphib - phib))
-            flip = max(flip, float(np.abs(neg + defect.values).max()) / scale)
     min_margin = float(min(margins)) if margins else 0.0
     return InequalityReport(
         name="weighted_identity", samples=len(margins),
         min_margin=min_margin, tolerance=tolerance,
-        passed=min_margin >= -tolerance and flip < 1e-10,
-        fitted_constants={"min_relative_defect": min_margin,
-                          "reflection_residual": flip},
+        passed=min_margin >= -tolerance,
+        fitted_constants={"min_relative_defect": min_margin},
         margins=margins,
         sample_plan={"profiles": [phi.name for phi in phis],
                      "ratios": len(ratios)})
@@ -217,9 +186,8 @@ def verify_lambda_one_lower(geometry: Geometry) -> InequalityReport:
     keep = geometry.unmasked()
     product = vals * geometry.ground_state
     c0 = float(product[keep].min())
-    # symmetry under the square's flips
-    sym = max(float(np.abs(vals - vals.T).max()),
-              float(np.abs(vals - vals[::-1, :]).max()))
+    # symmetry under x -> L - x (the transpose is exact: a sum of outer(s, s))
+    sym = float(np.abs(vals - vals[::-1, :]).max())
     # margin concentrates at the boundary: the profile decays inward
     mid = geometry.n_interior // 2
     centerline = vals[: mid + 1, mid]
@@ -368,20 +336,6 @@ def verify_weight_norm_bridge(theta: SpectralField, m: int,
 # ---------------------------------------------------------------------------
 # Velocity bounds
 # ---------------------------------------------------------------------------
-
-def _shell_sup(values: np.ndarray, geometry: Geometry, shells: int,
-               top: float | None = None) -> tuple[list[float], list[float]]:
-    top = geometry.side_length / 8.0 if top is None else top
-    tops = top * 0.5 ** np.arange(shells)
-    d = geometry.distance
-    logs_d, sups = [], []
-    for t in tops:
-        sel = (d <= t) & (d > 0.5 * t)
-        if sel.any():
-            logs_d.append(float(np.log(t)))
-            sups.append(float(values[sel].max()))
-    return logs_d, sups
-
 
 def verify_velocity_log_bound(theta: SpectralField, M: float | None = None,
                               shells: int = 6,
@@ -562,16 +516,14 @@ def verify_normal_velocity_rate(theta: SpectralField, p: float, alpha: float,
                                 shells: int = 5) -> InequalityReport:
     """Vanishing rate of u . N at the boundary, N from a smoothed distance field.
 
-    T = grad-perp of the heat-smoothed distance function is tangent to the
-    boundary; N = -T-perp = grad of the smoothed distance.  The shell slope
-    of log sup |u . N| vs log d must reach min(1 - 2/p, alpha) - 0.15.
+    N = grad of the heat-smoothed distance function, the inward normal near
+    the sides.  The shell slope of log sup |u . N| vs log d must reach
+    min(1 - 2/p, alpha) - 0.15.
     """
-    from .operators import heat_semigroup
     g = theta.geometry
     dist = forward(GridField(g.distance, g))
     smooth = heat_semigroup(dist, smoothing)
     nx, ny = gradient(smooth)           # N = grad(smoothed distance), inward
-    tx, ty = -ny.values, nx.values      # T = grad-perp, tangential
     u = riesz_velocity(theta)
     un = np.abs(u.u_x.values * nx.values + u.u_y.values * ny.values)
     logs_d, sups = _shell_sup(un, g, shells)
@@ -579,17 +531,11 @@ def verify_normal_velocity_rate(theta: SpectralField, p: float, alpha: float,
         raise ConfigurationError("not enough shells for the regression")
     slope, intercept, r2 = fit_line(logs_d, np.log(sups))
     target = min(1.0 - 2.0 / p, alpha) - 0.15
-    t_sup = float(np.hypot(tx, ty).max())
-    gtxx, gtxy = gradient(forward(GridField(tx, g)))
-    gtyx, gtyy = gradient(forward(GridField(ty, g)))
-    grad_t_sup = float(np.sqrt(gtxx.values ** 2 + gtxy.values ** 2
-                               + gtyx.values ** 2 + gtyy.values ** 2).max())
     return InequalityReport(
         name="normal_velocity_rate", samples=len(logs_d),
         min_margin=float(slope - target), tolerance=0.0,
         passed=slope >= target,
         fitted_constants={"slope": slope, "target": target,
-                          "T_sup": t_sup, "grad_T_sup": grad_t_sup,
                           "b1_p": ratio_lp_norm(boundary_ratio(theta), p),
                           "holder": holder_seminorm(theta, alpha).value},
         regression=(slope, intercept, r2),
@@ -657,20 +603,6 @@ def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
 # Heat-kernel bound families
 # ---------------------------------------------------------------------------
 
-def _eigensum_1d(t, a, b, L, modes, da=0, db=0):
-    k = np.arange(1, modes + 1) * np.pi / L
-    decay = np.exp(-t * k * k)
-
-    def fac(z, order):
-        if order == 0:
-            return np.sin(k * z)
-        if order == 1:
-            return k * np.cos(k * z)
-        return -k * k * np.sin(k * z)
-
-    return float((2.0 / L) * np.sum(decay * fac(a, da) * fac(b, db)))
-
-
 def verify_kernel_bounds(geometry: Geometry, n_samples: int = 500,
                          seed: int = 0, horizon: float = 1.0,
                          modes: int = 384) -> InequalityReport:
@@ -699,48 +631,28 @@ def verify_kernel_bounds(geometry: Geometry, n_samples: int = 500,
     def w1(px, py):
         return (2.0 / L) * np.sin(np.pi * px / L) * np.sin(np.pi * py / L)
 
-    rows = []
-    rejected = 0
-    for i in range(n_samples):
-        x = (xs[i], ys[i])
-        y = (x[0] + r[i] * np.cos(angle[i]), x[1] + r[i] * np.sin(angle[i]))
-        if not (0.02 * L < y[0] < 0.98 * L and 0.02 * L < y[1] < 0.98 * L):
-            rejected += 1
-            continue
-        corners = [(0, 0), (0, L), (L, 0), (L, L)]
-        if any(np.hypot(px - cx, py - cy) < geometry.corner_radius
-               for (px, py) in (x, y) for (cx, cy) in corners):
-            rejected += 1
-            continue
-        rows.append((t[i], x, y, max(r[i], 1e-9)))
+    # y = x + r (cos, sin); reject y near the sides and x or y near a corner
+    yx, yy = xs + r * np.cos(angle), ys + r * np.sin(angle)
+    keep = (0.02 * L < yx) & (yx < 0.98 * L) & (0.02 * L < yy) & (yy < 0.98 * L)
+    for px, py in ((xs, ys), (yx, yy)):
+        for cx, cy in ((0, 0), (0, L), (L, 0), (L, L)):
+            keep &= np.hypot(px - cx, py - cy) >= geometry.corner_radius
+    rejected = n_samples - int(keep.sum())
+    ts, x0, x1, y0, y1 = t[keep], xs[keep], ys[keep], yx[keep], yy[keep]
+    rr = np.maximum(r[keep], 1e-9)
 
-    h_vals, grads_x, grads_sum, hess = [], [], [], []
-    prefs, zs = [], []
-    for tt, x, y, rr in rows:
-        h1 = _eigensum_1d(tt, x[0], y[0], L, modes)
-        h2 = _eigensum_1d(tt, x[1], y[1], L, modes)
-        H = h1 * h2
-        d1a = _eigensum_1d(tt, x[0], y[0], L, modes, da=1)
-        d2a = _eigensum_1d(tt, x[1], y[1], L, modes, da=1)
-        d1b = _eigensum_1d(tt, x[0], y[0], L, modes, db=1)
-        d2b = _eigensum_1d(tt, x[1], y[1], L, modes, db=1)
-        gx = np.hypot(d1a * h2, h1 * d2a)
-        gsum = np.hypot(d1a * h2 + d1b * h2, h1 * d2a + h1 * d2b)
-        s1 = _eigensum_1d(tt, x[0], y[0], L, modes, da=2)
-        s2 = _eigensum_1d(tt, x[1], y[1], L, modes, da=2)
-        hxx = max(abs(s1 * h2), abs(h1 * s2), abs(d1a * d2a))
-        pref = (min(w1(*x) / rr, 1.0) * min(w1(*y) / rr, 1.0))
-        h_vals.append(H)
-        grads_x.append(gx)
-        grads_sum.append(gsum)
-        hess.append(hxx)
-        prefs.append(pref)
-        zs.append(rr ** 2 / tt)
+    h1 = eigensum_1d(ts, x0, y0, L, modes)
+    h2 = eigensum_1d(ts, x1, y1, L, modes)
+    h_vals = h1 * h2
+    d1a = eigensum_1d(ts, x0, y0, L, modes, da=1)
+    d2a = eigensum_1d(ts, x1, y1, L, modes, da=1)
+    grads_x = np.hypot(d1a * h2, h1 * d2a)
+    s1 = eigensum_1d(ts, x0, y0, L, modes, da=2)
+    s2 = eigensum_1d(ts, x1, y1, L, modes, da=2)
+    hess = np.maximum.reduce([abs(s1 * h2), abs(h1 * s2), abs(d1a * d2a)])
+    prefs = np.minimum(w1(x0, x1) / rr, 1.0) * np.minimum(w1(y0, y1) / rr, 1.0)
+    zs = rr ** 2 / ts
 
-    h_vals = np.array(h_vals)
-    prefs = np.array(prefs)
-    zs = np.array(zs)
-    ts = np.array([row[0] for row in rows])
     pos = h_vals > 0
     log_ratio = np.log(h_vals[pos] / (prefs[pos] / ts[pos]))
     slope, intercept, r2 = fit_line(zs[pos], log_ratio)
@@ -749,22 +661,19 @@ def verify_kernel_bounds(geometry: Geometry, n_samples: int = 500,
     upper_C = float((h_vals[pos] / envelope[pos]).max())
     lower_c = float((h_vals[pos] / envelope[pos]).min())
     grad_env = np.exp(-zs / K) * ts ** -1.5
-    C_grad = float((np.array(grads_x)[pos] / grad_env[pos]).max())
+    C_grad = float((grads_x[pos] / grad_env[pos]).max())
     hess_env = np.exp(-zs / K) * ts ** -2.0
-    C_hess = float((np.array(hess)[pos] / hess_env[pos]).max())
+    C_hess = float((hess[pos] / hess_env[pos]).max())
 
     # gradient cancellation far inside at |x-y| ~ sqrt(t), t << d(x)^2
     tc = 1e-3
-    xc = (L / 2.0, L / 2.0)
-    yc = (L / 2.0 + np.sqrt(tc), L / 2.0)
-    gxa = _eigensum_1d(tc, xc[0], yc[0], L, modes, da=1) \
-        * _eigensum_1d(tc, xc[1], yc[1], L, modes)
-    gsa = (_eigensum_1d(tc, xc[0], yc[0], L, modes, da=1)
-           + _eigensum_1d(tc, xc[0], yc[0], L, modes, db=1)) \
-        * _eigensum_1d(tc, xc[1], yc[1], L, modes)
-    cancel_ratio = abs(gsa) / abs(gxa)
+    xc, yc = L / 2.0, L / 2.0 + np.sqrt(tc)
+    hc = eigensum_1d(tc, xc, xc, L, modes)
+    dxa = eigensum_1d(tc, xc, yc, L, modes, da=1)
+    dxb = eigensum_1d(tc, xc, yc, L, modes, db=1)
+    cancel_ratio = float(abs((dxa + dxb) * hc) / abs(dxa * hc))
 
-    fits = {"K": K, "C": upper_C, "c": lower_c, "k": K,
+    fits = {"K": K, "C": upper_C, "c": lower_c,
             "C_grad": C_grad, "C_hess": C_hess,
             "cancel_ratio": cancel_ratio}
     finite = all(np.isfinite(v) for v in fits.values())

@@ -22,8 +22,8 @@ from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
 from .geometry import Geometry
 from .spectral import (GridField, SpectralField, _sin_cos_eval, cos_eval,
-                       dealiased_product, eval_fine, forward, inverse,
-                       sin_analyze)
+                       dealiased_product, eval_fine, forward, grad_l2_norm_sq,
+                       inverse, sin_analyze)
 
 MAX_CUTOFF_SCALE_FRAC = 0.25    # ell0 = L/4
 
@@ -122,12 +122,26 @@ class HeatKernelSample:
     truncation_warning: bool
 
 
-def _kernel_sum_1d(t: float, a: float, b: float, L: float,
-                   modes: int) -> float:
-    m = np.arange(1, modes + 1)
-    k = m * np.pi / L
-    return float((2.0 / L) * np.sum(
-        np.exp(-t * k ** 2) * np.sin(k * a) * np.sin(k * b)))
+def eigensum_1d(t, a, b, L: float, modes: int, da: int = 0,
+                db: int = 0) -> np.ndarray:
+    """(2/L) sum_m e^{-t k_m^2} d_a^da sin(k_m a) d_b^db sin(k_m b), k_m = m pi/L.
+
+    The 1-d Dirichlet heat-kernel eigensum over m = 1..modes and its
+    derivatives of order 0, 1 or 2 in either point.  ``t``, ``a`` and ``b``
+    broadcast against each other; the result has their broadcast shape.
+    """
+    k = np.arange(1, modes + 1) * np.pi / L
+    t, a, b = (np.asarray(v, dtype=float)[..., None] for v in (t, a, b))
+    decay = np.exp(-t * k * k)
+
+    def fac(z, order):
+        if order == 0:
+            return np.sin(k * z)
+        if order == 1:
+            return k * np.cos(k * z)
+        return -k * k * np.sin(k * z)
+
+    return (2.0 / L) * np.sum(decay * fac(a, da) * fac(b, db), axis=-1)
 
 
 def heat_kernel(geometry: Geometry, x, y, t: float,
@@ -146,8 +160,8 @@ def heat_kernel(geometry: Geometry, x, y, t: float,
         raise ConfigurationError(
             f"modes must lie in [1, {geometry.n_interior}], got {M}")
     L = geometry.side_length
-    h1 = _kernel_sum_1d(t, x[0], y[0], L, M)
-    h2 = _kernel_sum_1d(t, x[1], y[1], L, M)
+    h1 = float(eigensum_1d(t, x[0], y[0], L, M))
+    h2 = float(eigensum_1d(t, x[1], y[1], L, M))
     # 1d tail: sum_{m>M} e^{-t k_m^2} <= e^{-t k_{M+1}^2} / (1 - ratio)
     kk = (np.pi / L) ** 2
     ratio = np.exp(-t * kk * (2 * M + 3))
@@ -175,20 +189,6 @@ def heat_of_one_1d(t: float, x: np.ndarray, L: float,
     return out
 
 
-def heat_of_one_1d_dx(t: float, x: np.ndarray, L: float,
-                      n_images: int = 6) -> np.ndarray:
-    """Spatial derivative of :func:`heat_of_one_1d`."""
-    s = 2.0 * np.sqrt(t)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    c = 2.0 / (s * np.sqrt(np.pi))
-    for n in range(-n_images, n_images + 1):
-        out += c * (np.exp(-((x - 2 * n * L) / s) ** 2)
-                    - 0.5 * np.exp(-((x - (2 * n + 1) * L) / s) ** 2)
-                    - 0.5 * np.exp(-((x - (2 * n - 1) * L) / s) ** 2))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Velocity
 # ---------------------------------------------------------------------------
@@ -198,14 +198,12 @@ class VelocityField:
     """Divergence-free velocity sampled at the interior nodes.
 
     ``u_x`` carries a cosine factor in y and ``u_y`` in x, so both components
-    vanish on the side they are normal to; ``normal_trace`` records the
-    residual of an explicit boundary evaluation.
+    vanish on the side they are normal to.
     """
 
     u_x: GridField
     u_y: GridField
     stream: SpectralField
-    normal_trace: float
 
     @property
     def geometry(self) -> Geometry:
@@ -216,8 +214,7 @@ class VelocityField:
 
     def l2_norm(self) -> float:
         """||u||_{L^2} = ||grad psi||_{L^2}, exact via Parseval on the stream."""
-        lam = self.geometry.eigenvalues
-        return float(np.sqrt((lam * self.stream.coeffs ** 2).sum()))
+        return float(np.sqrt(grad_l2_norm_sq(self.stream)))
 
     def divergence(self) -> GridField:
         """du_x/dx + du_y/dy via independent per-axis transforms."""
@@ -240,25 +237,16 @@ def _perp_gradient(stream_coeffs: np.ndarray, geometry: Geometry,
     return -j_sign * psi_y, j_sign * psi_x
 
 
-def _boundary_trace(stream_coeffs: np.ndarray, geometry: Geometry) -> float:
-    """Max |u . n| over the four sides, from the explicit eigensum."""
-    # u_x on x in {0, L} carries sin(k_m x); evaluate that factor directly
-    ends = np.abs(np.sin(geometry.modes * np.pi))  # |sin(k m L)|, sin(0) = 0
-    k = geometry.modes * np.pi / geometry.side_length
-    amp = (2.0 / geometry.side_length) * np.abs(stream_coeffs)
-    tx = float((amp * k[None, :]).sum(axis=1).max() * ends.max())
-    ty = float((amp * k[:, None]).sum(axis=0).max() * ends.max())
-    return max(tx, ty)
+def _stream_velocity(stream: SpectralField, j_sign: float) -> VelocityField:
+    """The velocity j_sign * grad-perp psi of the stream function psi."""
+    g = stream.geometry
+    ux, uy = _perp_gradient(stream.coeffs, g, j_sign)
+    return VelocityField(GridField(ux, g), GridField(uy, g), stream)
 
 
 def riesz_velocity(theta: SpectralField, j_sign: float = 1.0) -> VelocityField:
     """u = J grad Lambda^{-1} theta with J = rotation by +pi/2 (sign flippable)."""
-    psi = apply_lambda_power(theta, -1.0)
-    ux, uy = _perp_gradient(psi.coeffs, theta.geometry, j_sign)
-    trace = _boundary_trace(psi.coeffs, theta.geometry)
-    return VelocityField(GridField(ux, theta.geometry),
-                         GridField(uy, theta.geometry),
-                         psi, normal_trace=trace)
+    return _stream_velocity(apply_lambda_power(theta, -1.0), j_sign)
 
 
 def short_time_velocity(theta: SpectralField, tau: float,
@@ -273,13 +261,8 @@ def short_time_velocity(theta: SpectralField, tau: float,
         raise DomainError(f"short-time velocity requires tau > 0, got {tau}")
     lam = theta.geometry.eigenvalues
     mult = lam ** -0.5 * erf(np.sqrt(lam * tau))
-    coeffs = mult * theta.coeffs
-    ux, uy = _perp_gradient(coeffs, theta.geometry, j_sign)
-    trace = _boundary_trace(coeffs, theta.geometry)
-    return VelocityField(GridField(ux, theta.geometry),
-                         GridField(uy, theta.geometry),
-                         SpectralField(coeffs, theta.geometry),
-                         normal_trace=trace)
+    return _stream_velocity(SpectralField(mult * theta.coeffs, theta.geometry),
+                            j_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +328,12 @@ def _check_convex(phi: ConvexFn, lo: float, hi: float) -> None:
             f"range [{lo:.3g}, {hi:.3g}]")
 
 
+def lambda_of_values(values: np.ndarray, geometry: Geometry) -> np.ndarray:
+    """Lambda applied to grid values: forward transform, lam^{1/2}, inverse."""
+    return inverse(apply_lambda_power(
+        forward(GridField(values, geometry)), 1.0)).values
+
+
 def weighted_convexity_terms(b: GridField, w: SpectralField, phi: ConvexFn
                              ) -> tuple[GridField, GridField, GridField]:
     """Terms of the weighted convexity identity for the ratio b = theta / w.
@@ -363,13 +352,9 @@ def weighted_convexity_terms(b: GridField, w: SpectralField, phi: ConvexFn
         raise NumericError("ratio field has non-finite values")
     bv = b.values
     _check_convex(phi, float(bv.min()), float(bv.max()))
-
-    def lam_of(values):
-        return inverse(apply_lambda_power(forward(GridField(values, g)), 1.0)).values
-
     phib = np.asarray(phi(bv), dtype=float)
     dphib = np.asarray(phi.deriv(bv), dtype=float)
-    lhs = dphib * lam_of(wv * bv) - lam_of(wv * phib)
+    lhs = dphib * lambda_of_values(wv * bv, g) - lambda_of_values(wv * phib, g)
     lam_w = inverse(apply_lambda_power(w, 1.0)).values
     rhs_core = lam_w * (bv * dphib - phib)
     return (GridField(lhs, g), GridField(rhs_core, g),

@@ -5,6 +5,7 @@ import pytest
 from sqgbounds.errors import ConfigurationError
 from sqgbounds.geometry import build_square_geometry
 from sqgbounds import diagnostics as dg
+from sqgbounds import operators as op
 from sqgbounds import solver as sv
 from sqgbounds import spectral as sp
 
@@ -130,3 +131,79 @@ def test_record_matches_single_functionals(geom):
                                  for m in (1, 2)}
     assert rec.holder == {a: dg.holder_seminorm(theta, a).value
                           for a in (0.3, 0.6)}
+
+
+def _random_field(geom, seed, modes=12):
+    c = np.zeros((geom.n_interior,) * 2)
+    c[:modes, :modes] = np.random.default_rng(seed).standard_normal((modes, modes))
+    return sp.SpectralField(c, geom)
+
+
+def _holder_masked_overlap(values, alpha, h_budget=1.0 / 32.0):
+    """The Hölder seminorm over each full overlap, masked by d h_budget >= |h|."""
+    g = values.geometry
+    vals, dx, n = values.values, g.spacing, g.n_interior
+    best = 0.0
+    admissible = np.zeros((n, n), dtype=bool)
+    steps = 1
+    while steps * dx <= h_budget * g.distance.max():
+        for ex, ey in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            p, q = steps * ex, steps * ey
+            hlen = np.hypot(p * dx, q * dx)
+            i0, i1 = max(0, -p), min(n, n - p)
+            j0, j1 = max(0, -q), min(n, n - q)
+            if i0 >= i1 or j0 >= j1:
+                continue
+            diff = np.abs(vals[i0 + p:i1 + p, j0 + q:j1 + q] - vals[i0:i1, j0:j1])
+            ok = g.distance[i0:i1, j0:j1] * h_budget >= hlen
+            if ok.any():
+                best = max(best, float((diff * ok).max()) / hlen ** alpha)
+                admissible[i0:i1, j0:j1] |= ok
+        steps *= 2
+    return dg.HolderSeminorm(best, int((~admissible).sum()))
+
+
+@pytest.mark.parametrize("n, h_budget", [(64, 1.0 / 32.0), (257, 1.0 / 32.0),
+                                         (128, 0.1)])
+def test_holder_matches_masked_overlap(n, h_budget):
+    g = build_square_geometry(n)
+    values = sp.inverse(_random_field(g, n))
+    for alpha in (0.3, 0.7):
+        assert dg._holder(values, alpha, h_budget) == \
+            _holder_masked_overlap(values, alpha, h_budget)
+
+
+def _normal_velocity_slope_meshgrid(u, geometry, shells=4):
+    """The shell slope with the nearest side picked on a full meshgrid."""
+    X, Y = geometry.meshgrid()
+    L = geometry.side_length
+    near_x = np.minimum(X, L - X) <= np.minimum(Y, L - Y)
+    un = np.where(near_x, np.abs(u.u_x.values), np.abs(u.u_y.values))
+    d = geometry.distance
+    logs_d, logs_u = [], []
+    for top in (L / 8.0) * 0.5 ** np.arange(shells):
+        sel = (d <= top) & (d > 0.5 * top)
+        if sel.any() and un[sel].max() > 0:
+            logs_d.append(np.log(top))
+            logs_u.append(np.log(un[sel].max()))
+    if len(logs_d) < 2:
+        return 0.0, 0.0
+    slope, intercept = np.polyfit(logs_d, logs_u, 1)
+    fit = slope * np.asarray(logs_d) + intercept
+    ss_res = float(((np.asarray(logs_u) - fit) ** 2).sum())
+    ss_tot = float(((np.asarray(logs_u) - np.mean(logs_u)) ** 2).sum())
+    return float(slope), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
+@pytest.mark.parametrize("n", [64, 128, 257])
+def test_normal_velocity_slope_matches_meshgrid(n):
+    g = build_square_geometry(n)
+    fields = [_random_field(g, n), sp.mode_field(g, 1, 1),
+              sp.mode_field(g, 2, 1, amp=0.5),
+              sp.SpectralField(np.zeros((g.n_interior,) * 2), g)]
+    for theta in fields:
+        u = op.riesz_velocity(theta)
+        assert dg.normal_velocity_slope(u, g) == \
+            _normal_velocity_slope_meshgrid(u, g)
+        assert dg.normal_velocity_slope(u, g, shells=6) == \
+            _normal_velocity_slope_meshgrid(u, g, shells=6)

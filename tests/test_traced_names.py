@@ -1,0 +1,38 @@
+"""Every function the benchmark traces by name exists and is callable.
+
+``perfbench/spans.py`` looks its targets up with ``getattr``; a renamed or
+deleted target would only surface when the benchmark runs.
+"""
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True        # leave perfbench/ untouched
+    try:
+        return importlib.import_module("spans")
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_traced_functions_exist(spans):
+    for module, name, _ in spans.TRACED:
+        target = getattr(importlib.import_module(f"sqgbounds.{module}"), name,
+                         None)
+        assert callable(target), f"sqgbounds.{module}.{name}"
+
+
+def test_verify_families_exist(spans):
+    inequalities = importlib.import_module("sqgbounds.inequalities")
+    assert spans.FAMILIES
+    for family in spans.FAMILIES:
+        assert callable(getattr(inequalities, f"verify_{family}", None)), family
