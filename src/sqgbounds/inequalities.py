@@ -169,7 +169,7 @@ def lambda_one_values(geometry: Geometry, panels: int = 60,
     u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     wq = (half[:, None] * wg[None, :]).ravel()
     t = np.exp(u)
-    heat = heat_of_one_1d(t[:, None], geometry.x, L, n_images=20)
+    heat = heat_of_one_1d(t, geometry.x, L, n_images=20)
     out = np.zeros((geometry.n_interior,) * 2)
     c1 = 0.5 / np.sqrt(np.pi)
     for tt, ww, s in zip(t, wq, heat):
@@ -694,18 +694,24 @@ def verify_kernel_bounds(geometry: Geometry, n_samples: int = 500,
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _plain(value):
+    """A NumPy scalar as the Python scalar it holds; anything else as is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def report_to_text(report: InequalityReport) -> str:
+    """The text report; NumPy scalars are written as the numbers they hold."""
     lines = [
         f"report: {report.name}",
         f"pass: {report.passed}",
         f"samples: {report.samples}",
-        f"min_margin: {report.min_margin!r}",
-        f"tolerance: {report.tolerance!r}",
+        f"min_margin: {_plain(report.min_margin)!r}",
+        f"tolerance: {_plain(report.tolerance)!r}",
     ]
     for key in sorted(report.fitted_constants):
-        lines.append(f"constant {key}: {report.fitted_constants[key]!r}")
+        lines.append(f"constant {key}: {_plain(report.fitted_constants[key])!r}")
     if report.regression is not None:
-        s, i, r2 = report.regression
+        s, i, r2 = map(_plain, report.regression)
         lines.append(f"regression: slope={s!r} intercept={i!r} r2={r2!r}")
     for key in sorted(report.sample_plan):
         lines.append(f"plan {key}: {report.sample_plan[key]}")

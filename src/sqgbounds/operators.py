@@ -21,11 +21,12 @@ from scipy.special import erf, gamma
 from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
 from .geometry import Geometry
-from .spectral import (GridField, SpectralField, _sin_cos_eval, cos_eval,
+from .spectral import (GridField, SpectralField, _sin_cos_eval,
                        dealiased_product, eval_fine, forward, grad_l2_norm_sq,
-                       inverse, sin_analyze)
+                       inverse)
 
 MAX_CUTOFF_SCALE_FRAC = 0.25    # ell0 = L/4
+ERF_SATURATION = 6.0            # scipy's erf(z) == sign(z) for |z| >= 6
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,8 @@ def apply_lambda_power(f: SpectralField, s: float) -> SpectralField:
     if not -1.0 <= s <= 2.0:
         raise ConfigurationError(f"power s must lie in [-1, 2], got {s}")
     mult = f.geometry.eigenvalues ** (s / 2.0)
-    return SpectralField(mult * f.coeffs, f.geometry, tag=f.tag)
+    mult *= f.coeffs
+    return SpectralField(mult, f.geometry, tag=f.tag)
 
 
 def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
@@ -173,20 +175,35 @@ def heat_kernel(geometry: Geometry, x, y, t: float,
         truncation_warning=bool(tail > tail_tolerance))
 
 
-def heat_of_one_1d(t: float, x: np.ndarray, L: float,
+def heat_of_one_1d(t, x: np.ndarray, L: float,
                    n_images: int = 6) -> np.ndarray:
     """e^{t Delta} 1 on the interval (0, L), by the method of images.
 
-    ``t`` and ``x`` broadcast against each other.
+    ``t`` is a scalar or a 1-d array of times in any order and ``x`` a 1-d
+    array of points; the result has shape ``np.shape(t) + x.shape``.
+
+    Image n adds erf(z_0) - erf(z_+)/2 - erf(z_-)/2 with z_0 = (x - 2nL)/s,
+    z_+ = (x - (2n + 1)L)/s, z_- = (x - (2n - 1)L)/s and s = 2 sqrt(t).
+    scipy's erf is exactly +-1 for |z| >= 6, so an image whose arguments all
+    lie at or below -6, or all at or above 6, over the whole of ``x`` adds
+    exactly +0.0.  Such (image, time) pairs are skipped, and the sum keeps
+    every bit of the full image sum.  The bounds z_-(max x) and z_+(min x)
+    are computed with the same operations as the arguments, so the skip is
+    exact for any ``x``, inside (0, L) or not.
     """
-    s = 2.0 * np.sqrt(t)
     x = np.asarray(x, dtype=float)
-    out = np.zeros(np.broadcast_shapes(x.shape, np.shape(s)))
+    s = 2.0 * np.sqrt(np.atleast_1d(np.asarray(t, dtype=float)))
+    x_hi, x_lo = x.max(), x.min()
+    out = np.zeros((s.size, x.size))
     for n in range(-n_images, n_images + 1):
-        out += (erf((x - 2 * n * L) / s)
-                - 0.5 * erf((x - (2 * n + 1) * L) / s)
-                - 0.5 * erf((x - (2 * n - 1) * L) / s))
-    return out
+        hi = (x_hi - (2 * n - 1) * L) / s       # largest argument per time
+        lo = (x_lo - (2 * n + 1) * L) / s       # smallest argument per time
+        live = np.flatnonzero((hi > -ERF_SATURATION) & (lo < ERF_SATURATION))
+        sl = s[live, None]
+        out[live] += (erf((x - 2 * n * L) / sl)
+                      - 0.5 * erf((x - (2 * n + 1) * L) / sl)
+                      - 0.5 * erf((x - (2 * n - 1) * L) / sl))
+    return out.reshape(np.shape(t) + x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +232,6 @@ class VelocityField:
     def l2_norm(self) -> float:
         """||u||_{L^2} = ||grad psi||_{L^2}, exact via Parseval on the stream."""
         return float(np.sqrt(grad_l2_norm_sq(self.stream)))
-
-    def divergence(self) -> GridField:
-        """du_x/dx + du_y/dy via independent per-axis transforms."""
-        g = self.geometry
-        k = g.modes * np.pi / g.side_length
-        cx = sin_analyze(self.u_x.values, axis=0)
-        dux = cos_eval(cx * k[:, None], axis=0)
-        cy = sin_analyze(self.u_y.values, axis=1)
-        duy = cos_eval(cy * k[None, :], axis=1)
-        return GridField(dux + duy, g)
 
 
 def _perp_gradient(stream_coeffs: np.ndarray, geometry: Geometry,
@@ -490,7 +497,7 @@ def commutator(values: GridField, lam_values: GridField, x0, ell: float,
     localized[box] = cut.chi.values[box] * (values.values[shifted]
                                             - values.values[box])
     lam_loc = eval_fine(apply_lambda_power(
-        forward(GridField(localized, g), cols=cols), 1.0), g.grid_size, rows)
+        forward(GridField(localized, g)), 1.0), g.grid_size, rows)
     d_lam = lam_values.values[shifted] - lam_values.values[box]
     out = np.zeros(localized.shape)
     out[box] = cut.phi.values[box] * (d_lam - lam_loc[:, cols])

@@ -91,12 +91,6 @@ def cos_eval(coeffs: np.ndarray, axis: int, scale: float = 1.0) -> np.ndarray:
     return full[tuple(inner)]
 
 
-def sin_analyze(values: np.ndarray, axis: int) -> np.ndarray:
-    """Recover c_m from samples of sum_m c_m sin(pi m i / N) (exact inverse)."""
-    n = values.shape[axis] + 1
-    return fft.dst(values, type=1, axis=axis) / n
-
-
 def _sin_cos_eval(coeffs: np.ndarray, cos_axis: int,
                   scale: float) -> np.ndarray:
     """scale * sum c_{m,n} sin(pi m i/N) cos(pi n j/N) at the interior nodes.
@@ -112,16 +106,20 @@ def _sin_cos_eval(coeffs: np.ndarray, cos_axis: int,
 # Grid <-> spectrum
 # ---------------------------------------------------------------------------
 
-def _dst2(a: np.ndarray, n: int, cols=slice(None),
-          rows=slice(None)) -> np.ndarray:
+def _dst2(a: np.ndarray, n: int, rows=slice(None)) -> np.ndarray:
     """Rows ``rows`` of ``fft.dstn(a, type=1, s=(n, n))``, skipping zero lines.
 
-    The axis-0 pass transforms only the columns ``cols`` of ``a`` (every
-    other column of ``a`` must be zero) and the axis-1 pass only the rows
-    ``rows``.  The passes keep dstn's order, axis 0 then axis 1, so the
-    result equals dstn's bit for bit; the reverse order differs in the
-    last bit.
+    The axis-0 pass transforms only the span of columns of ``a`` from its
+    first to its last nonzero column: every column outside that span is
+    zero and transforms to zero, so an all-zero ``a`` costs no transform.
+    The axis-1 pass transforms only the rows ``rows``.  The passes keep
+    dstn's order, axis 0 then axis 1, so the result equals dstn's bit for
+    bit; the reverse order differs in the last bit.
     """
+    live = np.flatnonzero(a.any(axis=0))
+    if live.size == 0:
+        return np.zeros((n, n))[rows]
+    cols = slice(live[0], live[-1] + 1)
     first = fft.dst(a[:, cols], type=1, n=n, axis=0)
     if first.shape[1] < a.shape[1]:       # put the skipped zero columns back
         first, part = np.zeros((n, a.shape[1])), first
@@ -129,17 +127,17 @@ def _dst2(a: np.ndarray, n: int, cols=slice(None),
     return fft.dst(first[rows], type=1, n=n, axis=1, overwrite_x=True)
 
 
-def forward(grid: GridField, tag: str = "",
-            cols=slice(None)) -> SpectralField:
+def forward(grid: GridField, tag: str = "") -> SpectralField:
     """Project grid samples onto the eigenbasis (discrete <f, w_{m,n}>).
 
-    The values may be known to vanish outside the columns ``cols``; the
-    transform then skips the other columns.
+    The transform skips the all-zero columns before the first and after the
+    last nonzero column (see :func:`_dst2`), so values that vanish outside
+    a band of columns cost the transform of that band.
     """
     if not np.isfinite(grid.values).all():
         raise NumericError("forward transform of non-finite grid values")
     g = grid.geometry
-    coeffs = _dst2(grid.values, g.n_interior, cols=cols)
+    coeffs = _dst2(grid.values, g.n_interior)
     coeffs *= g.side_length / (2.0 * g.grid_size ** 2)
     return SpectralField(coeffs, g, tag=tag)
 

@@ -1,11 +1,25 @@
 """Command-line entry points: exit codes and output files."""
 import os
+from pathlib import Path
 
 import pytest
 
 from sqgbounds.cli import _holder_monitor, main
 from sqgbounds.config import RunConfig
 from sqgbounds.diagnostics import DiagnosticsRecord
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+
+# Constants that verify writes for configs/default.cfg, as repr strings.
+# Work skipped because its result is exactly zero must leave every bit of
+# them in place.
+PINNED_CONSTANTS = {
+    "lambda_one_lower": {"c0": "0.06343630877056101",
+                         "quadrature_residual": "3.196086632933262e-15",
+                         "symmetry_residual": "9.947598300641403e-14"},
+    "commutator_scaling": {"slope": "-1.0969669985584025",
+                           "Gamma0": "1.95251374517055"},
+}
 
 
 @pytest.fixture()
@@ -63,6 +77,41 @@ def test_verify_subset_passes(run_cfg, capsys):
     assert "cordoba: pass" in printed
     assert os.path.exists(out / "cordoba.txt")
     assert os.path.exists(out / "cordoba_margins.csv")
+
+
+@pytest.fixture(scope="module")
+def default_verify(tmp_path_factory):
+    """All 13 verify families on configs/default.cfg, reports in a temp dir."""
+    out = tmp_path_factory.mktemp("verify")
+    cfg = out / "default.cfg"
+    cfg.write_text(DEFAULT_CFG.read_text().replace(
+        "directory = out", f"directory = {out}"))
+    return main(["verify", str(cfg)]), out
+
+
+def _report_constants(path):
+    prefix = "constant "
+    return dict(line[len(prefix):].split(": ", 1)
+                for line in path.read_text().splitlines()
+                if line.startswith(prefix))
+
+
+def test_verify_reports_write_plain_floats(default_verify):
+    rc, out = default_verify
+    assert rc == 0
+    reports = sorted(out.glob("*.txt"))
+    assert len(reports) == 13
+    for path in reports:
+        assert "np." not in path.read_text(), path.name
+        for key, value in _report_constants(path).items():
+            float(value)
+
+
+def test_verify_constants_keep_their_bits(default_verify):
+    _, out = default_verify
+    for name, pinned in PINNED_CONSTANTS.items():
+        got = _report_constants(out / f"{name}.txt")
+        assert {key: got[key] for key in pinned} == pinned, name
 
 
 def test_verify_nonconvex_profile_surfaces_error(tmp_path, capsys):

@@ -246,9 +246,27 @@ def test_restricted_dst_passes_match_dstn(n):
     a[:, 9:20] = np.random.default_rng(n).standard_normal((31, 11))
     full = fft.dstn(a, type=1, s=(n, n))
     assert np.array_equal(sp._dst2(a, n), full)
-    assert np.array_equal(sp._dst2(a, n, cols=slice(9, 20)), full)
-    assert np.array_equal(sp._dst2(a, n, cols=slice(9, 20), rows=slice(4, 13)),
-                          full[4:13])
+    assert np.array_equal(sp._dst2(a, n, rows=slice(4, 13)), full[4:13])
+
+
+@pytest.mark.parametrize("live", [(), (0,), (30,), tuple(range(9, 20)),
+                                  (3, 25)],
+                         ids=["zero", "first", "last", "band", "gap"])
+def test_zero_column_skip_matches_dstn(geom, live):
+    """_dst2's automatic zero-column skip keeps forward and inverse bit-equal."""
+    n = geom.n_interior
+    a = np.zeros((n, n))
+    a[:, list(live)] = np.random.default_rng(n).standard_normal((n, len(live)))
+    for m in (n, 47):
+        full = fft.dstn(a, type=1, s=(m, m))
+        assert np.array_equal(sp._dst2(a, m), full)
+        assert np.array_equal(sp._dst2(a, m, rows=slice(4, 13)), full[4:13])
+    L, N = geom.side_length, geom.grid_size
+    full = fft.dstn(a, type=1)
+    assert np.array_equal(sp.forward(sp.GridField(a, geom)).coeffs,
+                          (L / (2.0 * N ** 2)) * full)
+    assert np.array_equal(sp.inverse(sp.SpectralField(a, geom)).values,
+                          (2.0 / L) * full / 4.0)
 
 
 @pytest.mark.parametrize("N", [128, 512])
@@ -268,5 +286,5 @@ def test_eval_fine_rows_and_forward_cols_match_dstn(geom):
     assert np.array_equal(sp.eval_fine(f, N, rows=slice(5, 17)), full[5:17])
     vals = np.zeros_like(full)
     vals[:, 3:11] = full[:, 3:11]
-    got = sp.forward(sp.GridField(vals, geom), cols=slice(3, 11)).coeffs
+    got = sp.forward(sp.GridField(vals, geom)).coeffs
     assert np.array_equal(got, (L / (2.0 * N ** 2)) * fft.dstn(vals, type=1))
