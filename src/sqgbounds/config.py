@@ -86,8 +86,9 @@ class RunConfig:
         return SpectralField(c, geometry, tag="initial")
 
     def canonical_text(self) -> str:
+        """Every setting but ``output_dir``: where a run writes is not the problem."""
         items = sorted(self.__dict__.items())
-        return "\n".join(f"{k}={v!r}" for k, v in items)
+        return "\n".join(f"{k}={v!r}" for k, v in items if k != "output_dir")
 
     def config_hash(self) -> bytes:
         return hashlib.blake2b(self.canonical_text().encode(),

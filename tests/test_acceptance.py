@@ -162,6 +162,12 @@ def test_09_solver_integrity(geom128, sqg_run):
             f"overshoot {res.max_overshoot:.2e}, order {order:.2f}")
 
 
+def test_ledger_residual_keeps_its_bits(sqg_run):
+    """The default problem's ledger, as scipy.integrate.simpson computed it."""
+    _, res = sqg_run
+    assert repr(res.ledger_residual) == "1.1681819955811077e-10"
+
+
 def test_10_holder_persistence_monitor(geom128, sqg_run):
     theta0, res = sqg_run
     cfg = RunConfig(t_end=1.0)

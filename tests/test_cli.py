@@ -1,5 +1,7 @@
 """Command-line entry points: exit codes and output files."""
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,30 @@ def test_verify_subset_passes(run_cfg, capsys):
     assert "cordoba: pass" in printed
     assert os.path.exists(out / "cordoba.txt")
     assert os.path.exists(out / "cordoba_margins.csv")
+
+
+def test_cli_paths_do_not_import_scipy_integrate(run_cfg):
+    """``run`` and the run-based verify families stay clear of scipy.integrate.
+
+    A fresh interpreter, because this test process may have imported it.
+    """
+    path, _ = run_cfg
+    script = (
+        "import sys\n"
+        "from sqgbounds.cli import main\n"
+        f"assert main(['run', {str(path)!r}]) == 0\n"
+        f"assert main(['verify', {str(path)!r}, 'decay_envelope',"
+        " 'weighted_lp_control']) == 0\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('scipy.integrate')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.fixture(scope="module")

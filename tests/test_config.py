@@ -82,13 +82,19 @@ def test_env_output_dir_override(tmp_path, monkeypatch):
     assert cfg.output_dir == "/tmp/elsewhere"
 
 
-def test_config_hash_is_stable_and_sensitive(tmp_path):
+def test_config_hash_is_stable_and_sensitive(tmp_path, monkeypatch):
+    monkeypatch.delenv("SQGBOUNDS_OUTPUT_DIR", raising=False)
     a = load_config(write(tmp_path, "[geometry]\ngrid_size = 64\n"))
     b = load_config(write(tmp_path, "[geometry]\ngrid_size = 64\n"))
     c = load_config(write(tmp_path, "[geometry]\ngrid_size = 32\n"))
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
     assert len(a.config_hash()) == 8
+    # where a run writes is not part of the problem
+    d = load_config(write(tmp_path, "[geometry]\ngrid_size = 64\n"
+                                    "[output]\ndirectory = elsewhere\n"))
+    assert d.output_dir != a.output_dir
+    assert d.config_hash() == a.config_hash()
 
 
 def test_initial_field_matches_modes(tmp_path):

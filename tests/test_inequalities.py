@@ -137,6 +137,20 @@ def test_weighted_lp_control(short_run):
     assert rep.passed and rep.min_margin >= -0.05
 
 
+def test_run_envelopes_take_min_margin_after_t0(short_run):
+    res, cfg, theta0 = short_run
+    g = theta0.geometry
+    B = float(np.abs(sp.inverse(theta0).values / g.ground_state).max()) + 1e-9
+    for rep in (iq.verify_decay_envelope(res, cfg, B),
+                iq.verify_weighted_lp_control(res, m=2)):
+        assert len(rep.margins) == len(res.snapshots) > 1
+        assert rep.min_margin == min(rep.margins[1:])
+    # a run with the t = 0 snapshot only keeps its margin
+    single = sv.run(theta0, sv.SolverConfig(dt=2e-3, t_end=0.0))
+    rep = iq.verify_weighted_lp_control(single, m=2)
+    assert rep.margins == [0.0] and rep.min_margin == 0.0
+
+
 def test_weighted_lp_control_rejects_large_drift(short_run):
     res, cfg, theta0 = short_run
     with pytest.raises(PreconditionError):

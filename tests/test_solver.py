@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import fft
+from scipy.integrate import simpson
 
 from sqgbounds.errors import ConfigurationError, NumericError
 from sqgbounds.geometry import build_square_geometry
@@ -163,13 +164,44 @@ def test_prescribed_drift_mode(geom):
     assert abs(th.coeffs[0, 0] - np.exp(-0.2 * np.sqrt(2.0))) < 1e-8
 
 
-def test_cfl_halves_dt(geom):
+@pytest.fixture(scope="module")
+def cfl_run(geom):
+    """A run whose dt halves 7 times, with the ledger's Simpson samples."""
+    samples, simpson_rule = [], sv._simpson
+
+    def spy(y, x):
+        samples.append((y.copy(), x.copy()))
+        return simpson_rule(y, x)
+
     theta0 = sp.mode_field(geom, 1, 1, amp=50.0)
-    res = sv.run(theta0, sv.SolverConfig(dt=0.05, t_end=0.1, drift_mode="sqg"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "_simpson", spy)
+        res = sv.run(theta0, sv.SolverConfig(dt=0.05, t_end=0.1,
+                                             drift_mode="sqg"))
+    return res, samples
+
+
+def test_cfl_halves_dt(cfl_run):
+    res, _ = cfl_run
     # the a-priori bound fails at this amplitude, so the exact sup decides
     # every halving
     assert res.rejected_steps == 7
     assert res.final_dt == 0.05 / 2 ** 7
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 17, 40, 500, 501, 1000, 1001])
+def test_simpson_matches_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(1e-3, 1.0, n))
+    y = rng.standard_normal(n)
+    assert sv._simpson(y, x) == float(simpson(y, x=x))
+
+
+def test_simpson_matches_scipy_on_the_cfl_run_ledger(cfl_run):
+    _, samples = cfl_run
+    [(y, x)] = samples
+    assert len(np.unique(np.diff(x))) > 1     # the step grid is irregular
+    assert sv._simpson(y, x) == float(simpson(y, x=x))
 
 
 _SMALL = build_square_geometry(16)
