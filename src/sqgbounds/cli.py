@@ -1,23 +1,30 @@
 """Command-line entry points: run, verify, diag.
 
+``run`` writes each snapshot's diagnostics row and checkpoint as soon as the
+solver takes it and keeps no state array per snapshot, only the four scalars
+the Hölder monitor reads.  ``final.sqgb`` and ``run_summary.txt`` are
+written last and mark a finished run.
+
 Exit codes: 0 clean, 1 when ``verify`` finds a failing family, 2 on
 configuration/numeric failure, 3 when a run finishes but a monitor
 (overshoot or Hölder persistence) flagged it; the outputs are fully written
-before a code-1 or code-3 exit.
+before a code-1 or code-3 exit.  After a code-2 numeric failure the rows
+and checkpoints up to the last snapshot remain, and neither marker exists.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import inequalities as iq
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
-from .diagnostics import (append_csv, boundary_ratio, csv_columns, csv_row,
-                          record)
+from .diagnostics import (DiagnosticsRecord, append_csv, boundary_ratio,
+                          csv_columns, csv_row, record)
 from .errors import NumericError, SqgError
 from .geometry import build_square_geometry
 from .operators import PHI_SQUARE, ConvexFn, riesz_velocity, softplus_hinge
@@ -33,21 +40,32 @@ def _phi(cfg: RunConfig) -> ConvexFn:
     return ConvexFn(lambda z: z ** 3, lambda z: 3.0 * z ** 2, "cubic")
 
 
-def _holder_monitor(records, cfg: RunConfig) -> tuple[bool, float]:
-    """Fit K on the first 10% of the run, then check every later record."""
-    alpha = cfg.alphas[0]
-    p = max(cfg.ps)
-    h0 = records[0].holder[alpha]
-    B = max(r.b1_lp[p] for r in records)
-    M = max(r.lipschitz for r in records)
+class _HolderSample(NamedTuple):
+    """The part of one diagnostics record that the Hölder monitor reads."""
+
+    t: float
+    holder: float       # Hölder seminorm at the first configured alpha
+    b1_lp: float        # ||b_1||_p at the largest configured p
+    lipschitz: float
+
+
+def _holder_sample(rec: DiagnosticsRecord, cfg: RunConfig) -> _HolderSample:
+    return _HolderSample(rec.t, rec.holder[cfg.alphas[0]],
+                        rec.b1_lp[max(cfg.ps)], rec.lipschitz)
+
+
+def _holder_monitor(samples, cfg: RunConfig) -> tuple[bool, float]:
+    """Fit K on the first 10% of the run, then check every later sample."""
+    h0 = samples[0].holder
+    B = max(s.b1_lp for s in samples)
+    M = max(s.lipschitz for s in samples)
     unit = B * (M + 1.0)
     k_fit = 0.0
-    for r in records:
-        if r.t <= 0.1 * cfg.t_end and unit > 0:
-            k_fit = max(k_fit, (r.holder[alpha] - 2.0 * h0) / unit)
+    for s in samples:
+        if s.t <= 0.1 * cfg.t_end and unit > 0:
+            k_fit = max(k_fit, (s.holder - 2.0 * h0) / unit)
     bound = 2.0 * h0 + k_fit * unit
-    violated = any(r.holder[alpha] > bound * (1.0 + 1e-9) + 1e-12
-                   for r in records)
+    violated = any(s.holder > bound * (1.0 + 1e-9) + 1e-12 for s in samples)
     return violated, k_fit
 
 
@@ -55,25 +73,28 @@ def cmd_run(cfg: RunConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     g = cfg.geometry()
     theta0 = cfg.initial_field(g)
-    result = run(theta0, cfg.solver_config())
     csv_path = os.path.join(cfg.output_dir, "diagnostics.csv")
-    if os.path.exists(csv_path):
-        os.remove(csv_path)
-    records = []
-    for state in result.snapshots:
-        # record from the bare state so diag on a checkpoint reproduces it
-        rec = record(SolverState(state.t, state.theta, step=state.step),
-                     ps=cfg.ps, ms=cfg.ms, alphas=cfg.alphas)
-        records.append(rec)
+    final_path = os.path.join(cfg.output_dir, "final.sqgb")
+    summary = os.path.join(cfg.output_dir, "run_summary.txt")
+    # rows are appended, and final.sqgb and run_summary.txt mark a finished
+    # run: none of them may survive from an older run
+    for path in (csv_path, final_path, summary):
+        if os.path.exists(path):
+            os.remove(path)
+    config_hash = cfg.config_hash()
+    samples = []
+
+    def write_snapshot(state: SolverState) -> None:
+        rec = record(state, ps=cfg.ps, ms=cfg.ms, alphas=cfg.alphas)
+        samples.append(_holder_sample(rec, cfg))
         append_csv(csv_path, rec)
         ck = os.path.join(cfg.output_dir, f"checkpoint_{state.step:06d}.sqgb")
-        save_checkpoint(ck, state.theta, state.t, state.step,
-                        cfg.config_hash())
+        save_checkpoint(ck, state.theta, state.t, state.step, config_hash)
+
+    result = run(theta0, cfg.solver_config(), on_snapshot=write_snapshot)
     final = result.snapshots[-1]
-    save_checkpoint(os.path.join(cfg.output_dir, "final.sqgb"),
-                    final.theta, final.t, final.step, cfg.config_hash())
-    holder_flag, k_fit = _holder_monitor(records, cfg)
-    summary = os.path.join(cfg.output_dir, "run_summary.txt")
+    save_checkpoint(final_path, final.theta, final.t, final.step, config_hash)
+    holder_flag, k_fit = _holder_monitor(samples, cfg)
     with open(summary, "w") as fh:
         fh.write(f"t_end: {final.t!r}\n"
                  f"steps: {final.step}\n"

@@ -74,7 +74,8 @@ def interior_lipschitz(theta: SpectralField) -> float:
     """M = sup_x d(x) |grad theta(x)| with the spectral gradient."""
     dx, dy = gradient(theta)
     mag = np.hypot(dx.values, dy.values)
-    return float((theta.geometry.distance * mag).max())
+    mag *= theta.geometry.distance
+    return float(mag.max())
 
 
 class HolderSeminorm(NamedTuple):
@@ -196,9 +197,11 @@ def record(state: SolverState,
 
     One velocity solve and one grid evaluation of theta serve every
     functional.  Only |u| enters the record, so the velocity's sign
-    convention does not.
+    convention does not.  The Lipschitz bound comes first, so its gradient
+    is freed before the grid values and the velocity are built.
     """
     theta = state.theta
+    lipschitz = interior_lipschitz(theta)
     values = inverse(theta)
     u = riesz_velocity(theta)
     b1 = ratio_from_values(values)
@@ -208,7 +211,7 @@ def record(state: SolverState,
         sup_norm=values.sup_norm(),
         energy=theta.l2_norm() ** 2,
         half_norm=half_norm_sq(theta),
-        lipschitz=interior_lipschitz(theta),
+        lipschitz=lipschitz,
         b1_lp={p: ratio_lp_norm(b1, p) for p in ps},
         weighted_norm={m: _weighted_norm(b1, m) for m in ms},
         holder={a: _holder(values, a).value for a in alphas},

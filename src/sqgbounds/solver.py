@@ -7,10 +7,12 @@ of the mixed-parity factors (velocity components against gradient
 components) are sine polynomials, so the fine-grid projection is alias-free
 and the discrete advection term is skew-symmetric to round-off.  A run
 reuses one fine-grid workspace for every advection evaluation; the energy
-ledger integrates over the step times with the Simpson rule of :func:`_simpson`.
+ledger integrates over the step times with the Simpson rule of :func:`_simpson`
+(the trapezoid rule for a one-step run).
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -58,9 +60,12 @@ class SolverState:
 
 @dataclass
 class RunResult:
-    """Trajectory snapshots plus the integrity monitors of the whole run."""
+    """Snapshots plus the integrity monitors of the whole run.
 
-    times: list[float]
+    ``snapshots`` is the whole trajectory, or only the final state when
+    :func:`run` streamed the snapshots to a callback.
+    """
+
     snapshots: list[SolverState]
     ledger_residual: float
     max_overshoot: float
@@ -234,11 +239,23 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(result)
 
 
-def run(theta0: SpectralField, config: SolverConfig) -> RunResult:
+def run(theta0: SpectralField, config: SolverConfig,
+        on_snapshot: Callable[[SolverState], None] | None = None
+        ) -> RunResult:
     """Integrate to t_end with CFL-adaptive dt and integrity monitors.
 
+    A snapshot is taken at t = 0, after each step that reaches the next
+    multiple of ``output_interval``, and at t_end.  Without ``on_snapshot``
+    the result keeps every snapshot.  With it, each snapshot is handed to
+    ``on_snapshot`` as soon as it is taken and is not retained, so the
+    caller can write it out while the run goes on; ``snapshots`` then holds
+    only the final state.  A snapshot is the live state, which the run never
+    modifies; the callback must not modify it either.  When a step raises
+    ``NumericError``, the snapshots already handed on are all the run leaves.
+
     The energy ledger integrates the half-norm history with Simpson's rule
-    and reports |E(T) - E(0) + dissipation| relative to E(0).  The maximum
+    (the trapezoid rule for a single step) and reports
+    |E(T) - E(0) + dissipation| relative to E(0).  The maximum
     principle is monitored (overshoot flag), never enforced.  The CFL test
     tries :func:`velocity_bound` first and evaluates :func:`velocity_sup`
     only when the bound fails it; since the bound is never below the sup,
@@ -261,8 +278,9 @@ def run(theta0: SpectralField, config: SolverConfig) -> RunResult:
     running_min = sup0
     overshoot = 0.0
 
-    snapshots = [SolverState(0.0, state.theta.copy())]
-    snap_times = [0.0]
+    kept: list[SolverState] = []
+    emit = kept.append if on_snapshot is None else on_snapshot
+    emit(state)
     next_output = config.output_interval
 
     while state.t < config.t_end - 1e-12:
@@ -286,18 +304,18 @@ def run(theta0: SpectralField, config: SolverConfig) -> RunResult:
             overshoot = max(overshoot, (sup - running_min) / sup0)
         running_min = min(running_min, sup)
         if state.t >= next_output - 1e-12 or state.t >= config.t_end - 1e-12:
-            snapshots.append(SolverState(state.t, state.theta.copy(),
-                                         state.step))
-            snap_times.append(state.t)
+            emit(state)
             next_output += config.output_interval
 
     e0 = 0.5 * theta0.l2_norm() ** 2
     eT = 0.5 * state.theta.l2_norm() ** 2
-    dissipated = _simpson(np.asarray(halves), np.asarray(times)) \
-        if len(times) > 2 else 0.0
+    if len(times) > 2:
+        dissipated = _simpson(np.asarray(halves), np.asarray(times))
+    else:   # the trapezoid rule; 0.0 when no step was taken
+        dissipated = 0.5 * (halves[0] + halves[-1]) * (times[-1] - times[0])
     residual = abs(eT - e0 + dissipated) / e0 if e0 > 0 else 0.0
 
-    return RunResult(times=snap_times, snapshots=snapshots,
+    return RunResult(snapshots=kept if on_snapshot is None else [state],
                      ledger_residual=residual,
                      max_overshoot=overshoot,
                      overshoot_flag=overshoot > config.max_overshoot,

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sqgbounds.cli import _holder_monitor
+from sqgbounds.cli import _holder_monitor, _holder_sample
 from sqgbounds.config import RunConfig
 from sqgbounds.geometry import build_square_geometry
 from sqgbounds.diagnostics import holder_seminorm, record
@@ -173,7 +173,8 @@ def test_10_holder_persistence_monitor(geom128, sqg_run):
     cfg = RunConfig(t_end=1.0)
     records = [record(sv.SolverState(s.t, s.theta), ps=cfg.ps, ms=cfg.ms,
                       alphas=cfg.alphas) for s in res.snapshots]
-    violated, k_fit = _holder_monitor(records, cfg)
+    violated, k_fit = _holder_monitor(
+        [_holder_sample(r, cfg) for r in records], cfg)
     B = max(r.b1_lp[4.0] for r in records)
     M = max(r.lipschitz for r in records)
     h0 = holder_seminorm(theta0, 0.4).value

@@ -2,13 +2,15 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from sqgbounds.cli import _holder_monitor, main
-from sqgbounds.config import RunConfig
-from sqgbounds.diagnostics import DiagnosticsRecord
+from sqgbounds import solver
+from sqgbounds.cli import _HolderSample, _holder_monitor, cmd_run, main
+from sqgbounds.config import RunConfig, load_config
+from sqgbounds.errors import NumericError
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
@@ -24,16 +26,20 @@ PINNED_CONSTANTS = {
 }
 
 
+def _write_run_cfg(path, out, grid_size, dt, t_end, output_interval):
+    path.write_text(
+        f"[geometry]\ngrid_size = {grid_size}\n"
+        f"[solver]\ndt = {dt}\nt_end = {t_end}\n"
+        f"output_interval = {output_interval}\n"
+        "[initial]\nmodes = 1,1,1.0; 2,1,0.3\n"
+        f"[output]\ndirectory = {out}\n")
+    return path
+
+
 @pytest.fixture()
 def run_cfg(tmp_path):
     out = tmp_path / "out"
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "[geometry]\ngrid_size = 64\n"
-        "[solver]\ndt = 2e-3\nt_end = 0.2\noutput_interval = 0.1\n"
-        "[initial]\nmodes = 1,1,1.0; 2,1,0.3\n"
-        f"[output]\ndirectory = {out}\n")
-    return path, out
+    return _write_run_cfg(tmp_path / "run.cfg", out, 64, 2e-3, 0.2, 0.1), out
 
 
 def test_run_writes_everything(run_cfg):
@@ -47,6 +53,67 @@ def test_run_writes_everything(run_cfg):
     lines = (out / "diagnostics.csv").read_text().strip().splitlines()
     assert lines[0].startswith("t[1],")
     assert len(lines) >= 3
+
+
+def test_numeric_failure_leaves_outputs_up_to_last_snapshot(tmp_path,
+                                                            monkeypatch):
+    """Rows and checkpoints are written as snapshots are taken; a run that
+    fails keeps them, and the finished-run markers, even stale ones, are
+    absent."""
+    whole = _write_run_cfg(tmp_path / "whole.cfg", tmp_path / "whole",
+                           32, 5e-3, 1.0, 0.1)
+    assert main(["run", str(whole)]) == 0
+    path = _write_run_cfg(tmp_path / "cut.cfg", tmp_path / "cut",
+                          32, 5e-3, 1.0, 0.1)
+    real_step = solver.step
+
+    def failing_step(*args, **kwargs):
+        new = real_step(*args, **kwargs)
+        if new.t > 0.5 + 1e-9:
+            raise NumericError(f"injected failure at t={new.t:.6g}")
+        return new
+
+    monkeypatch.setattr(solver, "step", failing_step)
+    cut, ref = tmp_path / "cut", tmp_path / "whole"
+    cut.mkdir()
+    for marker in ("final.sqgb", "run_summary.txt"):    # from an older run
+        (cut / marker).write_text("stale")
+    assert main(["run", str(path)]) == 2
+    names = set(os.listdir(cut))
+    assert "final.sqgb" not in names
+    assert "run_summary.txt" not in names
+    rows = (cut / "diagnostics.csv").read_text().splitlines()
+    assert rows == (ref / "diagnostics.csv").read_text().splitlines()[:7]
+    assert float(rows[-1].split(",")[0]) == pytest.approx(0.5)
+    checkpoints = sorted(n for n in names if n.startswith("checkpoint_"))
+    assert checkpoints == [f"checkpoint_{k:06d}.sqgb"
+                           for k in range(0, 101, 20)]
+    for name in checkpoints:
+        assert (cut / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_run_memory_does_not_grow_with_snapshot_count(tmp_path):
+    """11 and 101 snapshots of one N = 64 run peak within one state array."""
+    def traced_peak(name, output_interval):
+        path = _write_run_cfg(tmp_path / f"{name}.cfg", tmp_path / name,
+                              64, 1e-2, 1.0, output_interval)
+        cfg = load_config(path)
+        tracemalloc.start()
+        try:
+            assert cmd_run(cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = (tmp_path / name / "diagnostics.csv").read_text().splitlines()
+        return peak, len(rows) - 1
+
+    assert main(["run", str(_write_run_cfg(tmp_path / "warm.cfg",
+                                           tmp_path / "warm",
+                                           64, 1e-2, 0.02, 0.01))]) == 0
+    sparse, n_sparse = traced_peak("sparse", 0.1)
+    dense, n_dense = traced_peak("dense", 0.01)
+    assert (n_sparse, n_dense) == (11, 101)
+    assert abs(dense - sparse) < 63 * 63 * 8
 
 
 def test_diag_reproduces_last_row(run_cfg, capsys):
@@ -162,10 +229,7 @@ def test_missing_config_exits_2(capsys):
 
 
 def _rec(t, holder, b=1.0, m=1.0):
-    return DiagnosticsRecord(t=t, sup_norm=1.0, energy=1.0, half_norm=1.0,
-                             lipschitz=m, b1_lp={4.0: b},
-                             weighted_norm={2: 1.0}, holder={0.4: holder},
-                             u_sup=1.0, normal_rate=1.0)
+    return _HolderSample(t=t, holder=holder, b1_lp=b, lipschitz=m)
 
 
 def test_holder_monitor_flags_late_growth():

@@ -141,6 +141,44 @@ def test_run_monitors_and_ledger(geom):
     assert all(b <= a * 1.01 + 1e-12 for a, b in zip(sups, sups[1:]))
 
 
+def test_run_with_callback_matches_retained_run(geom):
+    """Streaming snapshots to a callback changes no snapshot and no monitor."""
+    theta0 = sp.mode_field(geom, 1, 1)
+    theta0.coeffs[1, 0] = 0.5
+    cfg = sv.SolverConfig(dt=2e-3, t_end=0.1, output_interval=0.02)
+    kept = sv.run(theta0, cfg)
+    streamed = []
+    res = sv.run(theta0, cfg, on_snapshot=streamed.append)
+    assert len(streamed) == len(kept.snapshots) == 6
+    for a, b in zip(streamed, kept.snapshots):
+        assert (a.t, a.step) == (b.t, b.step)
+        assert np.array_equal(a.theta.coeffs, b.theta.coeffs)
+    assert len(res.snapshots) == 1
+    assert res.snapshots[0] is streamed[-1]
+    for name in ("ledger_residual", "max_overshoot", "rejected_steps",
+                 "final_dt", "sup_history"):
+        assert getattr(res, name) == getattr(kept, name), name
+
+
+_LEDGER_GEOM = build_square_geometry(16)
+
+
+def _decay_ledger(t_end):
+    return sv.run(sp.mode_field(_LEDGER_GEOM, 1, 1),
+                  sv.SolverConfig(dt=2e-3, t_end=t_end, drift_mode="none")
+                  ).ledger_residual
+
+
+def test_one_step_ledger_uses_the_trapezoid_rule():
+    """A two-point run integrates its dissipation by the trapezoid rule."""
+    assert _decay_ledger(2e-3) < 1e-6
+    assert _decay_ledger(0.0) == 0.0
+
+
+def test_simpson_ledger_keeps_its_bits():
+    assert _decay_ledger(4e-3) == 6.40026226461643e-14
+
+
 def test_dt_refinement_order(geom):
     theta0 = sp.mode_field(geom, 1, 1)
     theta0.coeffs[1, 0] = 0.5
