@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Geometry
-from .operators import riesz_velocity
 from .spectral import GridField, SpectralField, gradient, inverse
-from .solver import SolverState, half_norm_sq
+from .solver import SolverState, _plan, half_norm_sq
 
 SPACE_DIMENSION = 2    # d in the d/p exponents
 
@@ -162,9 +161,16 @@ def normal_velocity_slope(u, geometry: Geometry, shells: int = 4
     n is the inward normal of the nearest side; shells are dyadic in the
     boundary distance below L/8 and left out where u . n vanishes.
     """
+    return _normal_slope(np.abs(u.u_x.values), np.abs(u.u_y.values),
+                         geometry, shells)
+
+
+def _normal_slope(abs_ux: np.ndarray, abs_uy: np.ndarray, geometry: Geometry,
+                  shells: int = 4) -> tuple[float, float]:
+    """:func:`normal_velocity_slope` from |u_x| and |u_y| at the nodes."""
     e = geometry.side_distance
     near_x = e[:, None] <= e[None, :]
-    un = np.where(near_x, np.abs(u.u_x.values), np.abs(u.u_y.values))
+    un = np.where(near_x, abs_ux, abs_uy)
     kept = [(ld, s) for ld, s in zip(*_shell_sup(un, geometry, shells))
             if s > 0]
     if len(kept) < 2:
@@ -196,16 +202,26 @@ def record(state: SolverState,
     """Aggregate all functionals for one state.
 
     One velocity solve and one grid evaluation of theta serve every
-    functional.  Only |u| enters the record, so the velocity's sign
-    convention does not.  The Lipschitz bound comes first, so its gradient
-    is freed before the grid values and the velocity are built.
+    functional.  Only |u| enters the record, so the velocity is evaluated
+    without its sign (the stream function's gradient, (d_x psi, d_y psi),
+    holds |u_y| and |u_x| up to sign) and its magnitudes are formed in
+    place; u_sup is sqrt(max(u_x^2 + u_y^2)), equal to max |u| because the
+    square root is monotone and correctly rounded.  The Lipschitz bound
+    comes first, so its gradient is freed before the grid values and the
+    velocity are built.
     """
     theta = state.theta
+    g = theta.geometry
     lipschitz = interior_lipschitz(theta)
     values = inverse(theta)
-    u = riesz_velocity(theta)
     b1 = ratio_from_values(values)
-    slope, _ = normal_velocity_slope(u, theta.geometry)
+    stream = SpectralField(theta.coeffs * _plan(theta).inv_sqrt_lam, g)
+    abs_uy, abs_ux = (np.abs(d.values, out=d.values) for d in gradient(stream))
+    slope, _ = _normal_slope(abs_ux, abs_uy, g)
+    abs_ux **= 2
+    abs_uy **= 2
+    abs_ux += abs_uy
+    u_sup = float(np.sqrt(abs_ux.max()))
     return DiagnosticsRecord(
         t=state.t,
         sup_norm=values.sup_norm(),
@@ -215,7 +231,7 @@ def record(state: SolverState,
         b1_lp={p: ratio_lp_norm(b1, p) for p in ps},
         weighted_norm={m: _weighted_norm(b1, m) for m in ms},
         holder={a: _holder(values, a).value for a in alphas},
-        u_sup=u.sup_norm(),
+        u_sup=u_sup,
         normal_rate=slope,
     )
 

@@ -14,6 +14,7 @@ on that equivalence (w_1 vanishes quadratically at the corners).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,12 @@ DEFAULT_CORNER_RADIUS_FRAC = 0.05
 
 @dataclass(frozen=True)
 class Geometry:
-    """Immutable description of the discretized square domain."""
+    """Immutable description of the discretized square domain.
+
+    ``distance`` and ``corner_mask`` are built on first read and then kept:
+    a geometry that never reads them (the fine commutator grid) never
+    allocates them.
+    """
 
     side_length: float
     grid_size: int                 # N; interior nodes are i*L/N, i=1..N-1
@@ -33,10 +39,26 @@ class Geometry:
     modes: np.ndarray              # (N-1,) mode indices 1..N-1
     eigenvalues: np.ndarray        # (N-1, N-1) lam_{m,n}
     ground_state: np.ndarray       # (N-1, N-1) samples of w_1
-    distance: np.ndarray           # (N-1, N-1) d(x) = min distance to the sides
-    corner_mask: np.ndarray        # (N-1, N-1) bool, True near a corner
     c0: float | None = None        # fitted lower constant of w_1/d
     C0: float | None = None        # fitted upper constant of w_1/d
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        """(N-1, N-1) d(x) = min distance to the sides."""
+        e = self.side_distance
+        return np.minimum.outer(e, e)
+
+    @cached_property
+    def corner_mask(self) -> np.ndarray:
+        """(N-1, N-1) bool, True near a corner."""
+        # |x - c| for the nearer corner c is (e_i, e_j) exactly, so only
+        # nodes with both e below the radius can lie near a corner
+        e = self.side_distance
+        near = e < self.corner_radius
+        mask = np.zeros((e.size, e.size), dtype=bool)
+        mask[np.ix_(near, near)] = (
+            np.hypot.outer(e[near], e[near]) < self.corner_radius)
+        return mask
 
     @property
     def spacing(self) -> float:
@@ -107,14 +129,6 @@ def build_square_geometry(
     # every field below is separable: evaluate per axis, combine by outer ops
     s = np.sin(np.pi * x / L)
     ground_state = (2.0 / L) * s[:, None] * s[None, :]
-    e = np.minimum(x, L - x)                   # distance to the nearer side
-    distance = np.minimum.outer(e, e)
-    # |x - c| for the nearer corner c is (e_i, e_j) exactly, so only nodes
-    # with both e below the radius can lie near a corner
-    near = e < corner_radius
-    corner_mask = np.zeros(distance.shape, dtype=bool)
-    corner_mask[np.ix_(near, near)] = (
-        np.hypot.outer(e[near], e[near]) < corner_radius)
 
     return Geometry(
         side_length=L,
@@ -124,8 +138,6 @@ def build_square_geometry(
         modes=modes,
         eigenvalues=eigenvalues,
         ground_state=ground_state,
-        distance=distance,
-        corner_mask=corner_mask,
     )
 
 

@@ -540,6 +540,11 @@ def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
     For centers at dyadic d(x0), h rounded to the grid near d(x0)/32 and
     ell = d(x0)/2, the regression slope of log(||C_h||_inf / |h|) against
     log d(x0) must lie in [-(1 + 2/p) - 0.3, 0].
+
+    theta and Lambda theta are evaluated on the whole grid once, for every
+    center.  Each center then makes one :func:`commutator` call, which works
+    on its cutoff box (only Lambda's spectrum spans the grid), and the sup
+    is taken over that box.
     """
     g = theta.geometry
     dx = g.spacing

@@ -21,12 +21,13 @@ from scipy.special import erf, gamma
 from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
 from .geometry import Geometry
-from .spectral import (GridField, SpectralField, _sin_cos_eval,
+from .spectral import (BoxField, GridField, SpectralField, _forward_coeffs,
                        dealiased_product, eval_fine, forward, grad_l2_norm_sq,
-                       inverse)
+                       gradient, inverse)
 
 MAX_CUTOFF_SCALE_FRAC = 0.25    # ell0 = L/4
 ERF_SATURATION = 6.0            # scipy's erf(z) == sign(z) for |z| >= 6
+_LAMBDA_ROWS = 128              # rows per block of an in-place Lambda
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,8 @@ def apply_lambda_power(f: SpectralField, s: float) -> SpectralField:
     """Lambda^s as the mode multiplier lam^{s/2} (s in [-1, 2])."""
     if not -1.0 <= s <= 2.0:
         raise ConfigurationError(f"power s must lie in [-1, 2], got {s}")
-    mult = f.geometry.eigenvalues ** (s / 2.0)
+    lam = f.geometry.eigenvalues
+    mult = np.sqrt(lam) if s == 1.0 else lam ** (s / 2.0)
     mult *= f.coeffs
     return SpectralField(mult, f.geometry, tag=f.tag)
 
@@ -237,11 +239,8 @@ class VelocityField:
 def _perp_gradient(stream_coeffs: np.ndarray, geometry: Geometry,
                    j_sign: float) -> tuple[np.ndarray, np.ndarray]:
     """(u_x, u_y) = j_sign * (-d_y psi, d_x psi) at the interior nodes."""
-    k = geometry.modes * np.pi / geometry.side_length
-    scale = 2.0 / geometry.side_length
-    psi_y = _sin_cos_eval(stream_coeffs * k[None, :], 1, scale)
-    psi_x = _sin_cos_eval(stream_coeffs * k[:, None], 0, scale)
-    return -j_sign * psi_y, j_sign * psi_x
+    psi_x, psi_y = gradient(SpectralField(stream_coeffs, geometry))
+    return -j_sign * psi_y.values, j_sign * psi_x.values
 
 
 def _stream_velocity(stream: SpectralField, j_sign: float) -> VelocityField:
@@ -387,7 +386,6 @@ class CutoffPair:
     scale: float
     phi: GridField
     chi: GridField
-    box: tuple[slice, slice]     # node rows and columns within ell of x0
 
 
 def _box_slice(x: np.ndarray, c: float, ell: float) -> slice:
@@ -396,14 +394,9 @@ def _box_slice(x: np.ndarray, c: float, ell: float) -> slice:
     return slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
 
 
-def standard_cutoff(geometry: Geometry, x0, ell: float) -> CutoffPair:
-    """phi = profile(|x - x0| / ell), chi = profile(|x - x0| / (2 ell)).
-
-    Requires the doubled bump to stay inside the domain: d(x0) >= 2 ell,
-    and ell below the fixed largest admissible scale L/4.  Both bumps
-    vanish for |x - x0| >= 7 ell / 8, so they are evaluated on the box of
-    nodes within ell of x0 per axis and are zero elsewhere.
-    """
+def _cutoff_box(geometry: Geometry, x0, ell: float
+                ) -> tuple[tuple[slice, slice], np.ndarray, np.ndarray]:
+    """The box of :func:`standard_cutoff` with phi and chi on its nodes."""
     cx, cy = float(x0[0]), float(x0[1])
     L = geometry.side_length
     d0 = min(cx, L - cx, cy, L - cy)
@@ -419,13 +412,25 @@ def standard_cutoff(geometry: Geometry, x0, ell: float) -> CutoffPair:
     x = geometry.x
     box = (_box_slice(x, cx, ell), _box_slice(x, cy, ell))
     r = np.hypot(x[box[0], None] - cx, x[None, box[1]] - cy)
+    return box, smoothstep_profile(r / ell), smoothstep_profile(r / (2.0 * ell))
+
+
+def standard_cutoff(geometry: Geometry, x0, ell: float) -> CutoffPair:
+    """phi = profile(|x - x0| / ell), chi = profile(|x - x0| / (2 ell)).
+
+    Requires the doubled bump to stay inside the domain: d(x0) >= 2 ell,
+    and ell below the fixed largest admissible scale L/4.  Both bumps
+    vanish for |x - x0| >= 7 ell / 8, so they are evaluated on the box of
+    nodes within ell of x0 per axis and are zero elsewhere.
+    """
+    box, phi_box, chi_box = _cutoff_box(geometry, x0, ell)
     phi = np.zeros((geometry.n_interior,) * 2)
     chi = np.zeros((geometry.n_interior,) * 2)
-    phi[box] = smoothstep_profile(r / ell)
-    chi[box] = smoothstep_profile(r / (2.0 * ell))
-    return CutoffPair(center=(cx, cy), scale=float(ell),
+    phi[box] = phi_box
+    chi[box] = chi_box
+    return CutoffPair(center=(float(x0[0]), float(x0[1])), scale=float(ell),
                       phi=GridField(phi, geometry),
-                      chi=GridField(chi, geometry), box=box)
+                      chi=GridField(chi, geometry))
 
 
 def _commensurate_steps(h, geometry: Geometry) -> tuple[int, int]:
@@ -471,34 +476,40 @@ def finite_difference(f, h) -> GridField:
 
 
 def commutator(values: GridField, lam_values: GridField, x0, ell: float,
-               h) -> GridField:
+               h) -> BoxField:
     """Localized commutator of the finite difference with Lambda.
 
     C_h(theta) = phi * (delta_h Lambda theta) - phi * Lambda(chi * delta_h theta),
     where (phi, chi) is the standard cutoff pair at (x0, ell) and ``values``,
     ``lam_values`` sample theta and Lambda theta at the nodes.
 
-    Only Lambda needs the whole grid; everything else is computed on the
-    cutoff box, which holds both supports, and C_h is zero outside it.  The
-    box sits >= ell from the boundary and |h| <= ell / 16, so every box node
-    has its shifted neighbour in the interior and every node is valid.
+    C_h is returned on the cutoff box, which holds both supports; it is zero
+    outside.  The box sits >= ell from the boundary and |h| <= ell / 16, so
+    every box node has its shifted neighbour in the interior and every node
+    is valid.  Everything but Lambda is box-local: phi, chi and the
+    localized field chi * delta_h theta live on the box's nodes, and the
+    only whole-grid arrays are the spectrum of the localized field, scaled
+    by lam^{1/2} in place, and the axis-0 pass of its forward transform.
+    The inverse transform evaluates only the box's rows.
     """
     hv = np.hypot(float(h[0]), float(h[1]))
     if hv > ell / 16.0 + 1e-12 * ell:
         raise PreconditionError(
             f"|h| = {hv:.4g} exceeds ell/16 = {ell / 16:.4g}")
     g = values.geometry
-    cut = standard_cutoff(g, x0, ell)
-    box = rows, cols = cut.box
+    box, phi, chi = _cutoff_box(g, x0, ell)
+    rows, cols = box
     p, q = _commensurate_steps(h, g)
     shifted = (slice(rows.start + p, rows.stop + p),
                slice(cols.start + q, cols.stop + q))
-    localized = np.zeros(values.values.shape)
-    localized[box] = cut.chi.values[box] * (values.values[shifted]
-                                            - values.values[box])
-    lam_loc = eval_fine(apply_lambda_power(
-        forward(GridField(localized, g)), 1.0), g.grid_size, rows)
+    # chi * delta_h theta on the column band of the box
+    band = np.zeros((g.n_interior, cols.stop - cols.start))
+    band[rows] = chi * (values.values[shifted] - values.values[box])
+    coeffs = _forward_coeffs(band, g, col0=cols.start)
+    for r in range(0, g.n_interior, _LAMBDA_ROWS):     # Lambda, in place
+        coeffs[r:r + _LAMBDA_ROWS] *= np.sqrt(g.eigenvalues[r:r + _LAMBDA_ROWS])
+    lam_loc = eval_fine(SpectralField(coeffs, g), g.grid_size, rows)
     d_lam = lam_values.values[shifted] - lam_values.values[box]
-    out = np.zeros(localized.shape)
-    out[box] = cut.phi.values[box] * (d_lam - lam_loc[:, cols])
-    return GridField(out, g, valid=np.ones(out.shape, dtype=bool))
+    d_lam -= lam_loc[:, cols]
+    d_lam *= phi
+    return BoxField(d_lam, box, g)

@@ -60,6 +60,18 @@ class GridField:
         return float(np.max(np.abs(self.values), where=where, initial=0.0))
 
 
+@dataclass
+class BoxField:
+    """Field sampled on the box ``box`` of interior nodes and zero elsewhere."""
+
+    values: np.ndarray           # the box's nodes, index [i - rows.start, ...]
+    box: tuple[slice, slice]     # node rows and columns of the box
+    geometry: Geometry
+
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.values), initial=0.0))
+
+
 def mode_field(geometry: Geometry, m: int, n: int, amp: float = 1.0,
                tag: str = "") -> SpectralField:
     """The single eigenmode amp * w_{m,n} as a SpectralField."""
@@ -106,25 +118,58 @@ def _sin_cos_eval(coeffs: np.ndarray, cos_axis: int,
 # Grid <-> spectrum
 # ---------------------------------------------------------------------------
 
-def _dst2(a: np.ndarray, n: int, rows=slice(None)) -> np.ndarray:
-    """Rows ``rows`` of ``fft.dstn(a, type=1, s=(n, n))``, skipping zero lines.
+_BLOCK = 128    # columns per block of a row band's axis-0 pass
 
+
+def _dst2(a: np.ndarray, n: int, rows=slice(None), col0: int = 0) -> np.ndarray:
+    """Rows ``rows`` of ``fft.dstn(A, type=1, s=(n, n))``, skipping zero lines.
+
+    A holds ``a`` in its columns from ``col0`` on and is zero elsewhere, so
+    a column band of an n x n array can be passed without its zero columns.
     The axis-0 pass transforms only the span of columns of ``a`` from its
     first to its last nonzero column: every column outside that span is
     zero and transforms to zero, so an all-zero ``a`` costs no transform.
-    The axis-1 pass transforms only the rows ``rows``.  The passes keep
-    dstn's order, axis 0 then axis 1, so the result equals dstn's bit for
-    bit; the reverse order differs in the last bit.
+    When ``rows`` is a band, the axis-0 pass runs over blocks of columns,
+    each transformed as a transposed view so its output lines are
+    contiguous, and keeps only the band: no n-row intermediate of the whole
+    width is materialised.  The axis-1 pass transforms only the rows
+    ``rows``.  The passes keep dstn's order, axis 0 then axis 1, so the
+    result equals dstn's bit for bit; the reverse order differs in the last
+    bit.
     """
     live = np.flatnonzero(a.any(axis=0))
     if live.size == 0:
         return np.zeros((n, n))[rows]
-    cols = slice(live[0], live[-1] + 1)
-    first = fft.dst(a[:, cols], type=1, n=n, axis=0)
-    if first.shape[1] < a.shape[1]:       # put the skipped zero columns back
-        first, part = np.zeros((n, a.shape[1])), first
-        first[:, cols] = part
-    return fft.dst(first[rows], type=1, n=n, axis=1, overwrite_x=True)
+    lo, hi = live[0], live[-1] + 1
+    picked = range(n)[rows]
+    whole = picked == range(n)
+    # the axis-1 pass zero-pads on the right, so the columns past the last
+    # live one need no storage
+    if whole and col0 + lo == 0:
+        first = fft.dst(a[:, :hi], type=1, n=n, axis=0)
+    elif whole:
+        first = np.zeros((n, col0 + hi))
+        first[:, col0 + lo:] = fft.dst(a[:, lo:hi], type=1, n=n, axis=0)
+    else:
+        first = np.zeros((len(picked), col0 + hi))
+        for c in range(lo, hi, _BLOCK):
+            blk = fft.dst(a[:, c:min(c + _BLOCK, hi)].T, type=1, n=n, axis=1)
+            first[:, col0 + c:col0 + c + blk.shape[0]] = blk[:, rows].T
+    return fft.dst(first, type=1, n=n, axis=1, overwrite_x=True)
+
+
+def _forward_coeffs(values: np.ndarray, geometry: Geometry,
+                    col0: int = 0) -> np.ndarray:
+    """Coefficients of the grid field equal to ``values`` from column ``col0`` on.
+
+    ``values`` has N-1 rows and may be a column band; the field is zero in
+    every column outside it.
+    """
+    if not np.isfinite(values).all():
+        raise NumericError("forward transform of non-finite grid values")
+    coeffs = _dst2(values, geometry.n_interior, col0=col0)
+    coeffs *= geometry.side_length / (2.0 * geometry.grid_size ** 2)
+    return coeffs
 
 
 def forward(grid: GridField, tag: str = "") -> SpectralField:
@@ -134,12 +179,8 @@ def forward(grid: GridField, tag: str = "") -> SpectralField:
     last nonzero column (see :func:`_dst2`), so values that vanish outside
     a band of columns cost the transform of that band.
     """
-    if not np.isfinite(grid.values).all():
-        raise NumericError("forward transform of non-finite grid values")
-    g = grid.geometry
-    coeffs = _dst2(grid.values, g.n_interior)
-    coeffs *= g.side_length / (2.0 * g.grid_size ** 2)
-    return SpectralField(coeffs, g, tag=tag)
+    return SpectralField(_forward_coeffs(grid.values, grid.geometry),
+                         grid.geometry, tag=tag)
 
 
 def inverse(spec: SpectralField) -> GridField:

@@ -1,4 +1,6 @@
 """Grid construction, eigenvalues, and the ground-state/distance equivalence."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,30 @@ def test_separable_fields_match_meshgrid_formulas(N, frac):
     assert np.array_equal(g.ground_state, ground)
     assert np.array_equal(g.distance, distance)
     assert np.array_equal(g.corner_mask, corner)
+
+
+@pytest.mark.parametrize("N", [8, 64, 512])
+def test_distance_and_corner_mask_are_lazy_and_keep_their_bits(N):
+    g = build_square_geometry(N)
+    assert "distance" not in vars(g) and "corner_mask" not in vars(g)
+    L = g.side_length
+    e = np.minimum(g.x, L - g.x)
+    distance = np.minimum.outer(e, e)       # the formulas built eagerly before
+    near = e < g.corner_radius
+    corner = np.zeros(distance.shape, dtype=bool)
+    corner[np.ix_(near, near)] = np.hypot.outer(e[near], e[near]) < g.corner_radius
+    assert np.array_equal(g.distance, distance)
+    assert np.array_equal(g.corner_mask, corner)
+    assert g.distance is g.distance and g.corner_mask is g.corner_mask
+
+
+def test_geometry_build_allocates_only_eigenvalues_and_ground_state():
+    n = 2047
+    tracemalloc.start()
+    try:
+        g = build_square_geometry(n + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.grid_size == n + 1
+    assert peak < 2.5 * n * n * 8

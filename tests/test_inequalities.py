@@ -255,6 +255,22 @@ def test_commutator_scaling_ground_state():
                - rep.fitted_constants["Gamma0"]) < 1e-9
 
 
+def test_commutator_scaling_calls_the_commutator_once_per_center(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return op.commutator(*args, **kwargs)
+
+    monkeypatch.setattr(iq, "commutator", counted)
+    g = build_square_geometry(256)
+    L = g.side_length
+    centers = [(L / 4, L / 2), (L / 2, L / 6), (L / 8, L / 2)]
+    rep = iq.verify_commutator_scaling(sp.mode_field(g, 1, 1), centers=centers)
+    assert calls == centers
+    assert rep.samples == 3
+
+
 def test_commutator_scaling_needs_fine_grid(geom, mix):
     with pytest.raises(ConfigurationError):
         iq.verify_commutator_scaling(mix, p=np.inf)

@@ -444,6 +444,13 @@ def test_finite_difference_accepts_spectral_input(geom):
 # commutator
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("N", [64, 128, 512, 2048])
+def test_sqrt_of_eigenvalues_is_their_half_power(N):
+    """Lambda's multiplier may be np.sqrt(lam) or lam ** 0.5: same bits."""
+    lam = build_square_geometry(N).eigenvalues
+    assert np.array_equal(lam ** 0.5, np.sqrt(lam))
+
+
 def _grid_pair(theta):
     """theta and Lambda theta at the nodes, the inputs of the commutator."""
     return sp.inverse(theta), sp.inverse(op.apply_lambda_power(theta, 1.0))
@@ -532,9 +539,11 @@ def test_commutator_matches_full_grid_formula(N, x0, ell, steps):
     h = (steps[0] * g.spacing, steps[1] * g.spacing)
     C = op.commutator(*_grid_pair(theta), x0, ell, h)
     vals, valid = _full_grid_commutator(theta, x0, ell, h)
-    assert np.array_equal(C.values, vals)
-    assert np.array_equal(C.valid, valid)
-    assert C.sup_norm() > 0
+    embedded = np.zeros_like(vals)
+    embedded[C.box] = C.values
+    assert np.array_equal(embedded, vals)
+    assert valid.all()          # the box result needs no validity mask
+    assert C.sup_norm() == sp.GridField(vals, g, valid=valid).sup_norm() > 0
 
 
 @pytest.mark.parametrize("x0, ell", [((np.pi / 2, np.pi / 2), np.pi / 4),

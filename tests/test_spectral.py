@@ -249,6 +249,24 @@ def test_restricted_dst_passes_match_dstn(n):
     assert np.array_equal(sp._dst2(a, n, rows=slice(4, 13)), full[4:13])
 
 
+@pytest.mark.parametrize("rows, cols", [
+    (slice(0, 1023), slice(0, 1023)),       # whole grid, no band
+    (slice(300, 431), slice(None)),         # row band, dense columns
+    (slice(100, 229), slice(126, 390)),     # both bands across block edges
+    (slice(1022, 1023), slice(1000, 1023)),
+])
+def test_dst2_row_and_column_bands_match_dstn(rows, cols):
+    """A row band and a column band of _dst2 equal dstn's rows bit for bit."""
+    n = 1023
+    a = np.zeros((n, n))
+    a[:, cols] = np.random.default_rng(n).standard_normal((n, n))[:, cols]
+    full = fft.dstn(a, type=1)
+    c0, c1, _ = cols.indices(n)
+    assert np.array_equal(sp._dst2(a, n, rows=rows), full[rows])
+    assert np.array_equal(sp._dst2(a[:, c0:c1], n, rows=rows, col0=c0),
+                          full[rows])
+
+
 @pytest.mark.parametrize("live", [(), (0,), (30,), tuple(range(9, 20)),
                                   (3, 25)],
                          ids=["zero", "first", "last", "band", "gap"])
