@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Geometry
+from .operators import riesz_velocity
 from .spectral import GridField, SpectralField, gradient, inverse
-from .solver import SolverState, _plan, half_norm_sq
+from .solver import SolverState, half_norm_sq
 
 SPACE_DIMENSION = 2    # d in the d/p exponents
 
@@ -202,22 +203,21 @@ def record(state: SolverState,
     """Aggregate all functionals for one state.
 
     One velocity solve and one grid evaluation of theta serve every
-    functional.  Only |u| enters the record, so the velocity is evaluated
-    without its sign (the stream function's gradient, (d_x psi, d_y psi),
-    holds |u_y| and |u_x| up to sign) and its magnitudes are formed in
-    place; u_sup is sqrt(max(u_x^2 + u_y^2)), equal to max |u| because the
-    square root is monotone and correctly rounded.  The Lipschitz bound
-    comes first, so its gradient is freed before the grid values and the
-    velocity are built.
+    functional.  Only |u| enters the record, so the velocity's components
+    are overwritten in place by their magnitudes and then their squares;
+    u_sup is sqrt(max(u_x^2 + u_y^2)), equal to max |u| because the square
+    root is monotone and correctly rounded.  The Lipschitz bound comes
+    first, so its gradient is freed before the grid values and the velocity
+    are built.
     """
     theta = state.theta
-    g = theta.geometry
     lipschitz = interior_lipschitz(theta)
     values = inverse(theta)
+    u = riesz_velocity(theta)
     b1 = ratio_from_values(values)
-    stream = SpectralField(theta.coeffs * _plan(theta).inv_sqrt_lam, g)
-    abs_uy, abs_ux = (np.abs(d.values, out=d.values) for d in gradient(stream))
-    slope, _ = _normal_slope(abs_ux, abs_uy, g)
+    abs_ux = np.abs(u.u_x.values, out=u.u_x.values)
+    abs_uy = np.abs(u.u_y.values, out=u.u_y.values)
+    slope, _ = _normal_slope(abs_ux, abs_uy, theta.geometry)
     abs_ux **= 2
     abs_uy **= 2
     abs_ux += abs_uy

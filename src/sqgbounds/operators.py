@@ -38,8 +38,7 @@ def apply_lambda_power(f: SpectralField, s: float) -> SpectralField:
     """Lambda^s as the mode multiplier lam^{s/2} (s in [-1, 2])."""
     if not -1.0 <= s <= 2.0:
         raise ConfigurationError(f"power s must lie in [-1, 2], got {s}")
-    lam = f.geometry.eigenvalues
-    mult = np.sqrt(lam) if s == 1.0 else lam ** (s / 2.0)
+    mult = f.geometry.eigenvalues ** (s / 2.0)
     mult *= f.coeffs
     return SpectralField(mult, f.geometry, tag=f.tag)
 
@@ -240,7 +239,9 @@ def _perp_gradient(stream_coeffs: np.ndarray, geometry: Geometry,
                    j_sign: float) -> tuple[np.ndarray, np.ndarray]:
     """(u_x, u_y) = j_sign * (-d_y psi, d_x psi) at the interior nodes."""
     psi_x, psi_y = gradient(SpectralField(stream_coeffs, geometry))
-    return -j_sign * psi_y.values, j_sign * psi_x.values
+    psi_y.values *= -j_sign
+    psi_x.values *= j_sign
+    return psi_y.values, psi_x.values
 
 
 def _stream_velocity(stream: SpectralField, j_sign: float) -> VelocityField:

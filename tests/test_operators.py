@@ -446,7 +446,7 @@ def test_finite_difference_accepts_spectral_input(geom):
 
 @pytest.mark.parametrize("N", [64, 128, 512, 2048])
 def test_sqrt_of_eigenvalues_is_their_half_power(N):
-    """Lambda's multiplier may be np.sqrt(lam) or lam ** 0.5: same bits."""
+    """commutator's np.sqrt(lam) equals apply_lambda_power's lam ** 0.5."""
     lam = build_square_geometry(N).eigenvalues
     assert np.array_equal(lam ** 0.5, np.sqrt(lam))
 
