@@ -14,6 +14,7 @@ and checkpoints up to the last snapshot remain, and neither marker exists.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
 from typing import NamedTuple
@@ -76,9 +77,12 @@ def cmd_run(cfg: RunConfig) -> int:
     csv_path = os.path.join(cfg.output_dir, "diagnostics.csv")
     final_path = os.path.join(cfg.output_dir, "final.sqgb")
     summary = os.path.join(cfg.output_dir, "run_summary.txt")
-    # rows are appended, and final.sqgb and run_summary.txt mark a finished
-    # run: none of them may survive from an older run
-    for path in (csv_path, final_path, summary):
+    # rows are appended, final.sqgb and run_summary.txt mark a finished run,
+    # and the checkpoints must be this run's: none of them may survive from
+    # an older run (a resumed run must spare the checkpoint it resumes from)
+    stale = glob.glob(os.path.join(glob.escape(cfg.output_dir),
+                                   "checkpoint_*.sqgb"))
+    for path in (csv_path, final_path, summary, *stale):
         if os.path.exists(path):
             os.remove(path)
     config_hash = cfg.config_hash()

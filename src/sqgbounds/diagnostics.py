@@ -23,6 +23,7 @@ SPACE_DIMENSION = 2    # d in the d/p exponents
 DEFAULT_PS = (2.0, 4.0)
 DEFAULT_MS = (2,)
 DEFAULT_ALPHAS = (0.4,)
+_SUP_ROWS = 128        # rows per block of ratio_sup
 
 
 def boundary_ratio(theta: SpectralField) -> GridField:
@@ -34,6 +35,23 @@ def ratio_from_values(values: GridField) -> GridField:
     """b_1 = theta / w_1 from the node values of theta."""
     g = values.geometry
     return GridField(values.values / g.ground_state, g)
+
+
+def ratio_sup(values: GridField) -> float:
+    """||b_1||_inf = max |theta / w_1| from the node values of theta.
+
+    Taken over ``_SUP_ROWS`` rows at a time, with w_1's rows from
+    ``Geometry.ground_state_rows``: equal to
+    ``ratio_lp_norm(ratio_from_values(values), inf)`` without its two
+    whole-grid temporaries.
+    """
+    g = values.geometry
+    sups = []
+    for r in range(0, g.n_interior, _SUP_ROWS):
+        rows = slice(r, r + _SUP_ROWS)
+        sups.append(np.abs(values.values[rows]
+                           / g.ground_state_rows(rows)).max())
+    return float(np.max(sups))
 
 
 def ratio_quad(geometry: Geometry, values: np.ndarray) -> float:
@@ -66,7 +84,9 @@ def _weighted_norm(b1: GridField, m: int) -> float:
     if m < 1:
         raise ConfigurationError(f"moment index must be >= 1, got {m}")
     g = b1.geometry
-    return float(ratio_quad(g, g.ground_state * b1.values ** (2 * m))
+    # |b_1| ** 2m, not b_1 ** 2m: the power of a negative base takes
+    # numpy's slow scalar path
+    return float(ratio_quad(g, g.ground_state * np.abs(b1.values) ** (2 * m))
                  ** (1.0 / (2 * m)))
 
 

@@ -27,9 +27,12 @@ DEFAULT_CORNER_RADIUS_FRAC = 0.05
 class Geometry:
     """Immutable description of the discretized square domain.
 
-    ``distance`` and ``corner_mask`` are built on first read and then kept:
-    a geometry that never reads them (the fine commutator grid) never
-    allocates them.
+    Every (N-1, N-1) table (``eigenvalues``, ``ground_state``, ``distance``
+    and ``corner_mask``) is built on first read and then kept: a geometry
+    that never reads one (the fine commutator grid) never allocates it.
+    ``eigenvalues`` and ``ground_state`` are the whole-grid cases of
+    :meth:`eigenvalue_rows` and :meth:`ground_state_rows`, so a row block
+    taken from those methods carries the bits of the table's rows.
     """
 
     side_length: float
@@ -37,10 +40,28 @@ class Geometry:
     corner_radius: float
     x: np.ndarray                  # (N-1,) interior coordinates (shared per axis)
     modes: np.ndarray              # (N-1,) mode indices 1..N-1
-    eigenvalues: np.ndarray        # (N-1, N-1) lam_{m,n}
-    ground_state: np.ndarray       # (N-1, N-1) samples of w_1
     c0: float | None = None        # fitted lower constant of w_1/d
     C0: float | None = None        # fitted upper constant of w_1/d
+
+    def eigenvalue_rows(self, rows=slice(None)) -> np.ndarray:
+        """Rows ``rows`` of lam_{m,n} = k_m^2 + k_n^2, k_m = m pi / L."""
+        k = self.modes * np.pi / self.side_length
+        return k[rows, None] ** 2 + k[None, :] ** 2
+
+    def ground_state_rows(self, rows=slice(None)) -> np.ndarray:
+        """Rows ``rows`` of the node samples of w_1 (the ground state)."""
+        s = np.sin(np.pi * self.x / self.side_length)
+        return (2.0 / self.side_length) * s[rows, None] * s[None, :]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """(N-1, N-1) lam_{m,n}, index [m-1, n-1]."""
+        return self.eigenvalue_rows()
+
+    @cached_property
+    def ground_state(self) -> np.ndarray:
+        """(N-1, N-1) samples of w_1."""
+        return self.ground_state_rows()
 
     @cached_property
     def distance(self) -> np.ndarray:
@@ -70,7 +91,7 @@ class Geometry:
 
     @property
     def lam1(self) -> float:
-        return float(self.eigenvalues[0, 0])
+        return float(self.eigenvalue_rows(slice(1))[0, 0])
 
     @property
     def area(self) -> float:
@@ -121,23 +142,12 @@ def build_square_geometry(
         )
 
     L = float(side_length)
-    x = L * np.arange(1, N) / N
-    modes = np.arange(1, N)
-    k = modes * np.pi / L
-    eigenvalues = k[:, None] ** 2 + k[None, :] ** 2
-
-    # every field below is separable: evaluate per axis, combine by outer ops
-    s = np.sin(np.pi * x / L)
-    ground_state = (2.0 / L) * s[:, None] * s[None, :]
-
     return Geometry(
         side_length=L,
         grid_size=int(N),
         corner_radius=float(corner_radius),
-        x=x,
-        modes=modes,
-        eigenvalues=eigenvalues,
-        ground_state=ground_state,
+        x=L * np.arange(1, N) / N,
+        modes=np.arange(1, N),
     )
 
 

@@ -18,15 +18,16 @@ from .geometry import Geometry, build_square_geometry, fit_ground_state_equivale
 from .diagnostics import (_shell_sup, boundary_ratio, fit_line,
                           holder_seminorm, interior_lipschitz,
                           ratio_from_values, ratio_lp_norm, ratio_quad,
-                          weighted_ratio_norm)
-from .operators import (ConvexFn, apply_lambda_power, commutator, eigensum_1d,
-                        finite_difference, heat_of_one_1d, heat_semigroup,
+                          ratio_sup, weighted_ratio_norm)
+from .operators import (ConvexFn, apply_lambda_power, commutator,
+                        commutator_rows, eigensum_1d, finite_difference,
+                        heat_of_one_1d, heat_semigroup,
                         lambda_of_values, nonlinear_dissipation,
                         riesz_velocity, short_time_velocity, standard_cutoff,
                         weighted_convexity_terms)
 from .solver import RunResult, SolverConfig
-from .spectral import (GridField, SpectralField, forward, gradient, inverse,
-                       mode_field)
+from .spectral import (BoxField, GridField, SpectralField, eval_fine, forward,
+                       gradient, inverse, mode_field)
 
 
 @dataclass
@@ -541,10 +542,11 @@ def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
     ell = d(x0)/2, the regression slope of log(||C_h||_inf / |h|) against
     log d(x0) must lie in [-(1 + 2/p) - 0.3, 0].
 
-    theta and Lambda theta are evaluated on the whole grid once, for every
-    center.  Each center then makes one :func:`commutator` call, which works
-    on its cutoff box (only Lambda's spectrum spans the grid), and the sup
-    is taken over that box.
+    theta is evaluated on the whole grid once, for ||b_1||; theta and
+    Lambda theta are then kept only on the band of rows that holds every
+    center's cutoff box and its h-shift.  Each center makes one
+    :func:`commutator` call, which works on its cutoff box (only Lambda's
+    spectrum spans the grid), and the sup is taken over that box.
     """
     g = theta.geometry
     dx = g.spacing
@@ -560,19 +562,29 @@ def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
     if len(centers) < 3:
         raise ConfigurationError(
             "grid too coarse for at least 3 dyadic commutator shells")
-    values = inverse(theta)
-    lam_values = inverse(apply_lambda_power(theta, 1.0))
-    b1_p = ratio_lp_norm(ratio_from_values(values), p)
-    logs_d, logs_ratio, gammas = [], [], []
+    plan = []
     for x0 in centers:
         d0 = min(x0[0], L - x0[0], x0[1], L - x0[1])
-        ell = d0 / 2.0
-        steps = max(1, int(np.floor(d0 / 32.0 / dx)))
-        h = (steps * dx, 0.0)
-        sup = commutator(values, lam_values, x0, ell, h).sup_norm()
+        hmag = max(1, int(np.floor(d0 / 32.0 / dx))) * dx
+        plan.append((x0, d0, d0 / 2.0, hmag))
+    spans = [commutator_rows(g, x0, ell, (hmag, 0.0))
+             for x0, _, ell, hmag in plan]
+    band = slice(max(0, min(r.start for r in spans)),
+                 min(g.n_interior, max(r.stop for r in spans)))
+    box = (band, slice(0, g.n_interior))
+    values = inverse(theta)
+    if np.isinf(p):
+        b1_p = ratio_sup(values)
+    else:
+        b1_p = ratio_lp_norm(ratio_from_values(values), p)
+    values = BoxField(values.values[band].copy(), box, g)
+    lam_values = BoxField(
+        eval_fine(apply_lambda_power(theta, 1.0), g.grid_size, band), box, g)
+    logs_d, logs_ratio, gammas = [], [], []
+    for x0, d0, ell, hmag in plan:
+        sup = commutator(values, lam_values, x0, ell, (hmag, 0.0)).sup_norm()
         if sup <= 0:
             continue
-        hmag = steps * dx
         logs_d.append(np.log(d0))
         logs_ratio.append(np.log(sup / hmag))
         dd = 1.0 if np.isinf(p) else d0 ** (-2.0 / p)

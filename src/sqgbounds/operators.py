@@ -34,13 +34,28 @@ _LAMBDA_ROWS = 128              # rows per block of an in-place Lambda
 # Mode multipliers
 # ---------------------------------------------------------------------------
 
+def _lambda_power_rows(coeffs: np.ndarray, geometry: Geometry,
+                       s: float) -> np.ndarray:
+    """Multiply ``coeffs`` in place by lam^{s/2}, a block of rows at a time.
+
+    Each block's multiplier comes from ``geometry.eigenvalue_rows``, so no
+    whole-grid table or multiplier is allocated; the product has the bits
+    of ``geometry.eigenvalues ** (s / 2) * coeffs``.
+    """
+    for r in range(0, coeffs.shape[0], _LAMBDA_ROWS):
+        rows = slice(r, r + _LAMBDA_ROWS)
+        mult = geometry.eigenvalue_rows(rows)
+        mult **= s / 2.0
+        coeffs[rows] *= mult
+    return coeffs
+
+
 def apply_lambda_power(f: SpectralField, s: float) -> SpectralField:
     """Lambda^s as the mode multiplier lam^{s/2} (s in [-1, 2])."""
     if not -1.0 <= s <= 2.0:
         raise ConfigurationError(f"power s must lie in [-1, 2], got {s}")
-    mult = f.geometry.eigenvalues ** (s / 2.0)
-    mult *= f.coeffs
-    return SpectralField(mult, f.geometry, tag=f.tag)
+    return SpectralField(_lambda_power_rows(f.coeffs.copy(), f.geometry, s),
+                         f.geometry, tag=f.tag)
 
 
 def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
@@ -476,22 +491,32 @@ def finite_difference(f, h) -> GridField:
     return GridField(out, g, valid=valid)
 
 
-def commutator(values: GridField, lam_values: GridField, x0, ell: float,
+def commutator_rows(geometry: Geometry, x0, ell: float, h) -> slice:
+    """The node rows at which :func:`commutator` reads theta and Lambda theta.
+
+    They are the rows of the cutoff box at (x0, ell) and of its shift by h.
+    """
+    rows = _box_slice(geometry.x, float(x0[0]), ell)
+    p, _ = _commensurate_steps(h, geometry)
+    return slice(rows.start + min(p, 0), rows.stop + max(p, 0))
+
+
+def commutator(values: BoxField, lam_values: BoxField, x0, ell: float,
                h) -> BoxField:
     """Localized commutator of the finite difference with Lambda.
 
     C_h(theta) = phi * (delta_h Lambda theta) - phi * Lambda(chi * delta_h theta),
-    where (phi, chi) is the standard cutoff pair at (x0, ell) and ``values``,
-    ``lam_values`` sample theta and Lambda theta at the nodes.
+    where (phi, chi) is the standard cutoff pair at (x0, ell).  ``values``
+    and ``lam_values`` sample theta and Lambda theta on one band of node
+    rows over all columns; the band must hold :func:`commutator_rows`.
 
     C_h is returned on the cutoff box, which holds both supports; it is zero
     outside.  The box sits >= ell from the boundary and |h| <= ell / 16, so
     every box node has its shifted neighbour in the interior and every node
     is valid.  Everything but Lambda is box-local: phi, chi and the
     localized field chi * delta_h theta live on the box's nodes, and the
-    only whole-grid arrays are the spectrum of the localized field, scaled
-    by lam^{1/2} in place, and the axis-0 pass of its forward transform.
-    The inverse transform evaluates only the box's rows.
+    only whole-grid array is the spectrum of the localized field, scaled by
+    lam^{1/2} in place.  The inverse transform evaluates only the box's rows.
     """
     hv = np.hypot(float(h[0]), float(h[1]))
     if hv > ell / 16.0 + 1e-12 * ell:
@@ -499,18 +524,26 @@ def commutator(values: GridField, lam_values: GridField, x0, ell: float,
             f"|h| = {hv:.4g} exceeds ell/16 = {ell / 16:.4g}")
     g = values.geometry
     box, phi, chi = _cutoff_box(g, x0, ell)
+    band = values.box[0]
+    need = commutator_rows(g, x0, ell, h)
+    if (lam_values.box != values.box
+            or values.box[1] != slice(0, g.n_interior)
+            or not band.start <= need.start <= need.stop <= band.stop):
+        raise ShapeError(
+            f"theta and Lambda theta must share one band of rows over all "
+            f"columns that holds rows {need.start}..{need.stop - 1}")
     rows, cols = box
     p, q = _commensurate_steps(h, g)
-    shifted = (slice(rows.start + p, rows.stop + p),
-               slice(cols.start + q, cols.stop + q))
+    r0, r1 = rows.start - band.start, rows.stop - band.start
+    here = (slice(r0, r1), cols)
+    shifted = (slice(r0 + p, r1 + p), slice(cols.start + q, cols.stop + q))
     # chi * delta_h theta on the column band of the box
-    band = np.zeros((g.n_interior, cols.stop - cols.start))
-    band[rows] = chi * (values.values[shifted] - values.values[box])
-    coeffs = _forward_coeffs(band, g, col0=cols.start)
-    for r in range(0, g.n_interior, _LAMBDA_ROWS):     # Lambda, in place
-        coeffs[r:r + _LAMBDA_ROWS] *= np.sqrt(g.eigenvalues[r:r + _LAMBDA_ROWS])
+    loc = np.zeros((g.n_interior, cols.stop - cols.start))
+    loc[rows] = chi * (values.values[shifted] - values.values[here])
+    coeffs = _lambda_power_rows(_forward_coeffs(loc, g, col0=cols.start),
+                                g, 1.0)
     lam_loc = eval_fine(SpectralField(coeffs, g), g.grid_size, rows)
-    d_lam = lam_values.values[shifted] - lam_values.values[box]
+    d_lam = lam_values.values[shifted] - lam_values.values[here]
     d_lam -= lam_loc[:, cols]
     d_lam *= phi
     return BoxField(d_lam, box, g)

@@ -89,7 +89,7 @@ def _mode_plan(grid_size: int, side_length: float) -> ModePlan:
     """Mode multipliers of the N-grid on (0, L)^2.
 
     Keyed on scalars because a ``Geometry`` holds arrays and is unhashable;
-    the arithmetic repeats ``build_square_geometry``'s, so ``lam`` equals
+    the arithmetic repeats ``Geometry.eigenvalue_rows``, so ``lam`` equals
     ``geometry.eigenvalues`` bit for bit.
     """
     k = np.arange(1, grid_size) * np.pi / side_length

@@ -62,7 +62,11 @@ class GridField:
 
 @dataclass
 class BoxField:
-    """Field sampled on the box ``box`` of interior nodes and zero elsewhere."""
+    """Field sampled on the box ``box`` of interior nodes only.
+
+    A localized field (the commutator) is zero outside its box; a row band
+    over all columns carries a field's values where a computation reads it.
+    """
 
     values: np.ndarray           # the box's nodes, index [i - rows.start, ...]
     box: tuple[slice, slice]     # node rows and columns of the box
@@ -143,15 +147,17 @@ def _dst2(a: np.ndarray, n: int, rows=slice(None), col0: int = 0) -> np.ndarray:
     lo, hi = live[0], live[-1] + 1
     picked = range(n)[rows]
     whole = picked == range(n)
-    # the axis-1 pass zero-pads on the right, so the columns past the last
-    # live one need no storage
+    # the axis-1 pass would zero-pad a narrower input into a copy, so an
+    # axis-0 output that needs its own array gets all n columns and that
+    # pass runs in place
     if whole and col0 + lo == 0:
         first = fft.dst(a[:, :hi], type=1, n=n, axis=0)
     elif whole:
-        first = np.zeros((n, col0 + hi))
-        first[:, col0 + lo:] = fft.dst(a[:, lo:hi], type=1, n=n, axis=0)
+        first = np.zeros((n, n))
+        first[:, col0 + lo:col0 + hi] = fft.dst(a[:, lo:hi], type=1, n=n,
+                                                axis=0)
     else:
-        first = np.zeros((len(picked), col0 + hi))
+        first = np.zeros((len(picked), n))
         for c in range(lo, hi, _BLOCK):
             blk = fft.dst(a[:, c:min(c + _BLOCK, hi)].T, type=1, n=n, axis=1)
             first[:, col0 + c:col0 + c + blk.shape[0]] = blk[:, rows].T

@@ -2,7 +2,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -40,6 +39,18 @@ def _write_run_cfg(path, out, grid_size, dt, t_end, output_interval):
 def run_cfg(tmp_path):
     out = tmp_path / "out"
     return _write_run_cfg(tmp_path / "run.cfg", out, 64, 2e-3, 0.2, 0.1), out
+
+
+def test_rerun_removes_checkpoints_of_an_older_run(tmp_path):
+    out = tmp_path / "out"
+    dense = _write_run_cfg(tmp_path / "dense.cfg", out, 16, 1e-2, 0.2, 0.05)
+    sparse = _write_run_cfg(tmp_path / "sparse.cfg", out, 16, 1e-2, 0.2, 0.1)
+    assert main(["run", str(dense)]) == 0
+    assert "checkpoint_000005.sqgb" in os.listdir(out)
+    assert main(["run", str(sparse)]) == 0
+    checkpoints = sorted(n for n in os.listdir(out)
+                         if n.startswith("checkpoint_"))
+    assert checkpoints == [f"checkpoint_{k:06d}.sqgb" for k in (0, 10, 20)]
 
 
 def test_run_writes_everything(run_cfg):
@@ -92,26 +103,22 @@ def test_numeric_failure_leaves_outputs_up_to_last_snapshot(tmp_path,
         assert (cut / name).read_bytes() == (ref / name).read_bytes()
 
 
-def test_run_memory_does_not_grow_with_snapshot_count(tmp_path):
+def test_run_memory_does_not_grow_with_snapshot_count(tmp_path, traced_peak):
     """11 and 101 snapshots of one N = 64 run peak within one state array."""
-    def traced_peak(name, output_interval):
+    def run_peak(name, output_interval):
         path = _write_run_cfg(tmp_path / f"{name}.cfg", tmp_path / name,
                               64, 1e-2, 1.0, output_interval)
         cfg = load_config(path)
-        tracemalloc.start()
-        try:
-            assert cmd_run(cfg) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: cmd_run(cfg))
+        assert code == 0
         rows = (tmp_path / name / "diagnostics.csv").read_text().splitlines()
         return peak, len(rows) - 1
 
     assert main(["run", str(_write_run_cfg(tmp_path / "warm.cfg",
                                            tmp_path / "warm",
                                            64, 1e-2, 0.02, 0.01))]) == 0
-    sparse, n_sparse = traced_peak("sparse", 0.1)
-    dense, n_dense = traced_peak("dense", 0.01)
+    sparse, n_sparse = run_peak("sparse", 0.1)
+    dense, n_dense = run_peak("dense", 0.01)
     assert (n_sparse, n_dense) == (11, 101)
     assert abs(dense - sparse) < 63 * 63 * 8
 

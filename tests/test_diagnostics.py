@@ -27,6 +27,36 @@ def test_boundary_ratio_vanishing_at_center(geom):
     assert abs(b1.values[i, i]) < 1e-12
 
 
+@pytest.mark.parametrize("N", [64, 512])
+def test_ratio_sup_by_rows_keeps_the_bits_of_the_whole_ratio(N):
+    g = build_square_geometry(N)
+    c = np.zeros((N - 1, N - 1))
+    c[:6, :6] = np.random.default_rng(N).standard_normal((6, 6))
+    values = sp.inverse(sp.SpectralField(c, g))
+    assert dg.ratio_sup(values) == dg.ratio_lp_norm(
+        dg.ratio_from_values(values), np.inf)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_weighted_norm_takes_the_power_of_the_magnitude(geom, m):
+    """b_1 ** 2m and |b_1| ** 2m agree bit for bit where b_1 > 0 and to
+    about one ulp per node where b_1 changes sign."""
+    def with_signed_power(theta):
+        b1 = dg.boundary_ratio(theta).values
+        return dg.ratio_quad(geom, geom.ground_state * b1 ** (2 * m)) ** (
+            1.0 / (2 * m))
+
+    positive = sp.mode_field(geom, 1, 1)
+    positive.coeffs[2, 0] = 0.1
+    assert (dg.boundary_ratio(positive).values > 0).all()
+    assert dg.weighted_ratio_norm(positive, m) == with_signed_power(positive)
+    mixed = sp.mode_field(geom, 1, 1)
+    mixed.coeffs[1, 2] = 0.9
+    assert (dg.boundary_ratio(mixed).values < 0).any()
+    assert dg.weighted_ratio_norm(mixed, m) == pytest.approx(
+        with_signed_power(mixed), rel=1e-14)
+
+
 def test_interior_lipschitz_basics(geom):
     z = sp.SpectralField(np.zeros((geom.n_interior,) * 2), geom)
     assert dg.interior_lipschitz(z) == 0.0

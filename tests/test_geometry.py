@@ -1,6 +1,4 @@
 """Grid construction, eigenvalues, and the ground-state/distance equivalence."""
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -123,13 +121,31 @@ def test_distance_and_corner_mask_are_lazy_and_keep_their_bits(N):
     assert g.distance is g.distance and g.corner_mask is g.corner_mask
 
 
-def test_geometry_build_allocates_only_eigenvalues_and_ground_state():
+@pytest.mark.parametrize("N", [8, 64, 512, 2048])
+def test_row_methods_give_the_lazy_tables_bit_for_bit(N):
+    g = build_square_geometry(N)
+    lam1 = g.lam1
+    assert "eigenvalues" not in vars(g) and "ground_state" not in vars(g)
+    n, L = g.n_interior, g.side_length
+    k = g.modes * np.pi / L
+    s = np.sin(np.pi * g.x / L)
+    lam = g.eigenvalues
+    assert "ground_state" not in vars(g)
+    w1 = g.ground_state
+    # the closed-form tables
+    assert np.array_equal(lam, k[:, None] ** 2 + k[None, :] ** 2)
+    assert np.array_equal(w1, (2.0 / L) * s[:, None] * s[None, :])
+    assert g.eigenvalues is lam and g.ground_state is w1
+    assert lam1 == lam[0, 0]
+    for rows in (slice(0, 1), slice(0, 128), slice(n // 3, n // 2 + 1),
+                 slice(n - 5, None), slice(None)):
+        assert np.array_equal(g.eigenvalue_rows(rows), lam[rows])
+        assert np.array_equal(g.ground_state_rows(rows), w1[rows])
+
+
+def test_geometry_build_allocates_no_grid_table(traced_peak):
     n = 2047
-    tracemalloc.start()
-    try:
-        g = build_square_geometry(n + 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    g, peak = traced_peak(lambda: build_square_geometry(n + 1))
     assert g.grid_size == n + 1
-    assert peak < 2.5 * n * n * 8
+    assert g.lam1 == 2.0
+    assert peak < 0.1 * n * n * 8

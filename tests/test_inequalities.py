@@ -255,6 +255,18 @@ def test_commutator_scaling_ground_state():
                - rep.fitted_constants["Gamma0"]) < 1e-9
 
 
+def test_commutator_scaling_peaks_below_three_and_a_half_grid_arrays(
+        traced_peak):
+    """On the 2048 grid only theta's values, for ||b_1||, and one spectrum
+    at a time span the whole grid."""
+    g = build_square_geometry(2048)
+    n = g.n_interior
+    rep, peak = traced_peak(
+        lambda: iq.verify_commutator_scaling(sp.mode_field(g, 1, 1)))
+    assert rep.passed
+    assert peak < 3.5 * n * n * 8
+
+
 def test_commutator_scaling_calls_the_commutator_once_per_center(monkeypatch):
     calls = []
 

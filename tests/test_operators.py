@@ -5,7 +5,7 @@ from scipy import fft
 from scipy.special import erf
 
 from sqgbounds.errors import (ConfigurationError, DomainError, NumericError,
-                              PreconditionError)
+                              PreconditionError, ShapeError)
 from sqgbounds.geometry import build_square_geometry
 from sqgbounds import operators as op
 from sqgbounds import spectral as sp
@@ -446,14 +446,24 @@ def test_finite_difference_accepts_spectral_input(geom):
 
 @pytest.mark.parametrize("N", [64, 128, 512, 2048])
 def test_sqrt_of_eigenvalues_is_their_half_power(N):
-    """commutator's np.sqrt(lam) equals apply_lambda_power's lam ** 0.5."""
+    """Lambda's multiplier lam ** 0.5 equals np.sqrt(lam) bit for bit."""
     lam = build_square_geometry(N).eigenvalues
     assert np.array_equal(lam ** 0.5, np.sqrt(lam))
 
 
-def _grid_pair(theta):
-    """theta and Lambda theta at the nodes, the inputs of the commutator."""
-    return sp.inverse(theta), sp.inverse(op.apply_lambda_power(theta, 1.0))
+def _grid_pair(theta, rows=None):
+    """theta and Lambda theta on the node rows ``rows`` (default: all).
+
+    These are the inputs of the commutator: one band of rows over all
+    columns.
+    """
+    g = theta.geometry
+    n = g.n_interior
+    rows = slice(0, n) if rows is None else rows
+    box = (rows, slice(0, n))
+    return (sp.BoxField(sp.inverse(theta).values[rows], box, g),
+            sp.BoxField(sp.inverse(op.apply_lambda_power(theta, 1.0))
+                        .values[rows], box, g))
 
 
 def test_commutator_zero_displacement(geom):
@@ -544,6 +554,33 @@ def test_commutator_matches_full_grid_formula(N, x0, ell, steps):
     assert np.array_equal(embedded, vals)
     assert valid.all()          # the box result needs no validity mask
     assert C.sup_norm() == sp.GridField(vals, g, valid=valid).sup_norm() > 0
+
+
+def test_commutator_on_a_row_band_equals_all_rows():
+    g = build_square_geometry(256)
+    theta = sp.mode_field(g, 1, 1)
+    theta.coeffs[2, 1] = 0.3
+    x0, ell, h = (1.0, 1.6), 0.45, (2 * g.spacing, -g.spacing)
+    rows = op.commutator_rows(g, x0, ell, h)
+    assert 0 < rows.start and rows.stop < g.n_interior
+    whole = op.commutator(*_grid_pair(theta), x0, ell, h)
+    band = op.commutator(*_grid_pair(theta, rows), x0, ell, h)
+    assert band.box == whole.box
+    assert np.array_equal(band.values, whole.values)
+
+
+def test_commutator_needs_its_rows_in_one_band():
+    g = build_square_geometry(256)
+    theta = sp.mode_field(g, 1, 1)
+    x0, ell, h = (1.0, 1.6), 0.45, (2 * g.spacing, 0.0)
+    rows = op.commutator_rows(g, x0, ell, h)
+    short = slice(rows.start, rows.stop - 1)
+    with pytest.raises(ShapeError):
+        op.commutator(*_grid_pair(theta, short), x0, ell, h)
+    values, _ = _grid_pair(theta, rows)
+    _, lam_values = _grid_pair(theta)
+    with pytest.raises(ShapeError):
+        op.commutator(values, lam_values, x0, ell, h)
 
 
 @pytest.mark.parametrize("x0, ell", [((np.pi / 2, np.pi / 2), np.pi / 4),

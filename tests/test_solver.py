@@ -1,6 +1,4 @@
 """Integrating-factor stepping: exact dissipation, skew advection, monitors."""
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,7 +106,8 @@ def test_advection_workspace_matches_fresh_result(geom):
     assert np.array_equal(sv.advection_coeffs(theta, cfg, work), fresh)
 
 
-def test_advection_with_workspace_allocates_less_than_one_fine_grid(geom):
+def test_advection_with_workspace_allocates_less_than_one_fine_grid(
+        geom, traced_peak):
     """With a workspace, one call at N = 128 allocates under one Nf^2 array.
 
     NumPy reports its buffers to tracemalloc; a warm-up call fills the
@@ -119,13 +118,7 @@ def test_advection_with_workspace_allocates_less_than_one_fine_grid(geom):
     cfg = sv.SolverConfig()
     work = sv.advection_workspace(geom)
     sv.advection_coeffs(theta, cfg, work)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        sv.advection_coeffs(theta, cfg, work)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: sv.advection_coeffs(theta, cfg, work))
     Nf = sp.fine_grid_size(geom.grid_size)
     assert peak < Nf * Nf * 8
 

@@ -267,6 +267,15 @@ def test_dst2_row_and_column_bands_match_dstn(rows, cols):
                           full[rows])
 
 
+def test_dst2_of_a_column_band_makes_no_padded_copy(traced_peak):
+    """The n x n result plus the band's axis-0 pass, not a second n x n."""
+    n = 1023
+    band = np.random.default_rng(5).standard_normal((n, 128))
+    out, peak = traced_peak(lambda: sp._dst2(band, n, col0=400))
+    assert out.shape == (n, n)
+    assert peak < 1.5 * n * n * 8
+
+
 @pytest.mark.parametrize("live", [(), (0,), (30,), tuple(range(9, 20)),
                                   (3, 25)],
                          ids=["zero", "first", "last", "band", "gap"])
