@@ -175,20 +175,14 @@ def fit_line(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def normal_velocity_slope(u, geometry: Geometry, shells: int = 4
-                          ) -> tuple[float, float]:
-    """Slope (and r^2) of log sup-shell |u . n| against log shell distance.
-
-    n is the inward normal of the nearest side; shells are dyadic in the
-    boundary distance below L/8 and left out where u . n vanishes.
-    """
-    return _normal_slope(np.abs(u.u_x.values), np.abs(u.u_y.values),
-                         geometry, shells)
-
-
 def _normal_slope(abs_ux: np.ndarray, abs_uy: np.ndarray, geometry: Geometry,
                   shells: int = 4) -> tuple[float, float]:
-    """:func:`normal_velocity_slope` from |u_x| and |u_y| at the nodes."""
+    """Slope (and r^2) of log sup-shell |u . n| against log shell distance.
+
+    n is the inward normal of the nearest side, so |u . n| is |u_x| or |u_y|;
+    shells are dyadic in the boundary distance below L/8 and left out where
+    u . n vanishes.
+    """
     e = geometry.side_distance
     near_x = e[:, None] <= e[None, :]
     un = np.where(near_x, abs_ux, abs_uy)

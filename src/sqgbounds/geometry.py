@@ -23,7 +23,12 @@ from .errors import ConfigurationError
 DEFAULT_CORNER_RADIUS_FRAC = 0.05
 
 
-@dataclass(frozen=True)
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
+@dataclass(frozen=True, eq=False)
 class Geometry:
     """Immutable description of the discretized square domain.
 
@@ -33,6 +38,11 @@ class Geometry:
     ``eigenvalues`` and ``ground_state`` are the whole-grid cases of
     :meth:`eigenvalue_rows` and :meth:`ground_state_rows`, so a row block
     taken from those methods carries the bits of the table's rows.
+
+    The mode multipliers ``wavenumbers`` (k_m = m pi / L),
+    ``sqrt_eigenvalues`` and ``inv_sqrt_eigenvalues`` (lam^{+-1/2}) are kept
+    the same way, read-only.  A geometry hashes by identity, so it can key a
+    cache.
     """
 
     side_length: float
@@ -45,13 +55,32 @@ class Geometry:
 
     def eigenvalue_rows(self, rows=slice(None)) -> np.ndarray:
         """Rows ``rows`` of lam_{m,n} = k_m^2 + k_n^2, k_m = m pi / L."""
-        k = self.modes * np.pi / self.side_length
+        k = self.wavenumbers
         return k[rows, None] ** 2 + k[None, :] ** 2
 
     def ground_state_rows(self, rows=slice(None)) -> np.ndarray:
         """Rows ``rows`` of the node samples of w_1 (the ground state)."""
         s = np.sin(np.pi * self.x / self.side_length)
         return (2.0 / self.side_length) * s[rows, None] * s[None, :]
+
+    @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        """(N-1,) k_m = m pi / L, read-only."""
+        return _read_only(self.modes * np.pi / self.side_length)
+
+    @cached_property
+    def sqrt_eigenvalues(self) -> np.ndarray:
+        """(N-1, N-1) lam^{1/2}, read-only."""
+        table = self.eigenvalue_rows()
+        table **= 0.5
+        return _read_only(table)
+
+    @cached_property
+    def inv_sqrt_eigenvalues(self) -> np.ndarray:
+        """(N-1, N-1) lam^{-1/2}, read-only."""
+        table = self.eigenvalue_rows()
+        table **= -0.5
+        return _read_only(table)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

@@ -11,7 +11,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .geometry import Geometry, build_square_geometry, fit_ground_state_equivalence
@@ -19,10 +18,10 @@ from .diagnostics import (_shell_sup, boundary_ratio, fit_line,
                           holder_seminorm, interior_lipschitz,
                           ratio_from_values, ratio_lp_norm, ratio_quad,
                           ratio_sup, weighted_ratio_norm)
-from .operators import (ConvexFn, apply_lambda_power, commutator,
-                        commutator_rows, eigensum_1d, finite_difference,
-                        heat_of_one_1d, heat_semigroup,
-                        lambda_of_values, nonlinear_dissipation,
+from .operators import (ConvexFn, _perp_gradient, apply_lambda_power,
+                        commutator, commutator_rows, eigensum_1d,
+                        finite_difference, heat_of_one_1d, heat_semigroup,
+                        lambda_of_values, log_time_rule, nonlinear_dissipation,
                         riesz_velocity, short_time_velocity, standard_cutoff,
                         weighted_convexity_terms)
 from .solver import RunResult, SolverConfig
@@ -161,14 +160,7 @@ def lambda_one_values(geometry: Geometry, panels: int = 60,
     """
     L = geometry.side_length
     t_max = 50.0 * (L / np.pi) ** 2
-    lo, hi = np.log(1e-8), np.log(t_max)
-    edges = np.linspace(lo, hi, panels + 1)
-    xg, wg = leggauss(nodes)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wq = (half[:, None] * wg[None, :]).ravel()
-    t = np.exp(u)
+    t, wq = log_time_rule(1e-8, t_max, panels, nodes)
     heat = heat_of_one_1d(t, geometry.x, L, n_images=20)
     out = np.zeros((geometry.n_interior,) * 2)
     c1 = 0.5 / np.sqrt(np.pi)
@@ -214,11 +206,11 @@ def verify_decay_envelope(result: RunResult, config: SolverConfig, B: float,
                           slack: float = 1e-4) -> InequalityReport:
     """|theta(x,t)| <= B w_1(x) exp(-t sqrt(lam1)) along a run."""
     g = result.snapshots[0].theta.geometry
-    # drift admissibility: v . grad w_1 >= 0
+    # drift admissibility: v . grad w_1 >= 0 for the advecting v = J grad psi
     if config.drift_mode == "prescribed" and config.drift_stream is not None:
-        v = riesz_velocity(config.drift_stream, config.j_sign)
+        vx, vy = _perp_gradient(config.drift_stream.coeffs, g, config.j_sign)
         w1x, w1y = gradient(mode_field(g, 1, 1))
-        drift_term = v.u_x.values * w1x.values + v.u_y.values * w1y.values
+        drift_term = vx * w1x.values + vy * w1y.values
         worst = float(drift_term.min())
         if worst < -1e-10:
             raise PreconditionError(

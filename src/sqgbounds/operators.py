@@ -76,6 +76,22 @@ class QuadratureConfig:
     tol: float = 1e-9
 
 
+def log_time_rule(t_min: float, t_max: float, panels: int,
+                  nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule in u = log t over [t_min, t_max].
+
+    ``panels`` equal panels in u with ``nodes`` nodes each; returns the nodes
+    t = e^u and their weights w in u, so sum(w F(t)) ~ int F(t) dt / t.
+    """
+    edges = np.linspace(np.log(t_min), np.log(t_max), panels + 1)
+    xg, wg = leggauss(nodes)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    w = (half[:, None] * wg[None, :]).ravel()
+    return np.exp(u), w
+
+
 def _heat_multiplier(lam: np.ndarray, s: float, quad: QuadratureConfig,
                      panels: int) -> np.ndarray:
     """c_s * int (1 - e^{-t lam}) t^{-1-s/2} dt on the truncated interval."""
@@ -86,14 +102,7 @@ def _heat_multiplier(lam: np.ndarray, s: float, quad: QuadratureConfig,
     expo = 1.0 - s / 2.0
     t_min = min((quad.tol * expo / c_s) ** (1.0 / expo) / lam_max, 1e-6 / lam_max)
     t_max = quad.t_max_over_lam1 / lam_min
-    u_lo, u_hi = np.log(t_min), np.log(t_max)
-    edges = np.linspace(u_lo, u_hi, panels + 1)
-    xg, wg = leggauss(quad.nodes_per_panel)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    t = np.exp(u)
+    t, w = log_time_rule(t_min, t_max, panels, quad.nodes_per_panel)
     # after t = e^u the integrand is (1 - e^{-t lam}) t^{-s/2}
     integrand = -np.expm1(-np.outer(lam, t)) * t[None, :] ** (-s / 2.0)
     core = integrand @ w
@@ -268,7 +277,9 @@ def _stream_velocity(stream: SpectralField, j_sign: float) -> VelocityField:
 
 def riesz_velocity(theta: SpectralField, j_sign: float = 1.0) -> VelocityField:
     """u = J grad Lambda^{-1} theta with J = rotation by +pi/2 (sign flippable)."""
-    return _stream_velocity(apply_lambda_power(theta, -1.0), j_sign)
+    g = theta.geometry
+    stream = SpectralField(theta.coeffs * g.inv_sqrt_eigenvalues, g, theta.tag)
+    return _stream_velocity(stream, j_sign)
 
 
 def short_time_velocity(theta: SpectralField, tau: float,
@@ -281,10 +292,9 @@ def short_time_velocity(theta: SpectralField, tau: float,
     """
     if tau <= 0:
         raise DomainError(f"short-time velocity requires tau > 0, got {tau}")
-    lam = theta.geometry.eigenvalues
-    mult = lam ** -0.5 * erf(np.sqrt(lam * tau))
-    return _stream_velocity(SpectralField(mult * theta.coeffs, theta.geometry),
-                            j_sign)
+    g = theta.geometry
+    mult = g.inv_sqrt_eigenvalues * erf(np.sqrt(g.eigenvalues * tau))
+    return _stream_velocity(SpectralField(mult * theta.coeffs, g), j_sign)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Time integration: integrating-factor Heun stepping with exact dissipation.
 
-The dissipative term is handled exactly per mode by the multiplier
-e^{-dt lam^{s/2}} (s = 1 by default).  The advective flux -u . grad(theta) is
+The equation is critical SQG: the dissipation is Lambda = (-Delta_D)^{1/2},
+the case s = 1 of Lambda^s, where it has the order of the advection.  It is
+handled exactly per mode by the multiplier e^{-dt lam^{1/2}}, built from the
+geometry's ``sqrt_eigenvalues`` (k_m and lam^{-1/2} are geometry tables
+too).  The advective flux -u . grad(theta) is
 evaluated at the midpoints of a grid with ceil(3N/2) nodes per axis; products
 of the mixed-parity factors (velocity components against gradient
 components) are sine polynomials, so the fine-grid projection is alias-free
@@ -15,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +37,6 @@ class SolverConfig:
     cfl: float = 0.5
     drift_mode: str = "sqg"          # "sqg" | "none" | "prescribed"
     drift_stream: SpectralField | None = None
-    dissipation_power: float = 1.0   # s in Lambda^s
     j_sign: float = 1.0
     output_interval: float = 0.1
     max_overshoot: float = 0.01
@@ -47,8 +48,6 @@ class SolverConfig:
             raise ConfigurationError(f"unknown drift mode {self.drift_mode!r}")
         if self.drift_mode == "prescribed" and self.drift_stream is None:
             raise ConfigurationError("prescribed drift mode needs drift_stream")
-        if not 0.5 <= self.dissipation_power <= 2.0:
-            raise ConfigurationError("dissipation power limited to [1/2, 2]")
 
 
 @dataclass
@@ -75,48 +74,17 @@ class RunResult:
     sup_history: list[float]
 
 
-class ModePlan(NamedTuple):
-    """Per-grid mode multipliers, shared read-only between steps."""
-
-    k: np.ndarray               # (N-1,) wavenumbers m pi / L
-    lam: np.ndarray             # (N-1, N-1) eigenvalues, as in the geometry
-    inv_sqrt_lam: np.ndarray    # lam^{-1/2}, the stream-function multiplier
-    sqrt_lam: np.ndarray        # lam^{1/2}, the half-norm weight
-
-
 @lru_cache(maxsize=8)
-def _mode_plan(grid_size: int, side_length: float) -> ModePlan:
-    """Mode multipliers of the N-grid on (0, L)^2.
-
-    Keyed on scalars because a ``Geometry`` holds arrays and is unhashable;
-    the arithmetic repeats ``Geometry.eigenvalue_rows``, so ``lam`` equals
-    ``geometry.eigenvalues`` bit for bit.
-    """
-    k = np.arange(1, grid_size) * np.pi / side_length
-    lam = k[:, None] ** 2 + k[None, :] ** 2
-    plan = ModePlan(k, lam, lam ** -0.5, np.sqrt(lam))
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
-
-
-@lru_cache(maxsize=8)
-def _decay(grid_size: int, side_length: float, dt: float,
-           s: float) -> np.ndarray:
-    """Integrating factor e^{-dt lam^{s/2}} of one step of length dt."""
-    lam = _mode_plan(grid_size, side_length).lam
-    decay = np.exp(-dt * lam ** (s / 2.0))
+def _decay(geometry: Geometry, dt: float) -> np.ndarray:
+    """Integrating factor e^{-dt lam^{1/2}} of one step of length dt."""
+    decay = np.exp(-dt * geometry.sqrt_eigenvalues)
     decay.setflags(write=False)
     return decay
 
 
-def _plan(theta: SpectralField) -> ModePlan:
-    return _mode_plan(theta.geometry.grid_size, theta.geometry.side_length)
-
-
 def _stream_coeffs(theta: SpectralField, config: SolverConfig) -> np.ndarray | None:
     if config.drift_mode == "sqg":
-        return config.j_sign * theta.coeffs * _plan(theta).inv_sqrt_lam
+        return config.j_sign * theta.coeffs * theta.geometry.inv_sqrt_eigenvalues
     if config.drift_mode == "prescribed":
         return config.j_sign * config.drift_stream.coeffs
     return None
@@ -152,7 +120,7 @@ def advection_coeffs(theta: SpectralField, config: SolverConfig,
     if work is None:
         work = advection_workspace(g)
     Nf = fine_grid_size(g.grid_size)
-    k, c = _plan(theta).k, theta.coeffs
+    k, c = g.wavenumbers, theta.coeffs
     # u = (-psi_y, psi_x), so -u . grad(theta) = psi_y theta_x - psi_x theta_y
     flux = eval_fine_mixed(_times_k(psi, k, 1), g, Nf, 1, out=work[0])
     flux *= eval_fine_mixed(_times_k(c, k, 0), g, Nf, 0, out=work[1])
@@ -181,7 +149,7 @@ def velocity_bound(theta: SpectralField, config: SolverConfig) -> float:
     psi = _stream_coeffs(theta, config)
     if psi is None:
         return 0.0
-    k = _plan(theta).k
+    k = theta.geometry.wavenumbers
     a = np.abs(psi)
     amp = np.hypot((a @ k).sum(), (k @ a).sum())
     return float((2.0 / theta.geometry.side_length) * amp * (1.0 + 1e-9))
@@ -196,7 +164,7 @@ def step(state: SolverState, dt: float, config: SolverConfig,
     acceptance is the caller's job (see :func:`run`).
     """
     g = state.theta.geometry
-    decay = _decay(g.grid_size, g.side_length, dt, config.dissipation_power)
+    decay = _decay(g, dt)
     a = state.theta.coeffs
     k1 = advection_coeffs(state.theta, config, work)
     mid = SpectralField(decay * (a + dt * k1), g, tag=state.theta.tag)
@@ -213,7 +181,7 @@ def step(state: SolverState, dt: float, config: SolverConfig,
 
 def half_norm_sq(theta: SpectralField) -> float:
     """||Lambda^{1/2} theta||^2 = sum sqrt(lam) a^2."""
-    return float((_plan(theta).sqrt_lam * theta.coeffs ** 2).sum())
+    return float((theta.geometry.sqrt_eigenvalues * theta.coeffs ** 2).sum())
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:

@@ -206,7 +206,7 @@ def gradient(spec: SpectralField) -> tuple[GridField, GridField]:
     evaluated with a zero-bordered DCT-I.
     """
     g = spec.geometry
-    k = g.modes * np.pi / g.side_length
+    k = g.wavenumbers
     scale = 2.0 / g.side_length
     dx = _sin_cos_eval(spec.coeffs * k[:, None], 0, scale)
     dy = _sin_cos_eval(spec.coeffs * k[None, :], 1, scale)

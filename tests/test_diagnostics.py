@@ -233,7 +233,8 @@ def test_normal_velocity_slope_matches_meshgrid(n):
               sp.SpectralField(np.zeros((g.n_interior,) * 2), g)]
     for theta in fields:
         u = op.riesz_velocity(theta)
-        assert dg.normal_velocity_slope(u, g) == \
+        abs_ux, abs_uy = np.abs(u.u_x.values), np.abs(u.u_y.values)
+        assert dg._normal_slope(abs_ux, abs_uy, g) == \
             _normal_velocity_slope_meshgrid(u, g)
-        assert dg.normal_velocity_slope(u, g, shells=6) == \
+        assert dg._normal_slope(abs_ux, abs_uy, g, shells=6) == \
             _normal_velocity_slope_meshgrid(u, g, shells=6)

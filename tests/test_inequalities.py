@@ -131,6 +131,32 @@ def test_decay_envelope_rejects_small_B(short_run):
         iq.verify_decay_envelope(res, cfg, B=1e-6)
 
 
+def _prescribed_decay_check(psi):
+    g = psi.geometry
+    theta0 = sp.mode_field(g, 1, 1)
+    theta0.coeffs[1, 0] = 0.2
+    cfg = sv.SolverConfig(dt=2e-3, t_end=0.1, drift_mode="prescribed",
+                          drift_stream=psi, output_interval=0.05)
+    B = float(np.abs(sp.inverse(theta0).values / g.ground_state).max()) + 1e-9
+    return iq.verify_decay_envelope(sv.run(theta0, cfg), cfg, B)
+
+
+def test_decay_envelope_admits_the_advecting_drift():
+    """psi = w_1^3 advects with v = grad-perp psi = 3 w_1^2 grad-perp w_1,
+    so v . grad w_1 = 0: the drift the solver uses is admissible (the
+    Riesz velocity of psi is not)."""
+    g = build_square_geometry(64)
+    w1 = sp.inverse(sp.mode_field(g, 1, 1)).values
+    rep = _prescribed_decay_check(sp.forward(sp.GridField(w1 ** 3, g)))
+    assert rep.passed
+
+
+def test_decay_envelope_rejects_a_crossing_drift():
+    g = build_square_geometry(64)
+    with pytest.raises(PreconditionError):
+        _prescribed_decay_check(sp.mode_field(g, 1, 2))
+
+
 def test_weighted_lp_control(short_run):
     res, cfg, theta0 = short_run
     rep = iq.verify_weighted_lp_control(res, m=2)

@@ -7,6 +7,7 @@ from scipy.integrate import simpson
 
 from sqgbounds.errors import ConfigurationError, NumericError
 from sqgbounds.geometry import build_square_geometry
+from sqgbounds import inequalities as iq
 from sqgbounds import solver as sv
 from sqgbounds import spectral as sp
 
@@ -253,11 +254,24 @@ def test_velocity_bound_never_below_sup(seed, top, amp, j_sign, mode):
     assert sv.velocity_bound(theta, cfg) >= sv.velocity_sup(theta, cfg)
 
 
-def test_mode_plan_matches_geometry(geom):
-    plan = sv._mode_plan(geom.grid_size, geom.side_length)
-    assert np.array_equal(plan.lam, geom.eigenvalues)
-    assert np.array_equal(plan.k, geom.modes * np.pi / geom.side_length)
-    assert not plan.lam.flags.writeable
+def test_geometry_mode_tables_keep_their_bits(geom):
+    lam = geom.eigenvalues
+    k = geom.wavenumbers
+    assert np.array_equal(k, geom.modes * np.pi / geom.side_length)
+    assert np.array_equal(geom.sqrt_eigenvalues, lam ** 0.5)
+    assert np.array_equal(geom.inv_sqrt_eigenvalues, lam ** -0.5)
+    assert np.array_equal(sv._decay(geom, 2e-3), np.exp(-2e-3 * lam ** 0.5))
+    assert sv._decay(geom, 2e-3) is sv._decay(geom, 2e-3)
+    assert geom != build_square_geometry(128)     # compared by identity
+    for table in (k, geom.sqrt_eigenvalues, geom.inv_sqrt_eigenvalues,
+                  sv._decay(geom, 2e-3)):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    # the 2048 grid of the commutator check builds no whole-grid multiplier
+    fine = build_square_geometry(2048)
+    assert iq.verify_commutator_scaling(sp.mode_field(fine, 1, 1)).passed
+    assert not {"eigenvalues", "sqrt_eigenvalues",
+                "inv_sqrt_eigenvalues"} & set(vars(fine))
 
 
 def test_nan_raises_numeric_error(geom):
