@@ -57,11 +57,14 @@ def load_checkpoint(path, geometry: Geometry | None = None) -> Checkpoint:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ConfigurationError(f"bad checkpoint magic {magic!r}")
-        version = fh.read(1)[0]
+        header = fh.read(1 + _HEADER.size)
+        if len(header) != 1 + _HEADER.size:
+            raise ConfigurationError("truncated checkpoint header")
+        version = header[0]
         if version != VERSION:
             raise ConfigurationError(f"unsupported checkpoint version {version}")
         N, L, radius, t, step_count, config_hash, rows, cols = _HEADER.unpack(
-            fh.read(_HEADER.size))
+            header[1:])
         payload = fh.read(rows * cols * 8)
     if len(payload) != rows * cols * 8:
         raise ConfigurationError("truncated checkpoint payload")

@@ -1,16 +1,20 @@
 """INI run configuration: parsing, validation, and canonical hashing.
 
-A config file has sections [geometry], [solver], [initial], [diagnostics],
-[verify], [output]; every key is optional and defaults are filled in.
-Validation collects every violation before failing, so a bad file is
-reported in full rather than one key at a time.
+A config file has sections [meta], [geometry], [solver], [initial],
+[diagnostics], [verify], [output]; every key is optional and defaults are
+filled in.  Each key is declared once, in ``_SCHEMA``, with the field it
+sets, its parser and its rule.  Validation collects every violation before
+failing, so a bad file is reported in full rather than one key at a time.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,17 +26,6 @@ from .spectral import SpectralField
 SCHEMA_VERSION = 1
 
 ENV_OUTPUT_DIR = "SQGBOUNDS_OUTPUT_DIR"
-
-_KNOWN = {
-    "meta": {"schema_version"},
-    "geometry": {"grid_size", "side_length", "corner_radius"},
-    "solver": {"dt", "t_end", "cfl", "drift_mode", "j_sign",
-               "output_interval", "max_overshoot"},
-    "initial": {"modes"},
-    "diagnostics": {"ps", "ms", "alphas"},
-    "verify": {"names", "seed", "sample_count", "phi", "hinge_threshold"},
-    "output": {"directory"},
-}
 
 VERIFY_NAMES = (
     "cordoba", "weighted_identity", "lambda_one_lower", "decay_envelope",
@@ -68,8 +61,6 @@ class RunConfig:
     output_dir: str = "out"
 
     def geometry(self) -> Geometry:
-        if self.corner_radius is None:
-            return build_square_geometry(self.grid_size, self.side_length)
         return build_square_geometry(self.grid_size, self.side_length,
                                      self.corner_radius)
 
@@ -95,31 +86,87 @@ class RunConfig:
                                digest_size=8).digest()
 
 
-def _parse_modes(text: str, errors: list) -> tuple:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"numbers must be finite, got {raw.strip()!r}")
+    return value
+
+
+def _nonempty(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list of ``item``s that must not be empty."""
+    def parse(raw: str) -> tuple:
+        values = tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+        if not values:
+            raise ValueError("the list must not be empty")
+        return values
+    return parse
+
+
+def _modes(raw: str) -> tuple:
+    modes = []
+    for chunk in filter(str.strip, raw.split(";")):
         try:
-            m, n, amp = int(parts[0]), int(parts[1]), float(parts[2])
-        except (ValueError, IndexError):
-            errors.append(f"initial.modes: cannot parse entry {chunk!r}")
-            continue
-        if m < 1 or n < 1:
-            errors.append(f"initial.modes: indices must be >= 1 in {chunk!r}")
-            continue
-        out.append((m, n, amp))
-    return tuple(out)
+            m, n, amp = chunk.split(",")
+            modes.append((int(m), int(n), _finite(amp)))
+        except ValueError:
+            raise ValueError(f"cannot parse entry {chunk.strip()!r}") from None
+    return tuple(modes)
 
 
-def _parse_floats(text: str, key: str, errors: list) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        errors.append(f"{key}: expected comma-separated numbers, got {text!r}")
-        return ()
+class _Key(NamedTuple):
+    """One INI key: where it lives, the field it sets and what it accepts."""
+
+    section: str
+    key: str
+    field: str
+    parse: Callable[[str], object]
+    rule: Callable[[object], bool] = lambda value: True
+    requirement: str = ""
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+
+_SCHEMA = (
+    _Key("meta", "schema_version", "schema_version", int,
+         lambda v: v == SCHEMA_VERSION, f"expected {SCHEMA_VERSION}"),
+    _Key("geometry", "grid_size", "grid_size", int,
+         lambda v: v >= 8, "N >= 8 required"),
+    _Key("geometry", "side_length", "side_length", _finite, *_POSITIVE),
+    _Key("geometry", "corner_radius", "corner_radius", _finite,
+         lambda v: v >= 0, "must be >= 0"),
+    _Key("solver", "dt", "dt", _finite, *_POSITIVE),
+    _Key("solver", "t_end", "t_end", _finite, *_POSITIVE),
+    _Key("solver", "cfl", "cfl", _finite,
+         lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    _Key("solver", "drift_mode", "drift_mode", str,
+         lambda v: v in ("sqg", "none"), "'sqg' or 'none'"),
+    _Key("solver", "j_sign", "j_sign", _finite,
+         lambda v: v in (1, -1), "must be 1 or -1"),
+    _Key("solver", "output_interval", "output_interval", _finite, *_POSITIVE),
+    _Key("solver", "max_overshoot", "max_overshoot", _finite,
+         lambda v: v >= 0, "must be >= 0"),
+    _Key("initial", "modes", "modes", _modes,
+         lambda v: all(min(m, n) >= 1 for m, n, _ in v),
+         "mode indices must be >= 1"),
+    _Key("diagnostics", "ps", "ps", _nonempty(_finite),
+         lambda v: min(v) >= 1, "exponents must be >= 1"),
+    _Key("diagnostics", "ms", "ms", _nonempty(int),
+         lambda v: min(v) >= 1, "moment indices must be >= 1"),
+    _Key("diagnostics", "alphas", "alphas", _nonempty(_finite),
+         lambda v: all(0 < a < 1 for a in v), "exponents must lie in (0, 1)"),
+    _Key("verify", "names", "verify_names", _nonempty(str),
+         lambda v: set(v) <= set(VERIFY_NAMES),
+         f"operations must come from {', '.join(VERIFY_NAMES)}"),
+    _Key("verify", "seed", "seed", int, lambda v: v >= 0, "must be >= 0"),
+    _Key("verify", "sample_count", "sample_count", int,
+         lambda v: v >= 1, "must be >= 1"),
+    _Key("verify", "phi", "phi", str,
+         lambda v: v in ("square", "hinge", "cubic"),
+         "'square', 'hinge' or 'cubic'"),
+    _Key("verify", "hinge_threshold", "hinge_threshold", _finite),
+    _Key("output", "directory", "output_dir", str),
+)
 
 
 def load_config(path) -> RunConfig:
@@ -132,98 +179,39 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
+    known = {(row.section, row.key) for row in _SCHEMA}
     errors: list[str] = []
     for section in parser.sections():
-        if section not in _KNOWN:
+        if section not in {row.section for row in _SCHEMA}:
             errors.append(f"unknown section [{section}]")
             continue
-        for key in parser[section]:
-            if key not in _KNOWN[section]:
-                errors.append(f"unknown key {section}.{key}")
+        errors += [f"unknown key {section}.{key}" for key in parser[section]
+                   if (section, key) not in known]
 
     cfg = RunConfig()
-
-    def get(section, key, cast, current):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                return cast(raw)
-            except ValueError:
-                errors.append(f"{section}.{key}: cannot parse {raw!r}")
-        return current
-
-    cfg.schema_version = get("meta", "schema_version", int, cfg.schema_version)
-    cfg.grid_size = get("geometry", "grid_size", int, cfg.grid_size)
-    cfg.side_length = get("geometry", "side_length", float, cfg.side_length)
-    cfg.corner_radius = get("geometry", "corner_radius", float,
-                            cfg.corner_radius)
-    cfg.dt = get("solver", "dt", float, cfg.dt)
-    cfg.t_end = get("solver", "t_end", float, cfg.t_end)
-    cfg.cfl = get("solver", "cfl", float, cfg.cfl)
-    cfg.drift_mode = get("solver", "drift_mode", str, cfg.drift_mode)
-    cfg.j_sign = get("solver", "j_sign", float, cfg.j_sign)
-    cfg.output_interval = get("solver", "output_interval", float,
-                              cfg.output_interval)
-    cfg.max_overshoot = get("solver", "max_overshoot", float,
-                            cfg.max_overshoot)
-    if parser.has_option("initial", "modes"):
-        cfg.modes = _parse_modes(parser.get("initial", "modes"), errors)
-    for key in ("ps", "ms", "alphas"):
-        if parser.has_option("diagnostics", key):
-            vals = _parse_floats(parser.get("diagnostics", key),
-                                 f"diagnostics.{key}", errors)
-            setattr(cfg, key, tuple(int(v) for v in vals)
-                    if key == "ms" else vals)
-    if parser.has_option("verify", "names"):
-        names = tuple(n.strip() for n in
-                      parser.get("verify", "names").split(",") if n.strip())
-        cfg.verify_names = names
-    cfg.seed = get("verify", "seed", int, cfg.seed)
-    cfg.sample_count = get("verify", "sample_count", int, cfg.sample_count)
-    cfg.phi = get("verify", "phi", str, cfg.phi)
-    cfg.hinge_threshold = get("verify", "hinge_threshold", float,
-                              cfg.hinge_threshold)
-    cfg.output_dir = get("output", "directory", str, cfg.output_dir)
+    for row in _SCHEMA:
+        if not parser.has_option(row.section, row.key):
+            continue
+        where = f"{row.section}.{row.key}"
+        try:
+            value = row.parse(parser.get(row.section, row.key))
+        except ValueError as exc:
+            errors.append(f"{where}: {exc}")
+            continue
+        if row.rule(value):
+            setattr(cfg, row.field, value)
+        else:
+            errors.append(f"{where}: {row.requirement}, got {value!r}")
     if os.environ.get(ENV_OUTPUT_DIR):
         cfg.output_dir = os.environ[ENV_OUTPUT_DIR]
 
-    # range validation, collecting everything
-    if cfg.schema_version != SCHEMA_VERSION:
-        errors.append(f"meta.schema_version: expected {SCHEMA_VERSION}, "
-                      f"got {cfg.schema_version}")
-    if cfg.grid_size < 8:
-        errors.append(f"geometry.grid_size: N >= 8 required, got {cfg.grid_size}")
-    if cfg.side_length <= 0:
-        errors.append("geometry.side_length: must be positive")
-    if cfg.corner_radius is not None and not (
-            0 <= cfg.corner_radius < cfg.side_length / 4):
-        errors.append("geometry.corner_radius: must lie in [0, L/4)")
-    if cfg.dt <= 0:
-        errors.append("solver.dt: must be positive")
-    if cfg.t_end <= 0:
-        errors.append("solver.t_end: must be positive")
-    if not 0 < cfg.cfl <= 1:
-        errors.append("solver.cfl: must lie in (0, 1]")
-    if cfg.drift_mode not in ("sqg", "none"):
-        errors.append(f"solver.drift_mode: 'sqg' or 'none', got {cfg.drift_mode!r}")
-    if cfg.output_interval <= 0:
-        errors.append("solver.output_interval: must be positive")
-    for m, n, _ in cfg.modes:
-        if max(m, n) > cfg.grid_size - 1:
-            errors.append(f"initial.modes: mode ({m},{n}) exceeds the grid")
-    if any(not 0 < a < 1 for a in cfg.alphas):
-        errors.append("diagnostics.alphas: exponents must lie in (0, 1)")
-    if any(p < 1 for p in cfg.ps):
-        errors.append("diagnostics.ps: exponents must be >= 1")
-    if any(m < 1 for m in cfg.ms):
-        errors.append("diagnostics.ms: moment indices must be >= 1")
-    for name in cfg.verify_names:
-        if name not in VERIFY_NAMES:
-            errors.append(f"verify.names: unknown operation {name!r}")
-    if cfg.sample_count < 1:
-        errors.append("verify.sample_count: must be >= 1")
-    if cfg.phi not in ("square", "hinge", "cubic"):
-        errors.append(f"verify.phi: 'square', 'hinge' or 'cubic', got {cfg.phi!r}")
+    # the rules that read two fields
+    if cfg.corner_radius is not None and (
+            cfg.corner_radius >= cfg.side_length / 4):
+        errors.append(f"geometry.corner_radius: must be < L/4, "
+                      f"got {cfg.corner_radius!r}")
+    errors += [f"initial.modes: mode ({m},{n}) exceeds the grid"
+               for m, n, _ in cfg.modes if max(m, n) > cfg.grid_size - 1]
 
     if errors:
         raise ConfigurationError(

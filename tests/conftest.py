@@ -1,7 +1,12 @@
 """Helpers shared by the test modules."""
+import importlib
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _traced_peak(fn):
@@ -24,3 +29,21 @@ def _traced_peak(fn):
 def traced_peak():
     """The helper ``traced_peak(fn) -> (result, peak bytes)``."""
     return _traced_peak
+
+
+def _import_perfbench(name):
+    """Import ``perfbench/<name>.py`` without writing bytecode there."""
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True        # leave perfbench/ untouched
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture
+def import_perfbench():
+    """The helper ``import_perfbench(name) -> module`` for perfbench files."""
+    return _import_perfbench

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from sqgbounds.checkpoint import load_checkpoint, save_checkpoint
+from sqgbounds.cli import main
 from sqgbounds.errors import ConfigurationError, ShapeError
 from sqgbounds.geometry import build_square_geometry
 from sqgbounds import spectral as sp
@@ -54,3 +55,16 @@ def test_rejects_truncated_payload(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(ConfigurationError):
         load_checkpoint(path)
+
+
+def test_rejects_truncated_header(tmp_path, capsys):
+    g = build_square_geometry(16)
+    path = tmp_path / "s.sqgb"
+    save_checkpoint(path, sp.mode_field(g, 1, 1), t=0.0, step=0)
+    data = path.read_bytes()
+    for size in (4, 5, 7, 40):
+        path.write_bytes(data[:size])
+        with pytest.raises(ConfigurationError, match="truncated"):
+            load_checkpoint(path)
+    assert main(["diag", str(path)]) == 2
+    assert "truncated checkpoint header" in capsys.readouterr().err

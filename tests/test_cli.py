@@ -231,6 +231,22 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "N >= 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, line", [
+    ("run", "diagnostics", "ps ="),
+    ("verify", "verify", "names ="),
+    ("verify", "verify", "seed = -1"),
+])
+def test_empty_list_or_negative_seed_exits_2(tmp_path, capsys, command,
+                                             section, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[geometry]\ngrid_size = 16\n"
+                    "[solver]\nt_end = 0.01\noutput_interval = 0.01\n"
+                    f"[{section}]\n{line}\n"
+                    f"[output]\ndirectory = {tmp_path / 'o'}\n")
+    assert main([command, str(path)]) == 2
+    assert f"{section}.{line.split()[0]}" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(capsys):
     assert main(["run", "/nonexistent.cfg"]) == 2
 

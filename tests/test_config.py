@@ -1,9 +1,14 @@
 """Config parsing: defaults, collected violations, hashing."""
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sqgbounds.config import RunConfig, load_config
+from sqgbounds.config import _SCHEMA, RunConfig, load_config
 from sqgbounds.errors import ConfigurationError
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write(tmp_path, text):
@@ -42,12 +47,13 @@ def test_unknown_key_rejected_by_name(tmp_path):
 
 
 def test_all_violations_collected(tmp_path):
-    text = ("[geometry]\ngrid_size = 4\nside_length = -1\n"
+    text = ("[geometry]\ngrid_size = 4\nside_length = -1\ncorner_radius = 1\n"
             "[solver]\ncfl = 2.0\ndrift_mode = warp\n")
     with pytest.raises(ConfigurationError) as err:
         load_config(write(tmp_path, text))
     msg = str(err.value)
-    for frag in ("N >= 8", "side_length", "cfl", "drift_mode"):
+    for frag in ("N >= 8", "side_length", "corner_radius: must be < L/4",
+                 "cfl", "drift_mode"):
         assert frag in msg
 
 
@@ -104,3 +110,59 @@ def test_initial_field_matches_modes(tmp_path):
     theta = cfg.initial_field(g)
     assert theta.coeffs[1, 2] == 0.7
     assert np.count_nonzero(theta.coeffs) == 1
+
+
+FLOAT_KEYS = (("geometry", "side_length"), ("geometry", "corner_radius"),
+              ("solver", "dt"), ("solver", "t_end"), ("solver", "cfl"),
+              ("solver", "output_interval"), ("solver", "max_overshoot"),
+              ("diagnostics", "ps"), ("diagnostics", "alphas"),
+              ("verify", "hinge_threshold"))
+
+
+def test_non_finite_numbers_rejected(tmp_path):
+    for section, key in FLOAT_KEYS:
+        for value in ("nan", "inf", "-inf"):
+            text = f"[{section}]\n{key} = {value}\n"
+            with pytest.raises(ConfigurationError,
+                               match=f"{section}.{key}: numbers must be"):
+                load_config(write(tmp_path, text))
+    with pytest.raises(ConfigurationError, match="initial.modes"):
+        load_config(write(tmp_path, "[initial]\nmodes = 1,1,nan\n"))
+
+
+def test_empty_lists_rejected(tmp_path):
+    for section, key in (("diagnostics", "ps"), ("diagnostics", "ms"),
+                         ("diagnostics", "alphas"), ("verify", "names")):
+        with pytest.raises(ConfigurationError,
+                           match=f"{section}.{key}: the list must not be"):
+            load_config(write(tmp_path, f"[{section}]\n{key} = , \n"))
+
+
+def test_out_of_range_values_rejected(tmp_path):
+    for text, where in (("[verify]\nseed = -1\n", "verify.seed"),
+                        ("[solver]\nmax_overshoot = -1\n",
+                         "solver.max_overshoot"),
+                        ("[diagnostics]\nms = 2.7\n", "diagnostics.ms"),
+                        ("[solver]\nj_sign = 0\n", "solver.j_sign"),
+                        ("[solver]\nj_sign = 0.5\n", "solver.j_sign")):
+        with pytest.raises(ConfigurationError, match=where):
+            load_config(write(tmp_path, text))
+    cfg = load_config(write(tmp_path, "[solver]\nj_sign = -1\n"
+                                      "[diagnostics]\nms = 2, 3\n"
+                                      "[verify]\nseed = 0\nphi = cubic\n"))
+    assert cfg.j_sign == -1.0 and cfg.ms == (2, 3) and cfg.seed == 0
+    assert all(type(m) is int for m in cfg.ms)
+
+
+def test_config_hash_is_pinned_and_each_field_has_one_key(
+        tmp_path, monkeypatch, import_perfbench):
+    """Checkpoint headers carry these digests; the schema must keep them."""
+    monkeypatch.delenv("SQGBOUNDS_OUTPUT_DIR", raising=False)
+    default = load_config(REPO / "configs" / "default.cfg")
+    assert default.config_hash().hex() == "624119708a4cf5a7"
+    workloads = import_perfbench("workloads")
+    path = tmp_path / "large.cfg"
+    workloads.write_config("run_large_dense", 0, tmp_path / "out", path)
+    assert load_config(path).config_hash().hex() == "586a5513560d7eca"
+    assert sorted(row.field for row in _SCHEMA) == sorted(
+        f.name for f in dataclasses.fields(RunConfig))

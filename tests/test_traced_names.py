@@ -4,24 +4,13 @@
 deleted target would only surface when the benchmark runs.
 """
 import importlib
-import sys
-from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-
-@pytest.fixture(scope="module")
-def spans():
-    sys.path.insert(0, str(PERFBENCH))
-    write_bytecode = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True        # leave perfbench/ untouched
-    try:
-        return importlib.import_module("spans")
-    finally:
-        sys.dont_write_bytecode = write_bytecode
-        sys.path.remove(str(PERFBENCH))
+@pytest.fixture
+def spans(import_perfbench):
+    return import_perfbench("spans")
 
 
 def test_traced_functions_exist(spans):
