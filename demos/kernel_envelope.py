@@ -20,7 +20,6 @@ print(f"upper envelope: C = {fc['C']:.3f}, K = {fc['K']:.3f} "
 print(f"lower envelope: c = {fc['c']:.4f} > 0")
 print(f"gradient family constant: {fc['C_grad']:.3f}")
 print(f"second-derivative family constant: {fc['C_hess']:.3f}")
-print(f"gradient cancellation ratio: {fc['cancel_ratio']:.2e}")
 
 # spot check one kernel value against the short-time free-space kernel
 t = 5e-3

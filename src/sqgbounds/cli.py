@@ -23,10 +23,10 @@ import numpy as np
 
 from . import inequalities as iq
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, load_config
+from .config import VERIFY_NAMES, RunConfig, load_config
 from .diagnostics import (DiagnosticsRecord, append_csv, boundary_ratio,
                           csv_columns, csv_row, record)
-from .errors import NumericError, SqgError
+from .errors import ConfigurationError, NumericError, SqgError
 from .geometry import build_square_geometry
 from .operators import PHI_SQUARE, ConvexFn, riesz_velocity, softplus_hinge
 from .solver import SolverState, run
@@ -116,16 +116,18 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def _verify_dispatch(cfg: RunConfig, names) -> list:
+    """Run the named families, each of which is in ``VERIFY_NAMES``."""
     g = cfg.geometry()
     theta0 = cfg.initial_field(g)
     phi = _phi(cfg)
+    # the decay families check one drift-free run and the config it ran with
+    decay_config = cfg.solver_config()
+    decay_config.drift_mode = "none"
     run_cache = {}
 
     def decay_run():
         if "run" not in run_cache:
-            sc = cfg.solver_config()
-            sc.drift_mode = "none"
-            run_cache["run"] = run(theta0, sc)
+            run_cache["run"] = run(theta0, decay_config)
         return run_cache["run"]
 
     reports = []
@@ -143,7 +145,7 @@ def _verify_dispatch(cfg: RunConfig, names) -> list:
         elif name == "decay_envelope":
             B = float(np.abs(inverse(theta0).values
                              / g.ground_state).max()) + 1e-9
-            rep = iq.verify_decay_envelope(decay_run(), cfg.solver_config(), B)
+            rep = iq.verify_decay_envelope(decay_run(), decay_config, B)
         elif name == "weighted_lp_control":
             rep = iq.verify_weighted_lp_control(decay_run(), m=cfg.ms[0])
         elif name == "weight_norm_bridge":
@@ -168,17 +170,20 @@ def _verify_dispatch(cfg: RunConfig, names) -> list:
                                          g.side_length)
             rep = iq.verify_commutator_scaling(mode_field(fine, 1, 1),
                                                p=np.inf)
-        elif name == "kernel_bounds":
+        else:   # kernel_bounds
             rep = iq.verify_kernel_bounds(g, n_samples=cfg.sample_count,
                                           seed=cfg.seed, horizon=cfg.t_end)
-        else:
-            raise SqgError(f"unknown verification {name!r}")
         reports.append(rep)
     return reports
 
 
 def cmd_verify(cfg: RunConfig, names) -> int:
     names = list(names) or list(cfg.verify_names)
+    unknown = [name for name in names if name not in VERIFY_NAMES]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown verification {', '.join(map(repr, unknown))}; "
+            f"operations must come from {', '.join(VERIFY_NAMES)}")
     reports = _verify_dispatch(cfg, names)
     os.makedirs(cfg.output_dir, exist_ok=True)
     all_pass = True

@@ -7,7 +7,7 @@ with a fixed column order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -106,16 +106,14 @@ class HolderSeminorm(NamedTuple):
 _DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
-def holder_seminorm(theta: SpectralField, alpha: float,
-                    h_budget: float = 1.0 / 32.0) -> HolderSeminorm:
+def holder_seminorm(theta: SpectralField, alpha: float) -> HolderSeminorm:
     """sup |delta_h theta| / |h|^alpha over dyadic grid displacements.
 
     Displacements run along both axes and diagonals with dyadic magnitudes
-    from one grid spacing up, restricted to |h| <= h_budget * d(x).  Nodes
-    too close to the boundary to admit any displacement are skipped and
-    counted.
+    from one grid spacing up, restricted to |h| <= d(x) / 32.  Nodes too
+    close to the boundary to admit any displacement are skipped and counted.
     """
-    return _holder(inverse(theta), alpha, h_budget)
+    return _holder(inverse(theta), alpha)
 
 
 def _holder(values: GridField, alpha: float,

@@ -32,12 +32,15 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 class Geometry:
     """Immutable description of the discretized square domain.
 
-    Every (N-1, N-1) table (``eigenvalues``, ``ground_state``, ``distance``
-    and ``corner_mask``) is built on first read and then kept: a geometry
-    that never reads one (the fine commutator grid) never allocates it.
-    ``eigenvalues`` and ``ground_state`` are the whole-grid cases of
-    :meth:`eigenvalue_rows` and :meth:`ground_state_rows`, so a row block
-    taken from those methods carries the bits of the table's rows.
+    A geometry has three inputs: the side length L, the grid size N and the
+    corner radius; every other attribute is derived from them.  The (N-1,)
+    vectors ``x`` and ``modes`` and every (N-1, N-1) table (``eigenvalues``,
+    ``ground_state``, ``distance`` and ``corner_mask``) are built on first
+    read and then kept: a geometry that never reads a table (the fine
+    commutator grid) never allocates it.  ``eigenvalues`` and
+    ``ground_state`` are the whole-grid cases of :meth:`eigenvalue_rows` and
+    :meth:`ground_state_rows`, so a row block taken from those methods
+    carries the bits of the table's rows.
 
     The mode multipliers ``wavenumbers`` (k_m = m pi / L),
     ``sqrt_eigenvalues`` and ``inv_sqrt_eigenvalues`` (lam^{+-1/2}) are kept
@@ -48,10 +51,16 @@ class Geometry:
     side_length: float
     grid_size: int                 # N; interior nodes are i*L/N, i=1..N-1
     corner_radius: float
-    x: np.ndarray                  # (N-1,) interior coordinates (shared per axis)
-    modes: np.ndarray              # (N-1,) mode indices 1..N-1
-    c0: float | None = None        # fitted lower constant of w_1/d
-    C0: float | None = None        # fitted upper constant of w_1/d
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """(N-1,) interior coordinates i L / N, shared per axis."""
+        return self.side_length * np.arange(1, self.grid_size) / self.grid_size
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """(N-1,) mode indices 1..N-1."""
+        return np.arange(1, self.grid_size)
 
     def eigenvalue_rows(self, rows=slice(None)) -> np.ndarray:
         """Rows ``rows`` of lam_{m,n} = k_m^2 + k_n^2, k_m = m pi / L."""
@@ -170,27 +179,14 @@ def build_square_geometry(
             f"corner_radius must lie in [0, side_length/4), got {corner_radius}"
         )
 
-    L = float(side_length)
-    return Geometry(
-        side_length=L,
-        grid_size=int(N),
-        corner_radius=float(corner_radius),
-        x=L * np.arange(1, N) / N,
-        modes=np.arange(1, N),
-    )
+    return Geometry(side_length=float(side_length), grid_size=int(N),
+                    corner_radius=float(corner_radius))
 
 
 def fit_ground_state_equivalence(geometry: Geometry) -> tuple[float, float]:
-    """Fit c0, C0 with c0*d(x) <= w_1(x) <= C0*d(x) on unmasked interior nodes.
-
-    The constants are stored on the geometry and returned.
-    """
+    """Fit c0, C0 with c0*d(x) <= w_1(x) <= C0*d(x) on unmasked interior nodes."""
     keep = geometry.unmasked()
     if not keep.any():
         raise ConfigurationError("corner mask leaves no interior nodes to fit")
     ratio = geometry.ground_state[keep] / geometry.distance[keep]
-    c0 = float(ratio.min())
-    C0 = float(ratio.max())
-    object.__setattr__(geometry, "c0", c0)
-    object.__setattr__(geometry, "C0", C0)
-    return c0, C0
+    return float(ratio.min()), float(ratio.max())

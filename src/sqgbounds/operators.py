@@ -72,7 +72,6 @@ class QuadratureConfig:
 
     panels: int = 48
     nodes_per_panel: int = 12
-    t_max_over_lam1: float = 40.0
     tol: float = 1e-9
 
 
@@ -101,7 +100,7 @@ def _heat_multiplier(lam: np.ndarray, s: float, quad: QuadratureConfig,
     # head below t_min contributes < tol relatively via 1 - e^{-t lam} <= t lam
     expo = 1.0 - s / 2.0
     t_min = min((quad.tol * expo / c_s) ** (1.0 / expo) / lam_max, 1e-6 / lam_max)
-    t_max = quad.t_max_over_lam1 / lam_min
+    t_max = 40.0 / lam_min
     t, w = log_time_rule(t_min, t_max, panels, quad.nodes_per_panel)
     # after t = e^u the integrand is (1 - e^{-t lam}) t^{-s/2}
     integrand = -np.expm1(-np.outer(lam, t)) * t[None, :] ** (-s / 2.0)
@@ -172,13 +171,12 @@ def eigensum_1d(t, a, b, L: float, modes: int, da: int = 0,
 
 
 def heat_kernel(geometry: Geometry, x, y, t: float,
-                modes: int | None = None,
-                tail_tolerance: float = 1e-10) -> HeatKernelSample:
+                modes: int | None = None) -> HeatKernelSample:
     """Factorized eigensum for the Dirichlet heat kernel on the square.
 
     The 2d sum over a square mode truncation is the product of two 1d sums.
     A geometric bound on the omitted modes is attached; if it exceeds
-    ``tail_tolerance`` the sample carries a warning flag.
+    1e-10 the sample carries a warning flag.
     """
     if t <= 0:
         raise DomainError(f"heat kernel requires t > 0, got {t}")
@@ -197,7 +195,7 @@ def heat_kernel(geometry: Geometry, x, y, t: float,
     return HeatKernelSample(
         x=(float(x[0]), float(x[1])), y=(float(y[0]), float(y[1])),
         t=float(t), value=h1 * h2, modes=M, tail_bound=float(tail),
-        truncation_warning=bool(tail > tail_tolerance))
+        truncation_warning=bool(tail > 1e-10))
 
 
 def heat_of_one_1d(t, x: np.ndarray, L: float,
@@ -282,8 +280,7 @@ def riesz_velocity(theta: SpectralField, j_sign: float = 1.0) -> VelocityField:
     return _stream_velocity(stream, j_sign)
 
 
-def short_time_velocity(theta: SpectralField, tau: float,
-                        j_sign: float = 1.0) -> VelocityField:
+def short_time_velocity(theta: SpectralField, tau: float) -> VelocityField:
     """Heat-smoothed part of the Riesz velocity, u_s.
 
     The mode multiplier is c * int_0^tau t^{-1/2} e^{-t lam} dt
@@ -294,7 +291,7 @@ def short_time_velocity(theta: SpectralField, tau: float,
         raise DomainError(f"short-time velocity requires tau > 0, got {tau}")
     g = theta.geometry
     mult = g.inv_sqrt_eigenvalues * erf(np.sqrt(g.eigenvalues * tau))
-    return _stream_velocity(SpectralField(mult * theta.coeffs, g), j_sign)
+    return _stream_velocity(SpectralField(mult * theta.coeffs, g), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +474,8 @@ def finite_difference(f, h) -> GridField:
     """delta_h f(x) = f(x + h) - f(x) for a grid-commensurate displacement.
 
     Nodes whose shifted position leaves the open interior are flagged out in
-    the result's ``valid`` mask and carry value 0.
+    the result's ``valid`` mask and carry value 0; an input's own ``valid``
+    mask is not read.
     """
     if isinstance(f, SpectralField):
         f = inverse(f)
@@ -492,12 +490,6 @@ def finite_difference(f, h) -> GridField:
     if i0 < i1 and j0 < j1:
         out[i0:i1, j0:j1] = vals[i0 + p:i1 + p, j0 + q:j1 + q] - vals[i0:i1, j0:j1]
         valid[i0:i1, j0:j1] = True
-    if f.valid is not None:
-        valid &= f.valid
-        shifted = np.zeros_like(valid)
-        shifted[i0:i1, j0:j1] = f.valid[i0 + p:i1 + p, j0 + q:j1 + q]
-        valid &= shifted
-    out[~valid] = 0.0
     return GridField(out, g, valid=valid)
 
 

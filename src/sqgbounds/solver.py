@@ -127,7 +127,7 @@ def advection_coeffs(theta: SpectralField, config: SolverConfig,
     part = eval_fine_mixed(_times_k(psi, k, 0), g, Nf, 0, out=work[1])
     part *= eval_fine_mixed(_times_k(c, k, 1), g, Nf, 1, out=work[2])
     flux -= part
-    return forward_fine(flux, g, Nf, g.n_interior)
+    return forward_fine(flux, g)
 
 
 def velocity_sup(theta: SpectralField, config: SolverConfig) -> float:

@@ -39,9 +39,8 @@ class SpectralField:
     geometry: Geometry
     tag: str = ""
 
-    def copy(self, tag: str | None = None) -> "SpectralField":
-        return SpectralField(self.coeffs.copy(), self.geometry,
-                             self.tag if tag is None else tag)
+    def copy(self) -> "SpectralField":
+        return SpectralField(self.coeffs.copy(), self.geometry, self.tag)
 
     def l2_norm(self) -> float:
         return float(np.sqrt((self.coeffs ** 2).sum()))
@@ -76,12 +75,12 @@ class BoxField:
         return float(np.max(np.abs(self.values), initial=0.0))
 
 
-def mode_field(geometry: Geometry, m: int, n: int, amp: float = 1.0,
-               tag: str = "") -> SpectralField:
+def mode_field(geometry: Geometry, m: int, n: int,
+               amp: float = 1.0) -> SpectralField:
     """The single eigenmode amp * w_{m,n} as a SpectralField."""
     c = np.zeros((geometry.n_interior, geometry.n_interior))
     c[m - 1, n - 1] = amp
-    return SpectralField(c, geometry, tag=tag)
+    return SpectralField(c, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,7 @@ def _forward_coeffs(values: np.ndarray, geometry: Geometry,
     return coeffs
 
 
-def forward(grid: GridField, tag: str = "") -> SpectralField:
+def forward(grid: GridField) -> SpectralField:
     """Project grid samples onto the eigenbasis (discrete <f, w_{m,n}>).
 
     The transform skips the all-zero columns before the first and after the
@@ -186,7 +185,7 @@ def forward(grid: GridField, tag: str = "") -> SpectralField:
     a band of columns cost the transform of that band.
     """
     return SpectralField(_forward_coeffs(grid.values, grid.geometry),
-                         grid.geometry, tag=tag)
+                         grid.geometry)
 
 
 def inverse(spec: SpectralField) -> GridField:
@@ -270,17 +269,17 @@ def eval_fine_mixed(coeffs: np.ndarray, geometry: Geometry, Nf: int,
     return values if cos_axis == 1 else values.T
 
 
-def forward_fine(values: np.ndarray, geometry: Geometry, Nf: int,
-                 n_keep: int) -> np.ndarray:
-    """Project midpoint samples back onto the first ``n_keep`` modes per axis.
+def forward_fine(values: np.ndarray, geometry: Geometry) -> np.ndarray:
+    """Project midpoint samples back onto the geometry's N-1 modes per axis.
 
-    ``values`` holds samples at the nodes of :func:`eval_fine_mixed` and is
-    overwritten: the transforms run in place.  The DST-II pair is exact for
-    a sine polynomial of degree < 2*Nf - n_keep per axis, which covers
-    quadratic products of opposite-parity factors (the advective flux).
-    Same-parity products carry cosine content and go through
+    ``values`` holds samples at the Nf x Nf nodes of :func:`eval_fine_mixed`
+    and is overwritten: the transforms run in place.  The DST-II pair is
+    exact for a sine polynomial of degree < 2*Nf - (N-1) per axis, which
+    covers quadratic products of opposite-parity factors (the advective
+    flux).  Same-parity products carry cosine content and go through
     :func:`dealiased_product` instead.
     """
+    Nf, n_keep = values.shape[0], geometry.n_interior
     rows = fft.dst(values, type=2, axis=0, overwrite_x=True)[:n_keep]
     coeffs = fft.dst(rows, type=2, axis=1, overwrite_x=True)
     coeffs *= geometry.side_length / (2.0 * Nf ** 2)
@@ -324,8 +323,7 @@ def _sine_projection_matrix(n_keep: int, Mf: int) -> np.ndarray:
     return np.where(odd, 2.0 * p / denom, 0.0)
 
 
-def dealiased_product(f: SpectralField, g: SpectralField,
-                      tag: str = "") -> SpectralField:
+def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product f*g, exactly projected onto the retained modes.
 
     The product of two degree-(N-1) sine polynomials is a cosine polynomial
@@ -342,4 +340,4 @@ def dealiased_product(f: SpectralField, g: SpectralField,
     P = _sine_projection_matrix(geom.n_interior, Mf)
     scale = 2.0 * geom.side_length / np.pi ** 2
     coeffs = scale * (P @ A @ P.T)
-    return SpectralField(coeffs, geom, tag=tag)
+    return SpectralField(coeffs, geom)

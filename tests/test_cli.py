@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sqgbounds import inequalities as iq
 from sqgbounds import solver
 from sqgbounds.cli import _HolderSample, _holder_monitor, cmd_run, main
 from sqgbounds.config import RunConfig, load_config
@@ -212,6 +213,28 @@ def test_verify_constants_keep_their_bits(default_verify):
     for name, pinned in PINNED_CONSTANTS.items():
         got = _report_constants(out / f"{name}.txt")
         assert {key: got[key] for key in pinned} == pinned, name
+
+
+def test_decay_envelope_reports_the_drift_free_run(default_verify):
+    _, out = default_verify
+    text = (out / "decay_envelope.txt").read_text()
+    assert "plan drift_mode: none\n" in text
+
+
+def test_verify_rejects_every_unknown_name_before_running(tmp_path, capsys,
+                                                         monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("cordoba ran before the names were checked")
+
+    monkeypatch.setattr(iq, "verify_cordoba", ran)
+    out = tmp_path / "o"
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(DEFAULT_CFG.read_text().replace(
+        "directory = out", f"directory = {out}"))
+    assert main(["verify", str(cfg), "cordoba", "mystery", "other"]) == 2
+    err = capsys.readouterr().err
+    assert "'mystery'" in err and "'other'" in err
+    assert not out.exists()
 
 
 def test_verify_nonconvex_profile_surfaces_error(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Grid construction, eigenvalues, and the ground-state/distance equivalence."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sqgbounds.errors import ConfigurationError
-from sqgbounds.geometry import build_square_geometry, fit_ground_state_equivalence
+from sqgbounds.geometry import (Geometry, build_square_geometry,
+                                fit_ground_state_equivalence)
 
 
 def test_basic_shapes_and_spacing():
@@ -45,7 +48,7 @@ def test_distance_function():
 def test_ground_state_distance_equivalence():
     g = build_square_geometry(128)
     c0, C0 = fit_ground_state_equivalence(g)
-    assert g.c0 == c0 and g.C0 == C0
+    assert fit_ground_state_equivalence(g) == (c0, C0)
     assert 0 < c0 < C0
     keep = g.unmasked()
     w1, d = g.ground_state[keep], g.distance[keep]
@@ -149,3 +152,16 @@ def test_geometry_build_allocates_no_grid_table(traced_peak):
     assert g.grid_size == n + 1
     assert g.lam1 == 2.0
     assert peak < 0.1 * n * n * 8
+
+
+def test_geometry_has_three_inputs_and_derives_the_rest():
+    assert [f.name for f in dataclasses.fields(Geometry)] == [
+        "side_length", "grid_size", "corner_radius"]
+    g = build_square_geometry(64, 2.5, 0.1)
+    assert "x" not in vars(g) and "modes" not in vars(g)
+    # the vectors the builder used to pass in, bit for bit
+    assert np.array_equal(g.x, 2.5 * np.arange(1, 64) / 64)
+    assert np.array_equal(g.modes, np.arange(1, 64))
+    assert g.x is g.x and g.modes is g.modes
+    fit_ground_state_equivalence(g)
+    assert not hasattr(g, "c0") and not hasattr(g, "C0")

@@ -440,6 +440,18 @@ def test_finite_difference_accepts_spectral_input(geom):
     assert np.abs(d.values[:-1, :] - (vals[1:, :] - vals[:-1, :])).max() < 1e-14
 
 
+def test_finite_difference_reads_no_input_mask(geom):
+    """Only the shift decides validity: an input's ``valid`` mask is not read."""
+    rng = np.random.default_rng(6)
+    vals = rng.standard_normal((geom.n_interior,) * 2)
+    mask = rng.random(vals.shape) < 0.5
+    h = (2 * geom.spacing, -geom.spacing)
+    plain = op.finite_difference(sp.GridField(vals, geom), h)
+    masked = op.finite_difference(sp.GridField(vals, geom, valid=mask), h)
+    assert np.array_equal(masked.valid, plain.valid)
+    assert np.array_equal(masked.values, plain.values)
+
+
 # ---------------------------------------------------------------------------
 # commutator
 # ---------------------------------------------------------------------------

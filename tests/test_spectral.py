@@ -104,7 +104,7 @@ def test_forward_fine_matches_full_transform_then_slice(geom):
     S = np.sin(np.pi * np.outer(np.arange(1, Nf + 1), np.arange(Nf) + 0.5) / Nf)
     full = (L / Nf) ** 2 * (2.0 / L) * S @ vals @ S.T
     kept = full[:geom.n_interior, :geom.n_interior]
-    got = sp.forward_fine(vals.copy(), geom, Nf, geom.n_interior)
+    got = sp.forward_fine(vals.copy(), geom)
     assert got.shape == kept.shape
     assert np.abs(got - kept).max() < 1e-13 * np.abs(full).max()
 
@@ -128,7 +128,7 @@ def test_fine_transforms_do_not_rely_on_in_place_fft(geom, cos_axis,
     Nf = sp.fine_grid_size(geom.grid_size)
     c = random_field(geom, geom.n_interior, seed=11 + cos_axis).coeffs
     values = sp.eval_fine_mixed(c, geom, Nf, cos_axis)
-    coeffs = sp.forward_fine(values.copy(), geom, Nf, geom.n_interior)
+    coeffs = sp.forward_fine(values.copy(), geom)
 
     def copying(transform):
         return lambda x, *args, **kw: transform(
@@ -138,8 +138,7 @@ def test_fine_transforms_do_not_rely_on_in_place_fft(geom, cos_axis,
         dct=copying(fft.dct), dst=copying(fft.dst)))
     got = sp.eval_fine_mixed(c, geom, Nf, cos_axis, out=np.full((Nf, Nf), np.nan))
     assert np.array_equal(got, values)
-    assert np.array_equal(sp.forward_fine(got, geom, Nf, geom.n_interior),
-                          coeffs)
+    assert np.array_equal(sp.forward_fine(got, geom), coeffs)
 
 
 def test_grad_norm_parseval(geom):
@@ -198,7 +197,7 @@ def test_mixed_parity_product_alias_free(geom):
     Nf = sp.fine_grid_size(geom.grid_size)
     v1 = sp.eval_fine_mixed(a1, geom, Nf, cos_axis=0)
     v2 = sp.eval_fine_mixed(a2, geom, Nf, cos_axis=1)
-    got = sp.forward_fine(v1 * v2, geom, Nf, geom.n_interior)
+    got = sp.forward_fine(v1 * v2, geom)
 
     L = geom.side_length
     xg, wg = leggauss(200)
