@@ -48,7 +48,7 @@ def save_checkpoint(path, theta: SpectralField, t: float, step: int,
         fh.write(_HEADER.pack(g.grid_size, g.side_length, g.corner_radius,
                               float(t), int(step), config_hash,
                               coeffs.shape[0], coeffs.shape[1]))
-        fh.write(coeffs.tobytes())
+        fh.write(coeffs.data)     # the buffer itself: no bytes copy
 
 
 def load_checkpoint(path, geometry: Geometry | None = None) -> Checkpoint:

@@ -15,8 +15,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import Geometry
 from .operators import riesz_velocity
-from .spectral import GridField, SpectralField, gradient, inverse
-from .solver import SolverState, half_norm_sq
+from .spectral import (GridField, GridScratch, SpectralField, gradient,
+                       grid_scratch, inverse)
+from .solver import SolverState
 
 SPACE_DIMENSION = 2    # d in the d/p exponents
 
@@ -70,9 +71,24 @@ def ratio_lp_norm(b1: GridField, p: float) -> float:
     """||b_1||_{L^p} by boundary-extended grid quadrature (p = inf: sup)."""
     if np.isinf(p):
         return b1.sup_norm()
+    return _lp_of_abs(b1.geometry, np.abs(b1.values), p)
+
+
+def _lp_of_abs(geometry: Geometry, abs_b1: np.ndarray, p: float) -> float:
+    """:func:`ratio_lp_norm` from |b_1|, which it overwrites."""
+    if np.isinf(p):
+        return float(np.max(abs_b1, initial=0.0))
     if p < 1:
         raise ConfigurationError(f"Lebesgue exponent must be >= 1, got {p}")
-    return float(ratio_quad(b1.geometry, np.abs(b1.values) ** p) ** (1.0 / p))
+    abs_b1 **= p
+    return float(ratio_quad(geometry, abs_b1) ** (1.0 / p))
+
+
+def _abs_ratio(values: np.ndarray, geometry: Geometry,
+               out: np.ndarray) -> np.ndarray:
+    """|b_1| = |theta / w_1| from the node values of theta, into ``out``."""
+    np.divide(values, geometry.ground_state, out=out)
+    return np.abs(out, out=out)
 
 
 def weighted_ratio_norm(theta: SpectralField, m: int) -> float:
@@ -81,19 +97,28 @@ def weighted_ratio_norm(theta: SpectralField, m: int) -> float:
 
 
 def _weighted_norm(b1: GridField, m: int) -> float:
+    return _weighted_of_abs(b1.geometry, np.abs(b1.values), m)
+
+
+def _weighted_of_abs(geometry: Geometry, abs_b1: np.ndarray, m: int) -> float:
+    """:func:`_weighted_norm` from |b_1|, which it overwrites."""
     if m < 1:
         raise ConfigurationError(f"moment index must be >= 1, got {m}")
-    g = b1.geometry
     # |b_1| ** 2m, not b_1 ** 2m: the power of a negative base takes
     # numpy's slow scalar path
-    return float(ratio_quad(g, g.ground_state * np.abs(b1.values) ** (2 * m))
-                 ** (1.0 / (2 * m)))
+    abs_b1 **= 2 * m
+    abs_b1 *= geometry.ground_state
+    return float(ratio_quad(geometry, abs_b1) ** (1.0 / (2 * m)))
 
 
-def interior_lipschitz(theta: SpectralField) -> float:
-    """M = sup_x d(x) |grad theta(x)| with the spectral gradient."""
-    dx, dy = gradient(theta)
-    mag = np.hypot(dx.values, dy.values)
+def interior_lipschitz(theta: SpectralField,
+                       work: GridScratch | None = None) -> float:
+    """M = sup_x d(x) |grad theta(x)| with the spectral gradient.
+
+    The gradient is computed in ``work`` (see :func:`gradient`).
+    """
+    dx, dy = gradient(theta, work)
+    mag = np.hypot(dx.values, dy.values, out=dx.values)
     mag *= theta.geometry.distance
     return float(mag.max())
 
@@ -116,8 +141,13 @@ def holder_seminorm(theta: SpectralField, alpha: float) -> HolderSeminorm:
     return _holder(inverse(theta), alpha)
 
 
-def _holder(values: GridField, alpha: float,
-            h_budget: float = 1.0 / 32.0) -> HolderSeminorm:
+def _holder(values: GridField, alpha: float, h_budget: float = 1.0 / 32.0,
+            scratch: np.ndarray | None = None) -> HolderSeminorm:
+    """:func:`holder_seminorm` from node values.
+
+    The differences of each displacement go into ``scratch``, a
+    C-contiguous (N-1) x (N-1) array (a new one when None).
+    """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"Hölder exponent must be in (0, 1), got {alpha}")
     g = values.geometry
@@ -125,6 +155,8 @@ def _holder(values: GridField, alpha: float,
     dx = g.spacing
     n = g.n_interior
     e = g.side_distance
+    flat = vals.ravel()
+    buf = np.empty(n * n) if scratch is None else scratch.reshape(-1)
     best = 0.0
     admissible = np.zeros((n, n), dtype=bool)
     steps = 1
@@ -141,11 +173,23 @@ def _holder(values: GridField, alpha: float,
             j0, j1 = max(inside[0], -q), min(inside[-1] + 1, n - q)
             if i0 >= i1 or j0 >= j1:
                 continue
-            diff = np.abs(vals[i0 + p:i1 + p, j0 + q:j1 + q] - vals[i0:i1, j0:j1])
+            # |delta_h theta| over whole rows i0..i1 of the flattened grid,
+            # where the displacement is the one offset p n + q; the columns
+            # outside j0..j1, where it wraps into the next row, are zeroed.
+            # Every operand is contiguous: numpy needs no iterator buffer
+            r, lo = i1 - i0, i0 * n
+            length = r * n - max(q, 0)
+            diff = buf[:r * n]
+            np.subtract(flat[lo + p * n + q:lo + p * n + q + length],
+                        flat[lo:lo + length], out=diff[:length])
+            np.abs(diff[:length], out=diff[:length])
+            block = diff.reshape(r, n)
+            block[:, :j0] = 0.0
+            block[:, j1:] = 0.0
             best = max(best, float(diff.max()) / hlen ** alpha)
             admissible[i0:i1, j0:j1] = True
         steps *= 2
-    return HolderSeminorm(best, int((~admissible).sum()))
+    return HolderSeminorm(best, admissible.size - np.count_nonzero(admissible))
 
 
 def _shell_sup(values: np.ndarray, geometry: Geometry,
@@ -155,10 +199,11 @@ def _shell_sup(values: np.ndarray, geometry: Geometry,
     d = geometry.distance
     logs_d, sups = [], []
     for t in tops:
-        sel = (d <= t) & (d > 0.5 * t)
+        sel = d <= t
+        sel &= d > 0.5 * t
         if sel.any():
             logs_d.append(float(np.log(t)))
-            sups.append(float(values[sel].max()))
+            sups.append(float(np.max(values, where=sel, initial=-np.inf)))
     return logs_d, sups
 
 
@@ -174,16 +219,17 @@ def fit_line(x, y) -> tuple[float, float, float]:
 
 
 def _normal_slope(abs_ux: np.ndarray, abs_uy: np.ndarray, geometry: Geometry,
-                  shells: int = 4) -> tuple[float, float]:
+                  shells: int = 4, out: np.ndarray | None = None
+                  ) -> tuple[float, float]:
     """Slope (and r^2) of log sup-shell |u . n| against log shell distance.
 
     n is the inward normal of the nearest side, so |u . n| is |u_x| or |u_y|;
-    shells are dyadic in the boundary distance below L/8 and left out where
-    u . n vanishes.
+    it is assembled in ``out`` (N-1 x N-1) when given.  Shells are dyadic in
+    the boundary distance below L/8 and left out where u . n vanishes.
     """
-    e = geometry.side_distance
-    near_x = e[:, None] <= e[None, :]
-    un = np.where(near_x, abs_ux, abs_uy)
+    un = np.empty_like(abs_uy) if out is None else out
+    np.copyto(un, abs_uy)
+    np.copyto(un, abs_ux, where=geometry.x_side_nearest)
     kept = [(ld, s) for ld, s in zip(*_shell_sup(un, geometry, shells))
             if s > 0]
     if len(kept) < 2:
@@ -209,40 +255,73 @@ class DiagnosticsRecord:
     normal_rate: float
 
 
+def record_workspace(geometry: Geometry) -> GridScratch:
+    """A :func:`grid_scratch` for :func:`record`, with the geometry tables
+    that a record reads built here.
+
+    Records that share it allocate no grid-sized array, only a few boolean
+    masks: their memory stays flat from one snapshot to the next.
+    """
+    # each built on first read (cached_property); read them all here, so no
+    # record, on whichever thread, builds one
+    (geometry.wavenumbers, geometry.sqrt_eigenvalues,
+     geometry.inv_sqrt_eigenvalues, geometry.ground_state, geometry.distance,
+     geometry.x_side_nearest)
+    return grid_scratch(geometry)
+
+
 def record(state: SolverState,
-           ps=DEFAULT_PS, ms=DEFAULT_MS, alphas=DEFAULT_ALPHAS
-           ) -> DiagnosticsRecord:
+           ps=DEFAULT_PS, ms=DEFAULT_MS, alphas=DEFAULT_ALPHAS,
+           work: GridScratch | None = None) -> DiagnosticsRecord:
     """Aggregate all functionals for one state.
 
     One velocity solve and one grid evaluation of theta serve every
-    functional.  Only |u| enters the record, so the velocity's components
-    are overwritten in place by their magnitudes and then their squares;
-    u_sup is sqrt(max(u_x^2 + u_y^2)), equal to max |u| because the square
-    root is monotone and correctly rounded.  The Lipschitz bound comes
-    first, so its gradient is freed before the grid values and the velocity
-    are built.
+    functional, and every grid array lives in ``work`` (a new
+    :func:`record_workspace` when None): the squared coefficients, then
+    the gradient, then the grid values with |b_1|, then the velocity, each
+    overwriting the last, and each elementwise operation on C-contiguous
+    arrays, for which numpy allocates no iterator buffer.  Only |u| enters
+    the record, so the velocity's components are overwritten in place by
+    their magnitudes and then their squares; u_sup is
+    sqrt(max(u_x^2 + u_y^2)), equal to max |u| because the square root is
+    monotone and correctly rounded.
     """
     theta = state.theta
-    lipschitz = interior_lipschitz(theta)
-    values = inverse(theta)
-    u = riesz_velocity(theta)
-    b1 = ratio_from_values(values)
+    g = theta.geometry
+    work = record_workspace(g) if work is None else work
+    # one square of the coefficients serves theta.l2_norm() ** 2 and
+    # half_norm_sq(theta), operation for operation
+    sq = np.square(theta.coeffs, out=work.field)
+    energy = float(np.sqrt(sq.sum())) ** 2
+    sq *= g.sqrt_eigenvalues
+    half_norm = float(sq.sum())
+    lipschitz = interior_lipschitz(theta, work)
+    values = inverse(theta, out=work.field).values
+    scratch = work.grad_y
+    sup_norm = float(np.max(np.abs(values, out=scratch), initial=0.0))
+    b1_lp = {p: _lp_of_abs(g, _abs_ratio(values, g, scratch), p) for p in ps}
+    weighted_norm = {m: _weighted_of_abs(g, _abs_ratio(values, g, scratch), m)
+                     for m in ms}
+    holder = {a: _holder(GridField(values, g), a, scratch=scratch).value
+              for a in alphas}
+    u = riesz_velocity(theta, work=work)      # the values are overwritten
     abs_ux = np.abs(u.u_x.values, out=u.u_x.values)
     abs_uy = np.abs(u.u_y.values, out=u.u_y.values)
-    slope, _ = _normal_slope(abs_ux, abs_uy, theta.geometry)
+    # u . n goes where the stream coefficients were: they are not read again
+    slope, _ = _normal_slope(abs_ux, abs_uy, g, out=work.field)
     abs_ux **= 2
     abs_uy **= 2
     abs_ux += abs_uy
     u_sup = float(np.sqrt(abs_ux.max()))
     return DiagnosticsRecord(
         t=state.t,
-        sup_norm=values.sup_norm(),
-        energy=theta.l2_norm() ** 2,
-        half_norm=half_norm_sq(theta),
+        sup_norm=sup_norm,
+        energy=energy,
+        half_norm=half_norm,
         lipschitz=lipschitz,
-        b1_lp={p: ratio_lp_norm(b1, p) for p in ps},
-        weighted_norm={m: _weighted_norm(b1, m) for m in ms},
-        holder={a: _holder(values, a).value for a in alphas},
+        b1_lp=b1_lp,
+        weighted_norm=weighted_norm,
+        holder=holder,
         u_sup=u_sup,
         normal_rate=slope,
     )

@@ -108,6 +108,12 @@ class Geometry:
         return np.minimum.outer(e, e)
 
     @cached_property
+    def x_side_nearest(self) -> np.ndarray:
+        """(N-1, N-1) bool, True where a side x = const is nearest (e_i <= e_j)."""
+        e = self.side_distance
+        return e[:, None] <= e[None, :]
+
+    @cached_property
     def corner_mask(self) -> np.ndarray:
         """(N-1, N-1) bool, True near a corner."""
         # |x - c| for the nearer corner c is (e_i, e_j) exactly, so only

@@ -233,8 +233,7 @@ def verify_decay_envelope(result: RunResult, config: SolverConfig,
 
 
 def verify_weighted_lp_control(result: RunResult, m: int = 2,
-                               v_s_sup: float = 0.0,
-                               tolerance: float = 0.05) -> InequalityReport:
+                               v_s_sup: float = 0.0) -> InequalityReport:
     """Weighted moment decay: int w_1 b_1^{2m} <= e^{-(2m-1) t sqrt(lam1)} x initial."""
     g = result.snapshots[0].theta.geometry
     c0, _ = fit_ground_state_equivalence(g)
@@ -253,10 +252,11 @@ def verify_weighted_lp_control(result: RunResult, m: int = 2,
         scale = max(rhs, 1e-300)
         margins.append(float((rhs - lhs) / scale))
     min_margin = float(min(margins[1:] or margins))   # t = 0 reads 0.0
+    tol = 0.05
     return InequalityReport(
         name="weighted_lp_control", samples=len(margins),
-        min_margin=min_margin, tolerance=tolerance,
-        passed=min_margin >= -tolerance,
+        min_margin=min_margin, tolerance=tol,
+        passed=min_margin >= -tol,
         fitted_constants={"m": float(m), "v_s_threshold": limit},
         margins=margins,
         sample_plan={"times": [s.t for s in result.snapshots]})

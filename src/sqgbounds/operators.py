@@ -21,9 +21,9 @@ from scipy.special import erf, gamma
 from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
 from .geometry import Geometry
-from .spectral import (BoxField, GridField, SpectralField, _forward_coeffs,
-                       dealiased_product, eval_fine, forward, grad_l2_norm_sq,
-                       gradient, inverse)
+from .spectral import (BoxField, GridField, GridScratch, SpectralField,
+                       _forward_coeffs, dealiased_product, eval_fine, forward,
+                       grad_l2_norm_sq, gradient, inverse)
 
 MAX_CUTOFF_SCALE_FRAC = 0.25    # ell0 = L/4
 ERF_SATURATION = 6.0            # scipy's erf(z) == sign(z) for |z| >= 6
@@ -258,26 +258,38 @@ class VelocityField:
 
 
 def _perp_gradient(stream_coeffs: np.ndarray, geometry: Geometry,
-                   j_sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """(u_x, u_y) = j_sign * (-d_y psi, d_x psi) at the interior nodes."""
-    psi_x, psi_y = gradient(SpectralField(stream_coeffs, geometry))
+                   j_sign: float, work: GridScratch | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(u_x, u_y) = j_sign * (-d_y psi, d_x psi) at the interior nodes.
+
+    With ``work``, they are ``work.grad_y`` and a view of ``work.rows``.
+    """
+    psi_x, psi_y = gradient(SpectralField(stream_coeffs, geometry), work)
     psi_y.values *= -j_sign
     psi_x.values *= j_sign
     return psi_y.values, psi_x.values
 
 
-def _stream_velocity(stream: SpectralField, j_sign: float) -> VelocityField:
+def _stream_velocity(stream: SpectralField, j_sign: float,
+                     work: GridScratch | None = None) -> VelocityField:
     """The velocity j_sign * grad-perp psi of the stream function psi."""
     g = stream.geometry
-    ux, uy = _perp_gradient(stream.coeffs, g, j_sign)
+    ux, uy = _perp_gradient(stream.coeffs, g, j_sign, work)
     return VelocityField(GridField(ux, g), GridField(uy, g), stream)
 
 
-def riesz_velocity(theta: SpectralField, j_sign: float = 1.0) -> VelocityField:
-    """u = J grad Lambda^{-1} theta with J = rotation by +pi/2 (sign flippable)."""
+def riesz_velocity(theta: SpectralField, j_sign: float = 1.0,
+                   work: GridScratch | None = None) -> VelocityField:
+    """u = J grad Lambda^{-1} theta with J = rotation by +pi/2 (sign flippable).
+
+    With ``work``, the stream coefficients are ``work.field`` and the
+    components ``work.grad_y`` and a view of ``work.rows``: no new array.
+    """
     g = theta.geometry
-    stream = SpectralField(theta.coeffs * g.inv_sqrt_eigenvalues, g, theta.tag)
-    return _stream_velocity(stream, j_sign)
+    stream = SpectralField(np.multiply(
+        theta.coeffs, g.inv_sqrt_eigenvalues,
+        out=None if work is None else work.field), g, theta.tag)
+    return _stream_velocity(stream, j_sign, work)
 
 
 def short_time_velocity(theta: SpectralField, tau: float) -> VelocityField:

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .geometry import Geometry
 from .operators import _perp_gradient
-from .spectral import (SpectralField, eval_fine_mixed, fine_grid_size,
-                       forward_fine, inverse)
+from .spectral import (SpectralField, _times_k, eval_fine_mixed,
+                       fine_grid_size, forward_fine, inverse)
 
 
 @dataclass
@@ -88,16 +88,6 @@ def _stream_coeffs(theta: SpectralField, config: SolverConfig) -> np.ndarray | N
     if config.drift_mode == "prescribed":
         return config.j_sign * config.drift_stream.coeffs
     return None
-
-
-def _times_k(c: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
-    """``c`` times the wavenumbers ``k`` along ``axis``.
-
-    Equal to ``c * k[:, None]`` (axis 0) or ``c * k[None, :]`` (axis 1) bit
-    for bit, but einsum needs no iterator buffer, where numpy allocates one
-    for every broadcast product.
-    """
-    return np.einsum("ij,i->ij" if axis == 0 else "ij,j->ij", c, k)
 
 
 def advection_workspace(geometry: Geometry) -> np.ndarray:
@@ -217,9 +207,11 @@ def run(theta0: SpectralField, config: SolverConfig,
     the result keeps every snapshot.  With it, each snapshot is handed to
     ``on_snapshot`` as soon as it is taken and is not retained, so the
     caller can write it out while the run goes on; ``snapshots`` then holds
-    only the final state.  A snapshot is the live state, which the run never
-    modifies; the callback must not modify it either.  When a step raises
-    ``NumericError``, the snapshots already handed on are all the run leaves.
+    only the final state.  A snapshot is the live state.  Each step builds a
+    new state and never modifies an older one, so ``on_snapshot`` may hand
+    the state to another thread and read it there while the run steps on;
+    no reader may modify it.  When a step raises ``NumericError``, the
+    snapshots already handed on are all the run leaves.
 
     The energy ledger integrates the half-norm history with Simpson's rule
     (the trapezoid rule for a single step) and reports

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
@@ -88,33 +89,95 @@ def mode_field(geometry: Geometry, m: int, n: int,
 # i = 1..N-1 of the N-grid (i.e. sin(pi*m*i/N)).
 # ---------------------------------------------------------------------------
 
-def cos_eval(coeffs: np.ndarray, axis: int, scale: float = 1.0) -> np.ndarray:
+class GridScratch(NamedTuple):
+    """Reusable node-grid buffers for repeated evaluations on one geometry.
+
+    ``field`` and ``grad_y`` are C-contiguous (N-1) x (N-1) arrays;
+    ``rows`` and ``cols`` are the zero-bordered buffers of a cosine pass
+    along axis 0 and along axis 1 (one extra line on each side along that
+    axis).  A result computed into a scratch is a view of it and holds
+    until the scratch is used again.
+    """
+
+    field: np.ndarray
+    grad_y: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+def grid_scratch(geometry: Geometry) -> GridScratch:
+    n = geometry.n_interior
+    return GridScratch(np.empty((n, n)), np.empty((n, n)),
+                       np.empty((n + 2, n)), np.empty((n, n + 2)))
+
+
+def _times_k(c: np.ndarray, k: np.ndarray, axis: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """``c`` times the wavenumbers ``k`` along ``axis``.
+
+    Equal to ``c * k[:, None]`` (axis 0) or ``c * k[None, :]`` (axis 1) bit
+    for bit, but einsum needs no iterator buffer, where numpy allocates one
+    for every broadcast product.
+    """
+    return np.einsum("ij,i->ij" if axis == 0 else "ij,j->ij", c, k, out=out)
+
+
+def _interior(buf: np.ndarray, axis: int) -> np.ndarray:
+    """``buf`` without its first and last line along ``axis``."""
+    inner = [slice(None)] * buf.ndim
+    inner[axis] = slice(1, -1)
+    return buf[tuple(inner)]
+
+
+def _bordered(coeffs: np.ndarray, axis: int,
+              out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``out`` (a new array when None), one line longer on each side along
+    ``axis`` than ``coeffs``, and its interior, which receives ``coeffs``
+    unless ``coeffs`` already is that interior."""
+    if out is None:
+        shape = list(coeffs.shape)
+        shape[axis] += 2
+        out = np.empty(shape)
+    inner = _interior(out, axis)
+    if not np.may_share_memory(inner, coeffs):
+        inner[...] = coeffs
+    return out, inner
+
+
+def cos_eval(coeffs: np.ndarray, axis: int, scale: float = 1.0,
+             out: np.ndarray | None = None) -> np.ndarray:
     """scale * sum_m c_m cos(pi m i / N) at the interior nodes along ``axis``.
 
     Modes run m = 1..N-1.  They are written into a zero-bordered
     length-(N+1) buffer (the m = 0 and m = N slots stay zero), so the DCT-I
-    evaluates the sum exactly.
+    evaluates the sum exactly.  The buffer is ``out`` if given (see
+    :func:`_bordered`), and the result is its interior view.
     """
-    shape = list(coeffs.shape)
-    shape[axis] += 2
-    buf = np.zeros(shape)
-    inner = [slice(None)] * coeffs.ndim
-    inner[axis] = slice(1, coeffs.shape[axis] + 1)
-    buf[tuple(inner)] = coeffs
+    buf, inner = _bordered(coeffs, axis, out)
+    border = [slice(None)] * buf.ndim
+    for end in (0, -1):
+        border[axis] = end
+        buf[tuple(border)] = 0.0
     full = fft.dct(buf, type=1, axis=axis, overwrite_x=True)
-    full *= 0.5 * scale
-    return full[tuple(inner)]
+    if not np.may_share_memory(full, buf):     # not done in place
+        buf[...] = full
+    buf *= 0.5 * scale
+    return inner
 
 
-def _sin_cos_eval(coeffs: np.ndarray, cos_axis: int,
-                  scale: float) -> np.ndarray:
+def _sin_cos_eval(coeffs: np.ndarray, cos_axis: int, scale: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """scale * sum c_{m,n} sin(pi m i/N) cos(pi n j/N) at the interior nodes.
 
     The sine factor runs along ``1 - cos_axis`` and the cosine factor along
-    ``cos_axis``.
+    ``cos_axis``.  Both passes run in place in the bordered buffer of
+    :func:`cos_eval`, ``out`` if given.
     """
-    sin_vals = fft.dst(coeffs, type=1, axis=1 - cos_axis)
-    return cos_eval(sin_vals, cos_axis, 0.5 * scale)
+    buf, lines = _bordered(coeffs, cos_axis, out)
+    sin_vals = fft.dst(lines, type=1, axis=1 - cos_axis, overwrite_x=True)
+    if not np.may_share_memory(sin_vals, lines):    # not done in place
+        lines[...] = sin_vals
+    return cos_eval(lines, cos_axis, 0.5 * scale, out=buf)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +187,8 @@ def _sin_cos_eval(coeffs: np.ndarray, cos_axis: int,
 _BLOCK = 128    # columns per block of a row band's axis-0 pass
 
 
-def _dst2(a: np.ndarray, n: int, rows=slice(None), col0: int = 0) -> np.ndarray:
+def _dst2(a: np.ndarray, n: int, rows=slice(None), col0: int = 0,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Rows ``rows`` of ``fft.dstn(A, type=1, s=(n, n))``, skipping zero lines.
 
     A holds ``a`` in its columns from ``col0`` on and is zero elsewhere, so
@@ -138,23 +202,31 @@ def _dst2(a: np.ndarray, n: int, rows=slice(None), col0: int = 0) -> np.ndarray:
     width is materialised.  The axis-1 pass transforms only the rows
     ``rows``.  The passes keep dstn's order, axis 0 then axis 1, so the
     result equals dstn's bit for bit; the reverse order differs in the last
-    bit.
+    bit.  ``out``, an n x n array, takes the transform in place when
+    ``rows`` is the whole range.
     """
     live = np.flatnonzero(a.any(axis=0))
     if live.size == 0:
-        return np.zeros((n, n))[rows]
+        if out is None:
+            return np.zeros((n, n))[rows]
+        out.fill(0.0)
+        return out
     lo, hi = live[0], live[-1] + 1
     picked = range(n)[rows]
     whole = picked == range(n)
-    # the axis-1 pass would zero-pad a narrower input into a copy, so an
-    # axis-0 output that needs its own array gets all n columns and that
-    # pass runs in place
-    if whole and col0 + lo == 0:
-        first = fft.dst(a[:, :hi], type=1, n=n, axis=0)
-    elif whole:
-        first = np.zeros((n, n))
-        first[:, col0 + lo:col0 + hi] = fft.dst(a[:, lo:hi], type=1, n=n,
-                                                axis=0)
+    if whole:
+        # the axis-0 pass runs in place on the live columns of an n x n
+        # array, zero elsewhere, so the axis-1 pass runs in place as well
+        first = np.empty((n, n)) if out is None else out
+        m = a.shape[0]
+        first[m:] = 0.0
+        first[:, :col0 + lo] = 0.0
+        first[:, col0 + hi:] = 0.0
+        band = first[:, col0 + lo:col0 + hi]
+        np.copyto(band[:m], a[:, lo:hi])
+        vals = fft.dst(band, type=1, axis=0, overwrite_x=True)
+        if not np.may_share_memory(vals, band):    # not done in place
+            band[...] = vals
     else:
         first = np.zeros((len(picked), n))
         for c in range(lo, hi, _BLOCK):
@@ -188,28 +260,43 @@ def forward(grid: GridField) -> SpectralField:
                          grid.geometry)
 
 
-def inverse(spec: SpectralField) -> GridField:
-    """Evaluate the eigen-expansion at the interior collocation nodes."""
+def inverse(spec: SpectralField, out: np.ndarray | None = None) -> GridField:
+    """Evaluate the eigen-expansion at the interior collocation nodes.
+
+    ``out``, an (N-1) x (N-1) array, takes the values in place.
+    """
     g = spec.geometry
     if spec.coeffs.shape != (g.n_interior, g.n_interior):
         raise ShapeError(
             f"coefficient block {spec.coeffs.shape} does not match geometry "
             f"with {g.n_interior} interior nodes per axis")
-    return GridField(eval_fine(spec, g.grid_size), g)
+    return GridField(eval_fine(spec, g.grid_size, out=out), g)
 
 
-def gradient(spec: SpectralField) -> tuple[GridField, GridField]:
+def gradient(spec: SpectralField,
+             work: GridScratch | None = None) -> tuple[GridField, GridField]:
     """Spectral gradient, sampled at the interior nodes.
 
     sin(k_m x) differentiates to k_m cos(k_m x); the cosine factor is
-    evaluated with a zero-bordered DCT-I.
+    evaluated with a zero-bordered DCT-I.  Both components are computed in
+    place in bordered buffers, ``work.rows`` and ``work.cols`` if given.
+    The x component is a view of the first; the y component is copied to
+    ``work.grad_y``, so that both are C-contiguous and no elementwise
+    operation on them needs numpy's iterator buffer.
     """
     g = spec.geometry
+    n = g.n_interior
     k = g.wavenumbers
     scale = 2.0 / g.side_length
-    dx = _sin_cos_eval(spec.coeffs * k[:, None], 0, scale)
-    dy = _sin_cos_eval(spec.coeffs * k[None, :], 1, scale)
-    return GridField(dx, g), GridField(dy, g)
+    rows = np.empty((n + 2, n)) if work is None else work.rows
+    cols = np.empty((n, n + 2)) if work is None else work.cols
+    grad_y = np.empty((n, n)) if work is None else work.grad_y
+    dx = _sin_cos_eval(_times_k(spec.coeffs, k, 0, out=_interior(rows, 0)),
+                       0, scale, out=rows)
+    np.copyto(grad_y, _sin_cos_eval(
+        _times_k(spec.coeffs, k, 1, out=_interior(cols, 1)), 1, scale,
+        out=cols))
+    return GridField(dx, g), GridField(grad_y, g)
 
 
 def grad_l2_norm_sq(spec: SpectralField) -> float:
@@ -226,12 +313,14 @@ def fine_grid_size(N: int) -> int:
     return int(np.ceil(1.5 * N))
 
 
-def eval_fine(spec: SpectralField, Nf: int, rows=slice(None)) -> np.ndarray:
+def eval_fine(spec: SpectralField, Nf: int, rows=slice(None),
+              out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the field at the node rows ``rows`` of the Nf-grid.
 
     Nf >= N; Nf = N evaluates at the collocation nodes themselves.
+    ``out`` (Nf-1 x Nf-1) takes all the rows in place.
     """
-    values = _dst2(spec.coeffs, Nf - 1, rows=rows)
+    values = _dst2(spec.coeffs, Nf - 1, rows=rows, out=out)
     values *= 2.0 / spec.geometry.side_length
     values /= 4.0
     return values

@@ -105,7 +105,7 @@ def test_05_weighted_lp_control(geom128):
     cfg = sv.SolverConfig(dt=2e-3, t_end=1.0, drift_mode="none",
                           output_interval=0.2)
     res = sv.run(theta0, cfg)
-    rep = iq.verify_weighted_lp_control(res, m=2, tolerance=0.05)
+    rep = iq.verify_weighted_lp_control(res, m=2)
     verdict("weighted Lp control", rep.passed,
             f"m=2 min margin {rep.min_margin:.3f} (slack 5%)")
 

@@ -1,4 +1,6 @@
 """Binary checkpoint format round trips."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,21 @@ def test_rejects_truncated_header(tmp_path, capsys):
             load_checkpoint(path)
     assert main(["diag", str(path)]) == 2
     assert "truncated checkpoint header" in capsys.readouterr().err
+
+
+def test_save_writes_the_coefficient_buffer_without_a_copy(tmp_path,
+                                                           traced_peak):
+    """The file is the header and the raw row-major float64 coefficients,
+    written from the array's own buffer: no whole-array bytes copy."""
+    g = build_square_geometry(512)
+    rng = np.random.default_rng(1)
+    theta = sp.SpectralField(rng.standard_normal((g.n_interior,) * 2), g)
+    path = tmp_path / "big.sqgb"
+    save_checkpoint(path, theta, t=0.125, step=7)     # warm the code path
+    _, peak = traced_peak(lambda: save_checkpoint(
+        path, theta, t=0.125, step=7, config_hash=b"abcdefgh"))
+    header = struct.pack("<IdddQ8sII", 512, g.side_length, g.corner_radius,
+                         0.125, 7, b"abcdefgh", 511, 511)
+    assert path.read_bytes() == (b"SQGB\x01" + header
+                                 + theta.coeffs.astype("<f8").tobytes())
+    assert peak < 0.5 * theta.coeffs.nbytes

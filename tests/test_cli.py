@@ -2,14 +2,18 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from sqgbounds import cli
 from sqgbounds import inequalities as iq
 from sqgbounds import solver
+from sqgbounds.checkpoint import save_checkpoint
 from sqgbounds.cli import _HolderSample, _holder_monitor, cmd_run, main
 from sqgbounds.config import RunConfig, load_config
+from sqgbounds.diagnostics import append_csv, record
 from sqgbounds.errors import NumericError
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
@@ -102,6 +106,88 @@ def test_numeric_failure_leaves_outputs_up_to_last_snapshot(tmp_path,
                            for k in range(0, 101, 20)]
     for name in checkpoints:
         assert (cut / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_writer_failure_reaches_the_caller_and_leaves_no_thread(
+        tmp_path, monkeypatch, capsys):
+    """A record that fails on the writer thread at the third snapshot ends
+    the run with code 2; the two snapshots before it are fully written, no
+    finish marker exists and the writer thread is gone."""
+    whole = _write_run_cfg(tmp_path / "whole.cfg", tmp_path / "whole",
+                           32, 5e-3, 1.0, 0.1)
+    assert main(["run", str(whole)]) == 0
+    path = _write_run_cfg(tmp_path / "cut.cfg", tmp_path / "cut",
+                          32, 5e-3, 1.0, 0.1)
+    calls = []
+
+    def failing_record(state, **kwargs):
+        calls.append(state.step)
+        if len(calls) == 3:
+            raise NumericError(f"injected failure at step {state.step}")
+        return record(state, **kwargs)
+
+    monkeypatch.setattr(cli, "record", failing_record)
+    threads = threading.active_count()
+    assert main(["run", str(path)]) == 2
+    assert threading.active_count() == threads
+    assert "injected failure at step 40" in capsys.readouterr().err
+    cut, ref = tmp_path / "cut", tmp_path / "whole"
+    rows = (cut / "diagnostics.csv").read_text().splitlines()
+    assert rows == (ref / "diagnostics.csv").read_text().splitlines()[:3]
+    names = set(os.listdir(cut))
+    assert "final.sqgb" not in names and "run_summary.txt" not in names
+    assert sorted(n for n in names if n.startswith("checkpoint_")) == [
+        "checkpoint_000000.sqgb", "checkpoint_000020.sqgb"]
+
+
+def test_writer_failure_at_the_last_snapshot_reaches_the_caller(
+        tmp_path, monkeypatch):
+    """The last write is only drained after the solver returns; its
+    exception still ends the run with code 2 and no finish marker."""
+    path = _write_run_cfg(tmp_path / "run.cfg", tmp_path / "out",
+                          32, 1e-2, 0.2, 0.1)
+
+    def failing_record(state, **kwargs):
+        if state.t > 0.15:
+            raise NumericError("injected failure at the last snapshot")
+        return record(state, **kwargs)
+
+    monkeypatch.setattr(cli, "record", failing_record)
+    assert main(["run", str(path)]) == 2
+    names = set(os.listdir(tmp_path / "out"))
+    assert "final.sqgb" not in names and "run_summary.txt" not in names
+    assert len((tmp_path / "out" / "diagnostics.csv").read_text()
+               .splitlines()) == 3
+
+
+def test_run_outputs_equal_a_serial_replay(tmp_path):
+    """Rows and checkpoints written on the writer thread equal, byte for
+    byte, those of the same run written inline in the snapshot callback."""
+    path = _write_run_cfg(tmp_path / "run.cfg", tmp_path / "out",
+                          64, 1e-2, 1.0, 0.1)
+    cfg = load_config(path)
+    assert cmd_run(cfg) == 0
+    replay = tmp_path / "replay"
+    replay.mkdir()
+    config_hash = cfg.config_hash()
+
+    def write_inline(state):
+        rec = record(state, ps=cfg.ps, ms=cfg.ms, alphas=cfg.alphas)
+        append_csv(replay / "diagnostics.csv", rec)
+        save_checkpoint(replay / f"checkpoint_{state.step:06d}.sqgb",
+                        state.theta, state.t, state.step, config_hash)
+
+    g = cfg.geometry()
+    solver.run(cfg.initial_field(g), cfg.solver_config(),
+               on_snapshot=write_inline)
+    out = tmp_path / "out"
+    written = sorted(n for n in os.listdir(replay))
+    assert len(written) == 12                   # 11 checkpoints and the CSV
+    assert written == sorted(n for n in os.listdir(out)
+                             if n.startswith("checkpoint_")
+                             or n == "diagnostics.csv")
+    for name in written:
+        assert (out / name).read_bytes() == (replay / name).read_bytes()
 
 
 def test_run_memory_does_not_grow_with_snapshot_count(tmp_path, traced_peak):

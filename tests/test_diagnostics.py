@@ -238,3 +238,20 @@ def test_normal_velocity_slope_matches_meshgrid(n):
             _normal_velocity_slope_meshgrid(u, g)
         assert dg._normal_slope(abs_ux, abs_uy, g, shells=6) == \
             _normal_velocity_slope_meshgrid(u, g, shells=6)
+
+
+def test_record_peak_memory_at_n512(traced_peak):
+    """A record that shares a workspace allocates less than half of one
+    511^2 array (boolean masks and vectors), and the workspace is four
+    arrays; the geometry tables are built with the workspace."""
+    g = build_square_geometry(512)
+    theta = sp.mode_field(g, 1, 1)
+    theta.coeffs[1, 0] = 0.5
+    state = sv.SolverState(0.0, theta)
+    array_bytes = g.n_interior ** 2 * 8
+    work = dg.record_workspace(g)
+    assert sum(buf.nbytes for buf in work) < 4.1 * array_bytes
+    warm = dg.record(state, work=work)
+    rec, peak = traced_peak(lambda: dg.record(state, work=work))
+    assert rec == warm == dg.record(state)
+    assert peak < 0.5 * array_bytes

@@ -1,4 +1,6 @@
 """Verification harness: fitted constants, margins, and report plumbing."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,14 @@ def test_weighted_lp_control(short_run):
     res, cfg, theta0 = short_run
     rep = iq.verify_weighted_lp_control(res, m=2)
     assert rep.passed and rep.min_margin >= -0.05
+
+
+def test_weighted_lp_control_has_a_fixed_tolerance(short_run):
+    """The 5 % slack is a constant of the check, not a parameter."""
+    params = inspect.signature(iq.verify_weighted_lp_control).parameters
+    assert list(params) == ["result", "m", "v_s_sup"]
+    res, _, _ = short_run
+    assert iq.verify_weighted_lp_control(res, m=2).tolerance == 0.05
 
 
 def test_run_envelopes_take_min_margin_after_t0(short_run):
