@@ -18,11 +18,12 @@ from .diagnostics import (_shell_sup, boundary_ratio, fit_line,
                           holder_seminorm, interior_lipschitz,
                           ratio_from_values, ratio_lp_norm, ratio_quad,
                           ratio_sup, weighted_ratio_norm)
-from .operators import (ConvexFn, _perp_gradient, apply_lambda_power,
-                        commutator, commutator_rows, eigensum_1d,
-                        finite_difference, heat_of_one_1d, heat_semigroup,
-                        lambda_of_values, log_time_rule, nonlinear_dissipation,
-                        riesz_velocity, short_time_velocity, standard_cutoff,
+from .operators import (ConvexFn, _lambda_power_rows, _perp_gradient,
+                        apply_lambda_power, commutator, commutator_rows,
+                        eigensum_1d, finite_difference, heat_of_one_1d,
+                        heat_semigroup, lambda_of_values, log_time_rule,
+                        nonlinear_dissipation, riesz_velocity,
+                        short_time_velocity, standard_cutoff,
                         weighted_convexity_terms)
 from .solver import RunResult, SolverConfig
 from .spectral import (BoxField, GridField, SpectralField, eval_fine, forward,
@@ -530,9 +531,15 @@ def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
 
     theta is evaluated on the whole grid once, for ||b_1||; theta and
     Lambda theta are then kept only on the band of rows that holds every
-    center's cutoff box and its h-shift.  Each center makes one
-    :func:`commutator` call, which works on its cutoff box (only Lambda's
-    spectrum spans the grid), and the sup is taken over that box.
+    center's cutoff box and its h-shift.  Lambda theta is evaluated from
+    the columns of theta's spectrum between its first and last nonzero
+    column, scaled by lam^{1/2}, so theta's spectrum is not copied whole.
+    Each center makes one :func:`commutator` call, which works on its
+    cutoff box (only Lambda's spectrum spans the grid), and the sup is
+    taken over that box.
+
+    The ``verify`` command runs this family alone on the calling thread,
+    while its other families run on one helper thread (see :mod:`.cli`).
     """
     g = theta.geometry
     dx = g.spacing
@@ -564,8 +571,12 @@ def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
     else:
         b1_p = ratio_lp_norm(ratio_from_values(values), p)
     values = BoxField(values.values[band].copy(), box, g)
-    lam_values = BoxField(
-        eval_fine(apply_lambda_power(theta, 1.0), g.grid_size, band), box, g)
+    live = np.flatnonzero(theta.coeffs.any(axis=0))
+    lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
+    lam_band = _lambda_power_rows(theta.coeffs[:, lo:hi].copy(), g, 1.0,
+                                  col0=lo)
+    lam_values = BoxField(eval_fine(SpectralField(lam_band, g), g.grid_size,
+                                    band, col0=lo), box, g)
     logs_d, logs_ratio, gammas = [], [], []
     for x0, d0, ell, hmag in plan:
         sup = commutator(values, lam_values, x0, ell, (hmag, 0.0)).sup_norm()

@@ -34,17 +34,23 @@ _LAMBDA_ROWS = 128              # rows per block of an in-place Lambda
 # Mode multipliers
 # ---------------------------------------------------------------------------
 
-def _lambda_power_rows(coeffs: np.ndarray, geometry: Geometry,
-                       s: float) -> np.ndarray:
+def _lambda_power_rows(coeffs: np.ndarray, geometry: Geometry, s: float,
+                       col0: int = 0) -> np.ndarray:
     """Multiply ``coeffs`` in place by lam^{s/2}, a block of rows at a time.
 
-    Each block's multiplier comes from ``geometry.eigenvalue_rows``, so no
-    whole-grid table or multiplier is allocated; the product has the bits
-    of ``geometry.eigenvalues ** (s / 2) * coeffs``.
+    ``coeffs`` holds the spectrum's columns from ``col0`` on: all of them,
+    or a column band.  Each block's multiplier k_m^2 + k_n^2 is formed in
+    one reused block buffer from k^2, so no whole-grid table or multiplier
+    is allocated; the product has the bits of the matching columns of
+    ``geometry.eigenvalues ** (s / 2) * coeffs``.
     """
-    for r in range(0, coeffs.shape[0], _LAMBDA_ROWS):
-        rows = slice(r, r + _LAMBDA_ROWS)
-        mult = geometry.eigenvalue_rows(rows)
+    n, width = coeffs.shape
+    k2 = geometry.wavenumbers ** 2
+    block = np.empty((min(_LAMBDA_ROWS, n), width))
+    for r in range(0, n, _LAMBDA_ROWS):
+        rows = slice(r, min(r + _LAMBDA_ROWS, n))
+        mult = block[:rows.stop - r]
+        np.add(k2[rows, None], k2[None, col0:col0 + width], out=mult)
         mult **= s / 2.0
         coeffs[rows] *= mult
     return coeffs

@@ -314,13 +314,15 @@ def fine_grid_size(N: int) -> int:
 
 
 def eval_fine(spec: SpectralField, Nf: int, rows=slice(None),
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, col0: int = 0) -> np.ndarray:
     """Evaluate the field at the node rows ``rows`` of the Nf-grid.
 
     Nf >= N; Nf = N evaluates at the collocation nodes themselves.
-    ``out`` (Nf-1 x Nf-1) takes all the rows in place.
+    ``out`` (Nf-1 x Nf-1) takes all the rows in place.  ``spec.coeffs``
+    may be a column band of the spectrum, its columns from ``col0`` on,
+    when every other column is zero (see :func:`_dst2`).
     """
-    values = _dst2(spec.coeffs, Nf - 1, rows=rows, out=out)
+    values = _dst2(spec.coeffs, Nf - 1, rows=rows, col0=col0, out=out)
     values *= 2.0 / spec.geometry.side_length
     values /= 4.0
     return values

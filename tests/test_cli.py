@@ -12,7 +12,7 @@ from sqgbounds import inequalities as iq
 from sqgbounds import solver
 from sqgbounds.checkpoint import save_checkpoint
 from sqgbounds.cli import _HolderSample, _holder_monitor, cmd_run, main
-from sqgbounds.config import RunConfig, load_config
+from sqgbounds.config import VERIFY_NAMES, RunConfig, load_config
 from sqgbounds.diagnostics import append_csv, record
 from sqgbounds.errors import NumericError
 
@@ -27,6 +27,7 @@ PINNED_CONSTANTS = {
                          "symmetry_residual": "9.947598300641403e-14"},
     "commutator_scaling": {"slope": "-1.0969669985584025",
                            "Gamma0": "1.95251374517055"},
+    "decay_envelope": {"B": "1.9996988196962082"},
 }
 
 
@@ -331,6 +332,70 @@ def test_verify_nonconvex_profile_surfaces_error(tmp_path, capsys):
     rc = main(["verify", str(path), "weighted_identity"])
     assert rc == 2
     assert "not convex" in capsys.readouterr().err
+
+
+def _verify_line(rep):
+    status = "pass" if rep.passed else "FAIL"
+    return f"{rep.name}: {status} (min_margin={rep.min_margin:.3e})"
+
+
+@pytest.fixture(scope="module")
+def serial_verify(tmp_path_factory):
+    """Each family of configs/default.cfg dispatched alone, and its line."""
+    out = tmp_path_factory.mktemp("serial")
+    cfg = load_config(DEFAULT_CFG)
+    lines = {}
+    for name in VERIFY_NAMES:
+        [rep] = cli._verify_dispatch(cfg, [name])
+        iq.write_report(rep, out)
+        lines[name] = _verify_line(rep)
+    return out, lines
+
+
+def _assert_outputs_equal_serial(out, serial, names):
+    written = sorted(os.listdir(out))
+    assert written == sorted(f"{name}{suffix}" for name in names
+                             for suffix in (".txt", "_margins.csv"))
+    for file in written:
+        assert (out / file).read_bytes() == (serial / file).read_bytes(), file
+
+
+@pytest.mark.parametrize("names", [
+    [],
+    ["commutator_scaling", "cordoba", "kernel_bounds"],
+], ids=["all", "reordered"])
+def test_verify_lanes_equal_each_family_run_alone(tmp_path, capsys,
+                                                  serial_verify, names):
+    """The two lanes print and write, byte for byte, what each family run
+    alone writes, and print in request order."""
+    serial, lines = serial_verify
+    out = tmp_path / "o"
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(DEFAULT_CFG.read_text().replace(
+        "directory = out", f"directory = {out}"))
+    assert main(["verify", str(cfg), *names]) == 0
+    names = names or list(VERIFY_NAMES)
+    assert capsys.readouterr().out.splitlines() == [lines[n] for n in names]
+    _assert_outputs_equal_serial(out, serial, names)
+
+
+@pytest.mark.parametrize("target", ["verify_kernel_bounds",
+                                    "verify_commutator_scaling"])
+def test_verify_failure_in_either_lane_reaches_the_caller(
+        run_cfg, monkeypatch, capsys, target):
+    """A numeric failure on the helper lane or on the calling thread exits
+    2 with its message, writes no report and leaves no thread behind."""
+    def failing(*args, **kwargs):
+        raise NumericError(f"injected failure in {target}")
+
+    monkeypatch.setattr(iq, target, failing)
+    path, out = run_cfg
+    threads = threading.active_count()
+    assert main(["verify", str(path), "cordoba", "kernel_bounds",
+                 "commutator_scaling"]) == 2
+    assert threading.active_count() == threads
+    assert f"injected failure in {target}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

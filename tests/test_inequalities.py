@@ -303,6 +303,30 @@ def test_commutator_scaling_peaks_below_three_and_a_half_grid_arrays(
     assert peak < 3.5 * n * n * 8
 
 
+def test_commutator_scaling_copies_no_whole_spectrum_for_lambda_theta(
+        traced_peak, monkeypatch):
+    """Up to the first commutator call only theta's values, for ||b_1||,
+    span the 2048 grid: Lambda theta is evaluated from theta's nonzero
+    spectral columns, not from a scaled copy of the whole spectrum."""
+    class Reached(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(iq, "commutator", stop)
+    g = build_square_geometry(2048)
+    n = g.n_interior
+    theta = sp.mode_field(g, 1, 1)
+
+    def until_commutator():
+        with pytest.raises(Reached):
+            iq.verify_commutator_scaling(theta)
+
+    _, peak = traced_peak(until_commutator)
+    assert peak < 1.25 * n * n * 8
+
+
 def test_commutator_scaling_calls_the_commutator_once_per_center(monkeypatch):
     calls = []
 

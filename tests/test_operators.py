@@ -44,6 +44,26 @@ def test_lambda_power_monotone_positive(geom):
     assert (np.diff(out, axis=0) > 0).all() and (np.diff(out, axis=1) > 0).all()
 
 
+@pytest.mark.parametrize("s", [-1.0, 1.0, 2.0])
+def test_lambda_power_rows_keeps_the_bits_of_the_whole_table(s):
+    """Whole spectrum or column band, the product is that of the table."""
+    g = build_square_geometry(300)           # 299 rows: 2 full blocks + 43
+    rng = np.random.default_rng(1)
+    coeffs = rng.standard_normal((g.n_interior,) * 2)
+    want = g.eigenvalues ** (s / 2) * coeffs
+    assert np.array_equal(op._lambda_power_rows(coeffs.copy(), g, s), want)
+    band = op._lambda_power_rows(coeffs[:, 5:40].copy(), g, s, col0=5)
+    assert np.array_equal(band, want[:, 5:40])
+
+
+def test_lambda_power_rows_allocates_one_block(traced_peak):
+    g = build_square_geometry(2048)
+    n = g.n_interior
+    coeffs = np.ones((n, n))
+    _, peak = traced_peak(lambda: op._lambda_power_rows(coeffs, g, 1.0))
+    assert peak < 1.5 * op._LAMBDA_ROWS * n * 8
+
+
 @pytest.mark.parametrize("s", [-1.5, 2.5])
 def test_lambda_power_range_check(geom, s):
     with pytest.raises(ConfigurationError):
