@@ -142,6 +142,7 @@ def cmd_run(cfg: RunConfig) -> int:
                  f"holder_flag: {holder_flag}\n"
                  f"holder_k_fit: {k_fit!r}\n"
                  f"rejected_steps: {result.rejected_steps}\n"
+                 f"live_modes: {result.live_modes}\n"
                  f"seed: {cfg.seed}\n")
     if result.overshoot_flag or holder_flag:
         print("monitor violation; outputs written", file=sys.stderr)

@@ -5,13 +5,27 @@ the case s = 1 of Lambda^s, where it has the order of the advection.  It is
 handled exactly per mode by the multiplier e^{-dt lam^{1/2}}, built from the
 geometry's ``sqrt_eigenvalues`` (k_m and lam^{-1/2} are geometry tables
 too).  The advective flux -u . grad(theta) is
-evaluated at the midpoints of a grid with ceil(3N/2) nodes per axis; products
+evaluated at the midpoints of a grid with ceil(3N'/2) nodes per axis; products
 of the mixed-parity factors (velocity components against gradient
 components) are sine polynomials, so the fine-grid projection is alias-free
-and the discrete advection term is skew-symmetric to round-off.  A run
-reuses one fine-grid workspace for every advection evaluation; the energy
-ledger integrates over the step times with the Simpson rule of :func:`_simpson`
-(the trapezoid rule for a one-step run).
+and the discrete advection term is skew-symmetric to round-off.
+
+N' is sized to the live band of the spectrum.  A coefficient is live when it
+exceeds CHOP_RTOL = 1e-16 times the largest coefficient of its field, and the
+extent M is the largest live mode index, along either axis, of theta and of
+the stream function psi (under ``prescribed`` drift psi does not follow
+theta).  The M x M blocks are advected on the sub-geometry with
+N' = 2j >= 2M + 2, j 5-smooth: a product of modes <= M has modes <= 2M <=
+N' - 1 only, so the 3/2 rule on N' is alias-free on every mode the product
+reaches, and the result is zero-padded from 2M x 2M back to N - 1.  Only the
+dropped coefficients, each at most 1e-16 of its field's largest, change the
+sum.  When N' >= N, the flux runs on the full 3/2 grid as without a band.
+The overshoot monitor evaluates theta from its live columns the same way.
+
+A run reuses one fine-grid workspace for every advection evaluation (the
+band uses its leading memory); the energy ledger integrates over the step
+times with the Simpson rule of :func:`_simpson` (the trapezoid rule for a
+one-step run).
 """
 from __future__ import annotations
 
@@ -20,12 +34,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft
 
 from .errors import ConfigurationError, NumericError
-from .geometry import Geometry
+from .geometry import Geometry, build_square_geometry
 from .operators import _perp_gradient
-from .spectral import (SpectralField, _times_k, eval_fine_mixed,
-                       fine_grid_size, forward_fine, inverse)
+from .spectral import (GridField, SpectralField, _times_k, eval_fine,
+                       eval_fine_mixed, fine_grid_size, forward_fine)
+
+CHOP_RTOL = 1e-16    # a coefficient at or below CHOP_RTOL * max|c| is not live
 
 
 @dataclass
@@ -72,6 +89,7 @@ class RunResult:
     rejected_steps: int
     final_dt: float
     sup_history: list[float]
+    live_modes: int
 
 
 @lru_cache(maxsize=8)
@@ -96,21 +114,48 @@ def advection_workspace(geometry: Geometry) -> np.ndarray:
     return np.empty((3, Nf, Nf))
 
 
-def advection_coeffs(theta: SpectralField, config: SolverConfig,
-                     work: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients of -u . grad(theta), alias-free on the retained modes.
+def _live_extent(c: np.ndarray) -> int:
+    """Largest mode index, along either axis, of a coefficient of ``c``
+    above CHOP_RTOL * max|c|: 0 when ``c`` is zero, and the whole extent when
+    it is not finite.
 
-    ``work`` is an :func:`advection_workspace` of theta's geometry, which the
-    call overwrites; without it the call allocates its own.
+    Column maxima and minima give max|c| per column, and those of the live
+    columns' rows give it per row, with no temporary of the size of ``c``.
     """
-    g = theta.geometry
-    psi = _stream_coeffs(theta, config)
-    if psi is None:
-        return np.zeros_like(theta.coeffs)
-    if work is None:
-        work = advection_workspace(g)
+    cols = np.maximum(c.max(axis=0), -c.min(axis=0))
+    top = cols.max()
+    if not np.isfinite(top):
+        return c.shape[0]
+    if top == 0:
+        return 0
+    tol = CHOP_RTOL * top
+    n_cols = 1 + int(np.flatnonzero(cols > tol)[-1])
+    if n_cols == c.shape[0]:      # no row can reach further
+        return n_cols
+    band = c[:, :n_cols]
+    rows = np.maximum(band.max(axis=1), -band.min(axis=1))
+    return max(n_cols, 1 + int(np.flatnonzero(rows > tol)[-1]))
+
+
+@lru_cache(maxsize=16)
+def _band_geometry(N: int, side_length: float) -> Geometry:
+    """The sub-geometry on which :func:`advection_coeffs` advects a band."""
+    return build_square_geometry(N, side_length)
+
+
+def _band_size(M: int) -> int:
+    """N' = 2j >= 2M + 2 with j >= 4 and 5-smooth, so that the 3/2 grid's
+    Nf' = 3j is a fast transform length (a prime Nf' such as 59 costs three
+    times as much per transform)."""
+    return 2 * fft.next_fast_len(max(4, M + 1), real=True)
+
+
+def _flux(c: np.ndarray, psi: np.ndarray, g: Geometry,
+          work: np.ndarray) -> np.ndarray:
+    """-u . grad(theta) for the leading modes ``c`` of theta and ``psi`` of
+    the stream function, on the 3/2 grid of ``g``, in the slots ``work``."""
     Nf = fine_grid_size(g.grid_size)
-    k, c = g.wavenumbers, theta.coeffs
+    k = g.wavenumbers[:c.shape[0]]
     # u = (-psi_y, psi_x), so -u . grad(theta) = psi_y theta_x - psi_x theta_y
     flux = eval_fine_mixed(_times_k(psi, k, 1), g, Nf, 1, out=work[0])
     flux *= eval_fine_mixed(_times_k(c, k, 0), g, Nf, 0, out=work[1])
@@ -118,6 +163,44 @@ def advection_coeffs(theta: SpectralField, config: SolverConfig,
     part *= eval_fine_mixed(_times_k(c, k, 1), g, Nf, 1, out=work[2])
     flux -= part
     return forward_fine(flux, g)
+
+
+def advection_coeffs(theta: SpectralField, config: SolverConfig,
+                     work: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of -u . grad(theta), alias-free on the retained modes.
+
+    The product runs on the live band.  M is the larger
+    :func:`_live_extent` of theta and of the stream function, and the M x M
+    blocks are advected on the 3/2 grid of the sub-geometry of
+    :func:`_band_size` (N' >= 2M + 2).  Modes <= M multiply into modes
+    <= 2M only, so the band result, zero-padded from 2M x 2M, carries every
+    mode of the full product.  When N' >= N, or theta's extent alone gives
+    that, the full geometry is used.  ``work`` is an
+    :func:`advection_workspace` of theta's geometry, which the call
+    overwrites (the band path uses its leading memory); without it the call
+    allocates its own.
+    """
+    g = theta.geometry
+    psi = _stream_coeffs(theta, config)
+    M = 0 if psi is None else _live_extent(theta.coeffs)
+    if M == 0:
+        return np.zeros_like(theta.coeffs)
+    if _band_size(M) < g.grid_size:
+        M = max(M, _live_extent(psi))
+    n_band = _band_size(M)
+    if n_band >= g.grid_size:
+        return _flux(theta.coeffs, psi, g,
+                     advection_workspace(g) if work is None else work)
+    sub = _band_geometry(n_band, g.side_length)
+    if work is None:
+        work = advection_workspace(sub)
+    else:   # the leading memory of the full workspace, reshaped
+        Nf = fine_grid_size(n_band)
+        work = work.reshape(-1)[:3 * Nf * Nf].reshape(3, Nf, Nf)
+    out = np.zeros_like(theta.coeffs)
+    out[:2 * M, :2 * M] = _flux(theta.coeffs[:M, :M], psi[:M, :M], sub,
+                                work)[:2 * M, :2 * M]
+    return out
 
 
 def velocity_sup(theta: SpectralField, config: SolverConfig) -> float:
@@ -167,6 +250,19 @@ def step(state: SolverState, dt: float, config: SolverConfig,
     return SolverState(t=state.t + dt,
                        theta=SpectralField(new, g, tag=state.theta.tag),
                        step=state.step + 1)
+
+
+def _live_sup(theta: SpectralField,
+              out: np.ndarray | None = None) -> tuple[float, int]:
+    """max |theta| over the nodes, and theta's :func:`_live_extent` M.
+
+    The sum runs over theta's first M columns of modes, the only columns
+    with a live coefficient; ``out`` takes the node values.
+    """
+    M = _live_extent(theta.coeffs)
+    band = SpectralField(theta.coeffs[:, :M], theta.geometry)
+    values = eval_fine(band, theta.geometry.grid_size, out=out)
+    return GridField(values, theta.geometry).sup_norm(), M
 
 
 def half_norm_sq(theta: SpectralField) -> float:
@@ -233,7 +329,8 @@ def run(theta0: SpectralField, config: SolverConfig,
 
     times = [0.0]
     halves = [half_norm_sq(state.theta)]
-    sup0 = inverse(state.theta).sup_norm()
+    grid = np.empty((g.n_interior, g.n_interior))
+    sup0, live_modes = _live_sup(state.theta, grid)
     sup_history = [sup0]
     running_min = sup0
     overshoot = 0.0
@@ -258,7 +355,8 @@ def run(theta0: SpectralField, config: SolverConfig,
         state = step(state, dt_step, config, work)
         times.append(state.t)
         halves.append(half_norm_sq(state.theta))
-        sup = inverse(state.theta).sup_norm()
+        sup, extent = _live_sup(state.theta, grid)
+        live_modes = max(live_modes, extent)
         sup_history.append(sup)
         if sup0 > 0:
             overshoot = max(overshoot, (sup - running_min) / sup0)
@@ -280,4 +378,4 @@ def run(theta0: SpectralField, config: SolverConfig,
                      max_overshoot=overshoot,
                      overshoot_flag=overshoot > config.max_overshoot,
                      rejected_steps=rejected, final_dt=dt,
-                     sup_history=sup_history)
+                     sup_history=sup_history, live_modes=live_modes)

@@ -18,6 +18,10 @@ x_i = (i + 1/2) L/Nf, i = 0..Nf-1, of the grid with Nf = ceil(3N/2) nodes
 sum_i cos(r pi (i + 1/2)/Nf) = 0 for 0 < r < 2 Nf, that projection is exact
 whenever the degree plus the kept mode count stays below 2 Nf, and here
 (2N-2) + (N-1) < 3N <= 2 Nf.  No aliasing of retained-mode products survives.
+The argument holds on any sub-geometry: factors with modes <= M on the
+N'-geometry with N' >= 2M + 1 multiply into modes <= 2M <= N' - 1, which
+its own 3/2 grid keeps exactly, so the solver advects the live band of a
+spectrum on such a sub-geometry and zero-pads the result (see ``solver``).
 """
 from __future__ import annotations
 

@@ -72,6 +72,20 @@ def test_run_writes_everything(run_cfg):
     assert len(lines) >= 3
 
 
+def test_run_summary_reports_the_live_extent(run_cfg, import_perfbench):
+    """``live_modes`` is the run's largest live extent, and the benchmark's
+    summary reader still finds every field it checks."""
+    path, out = run_cfg
+    assert main(["run", str(path)]) == 0
+    fields = import_perfbench("workloads").read_fields(out / "run_summary.txt")
+    cfg = load_config(path)
+    res = solver.run(cfg.initial_field(cfg.geometry()), cfg.solver_config())
+    assert fields["live_modes"] == str(res.live_modes)
+    assert 2 <= res.live_modes < cfg.grid_size // 2
+    assert float(fields["ledger_residual"]) == res.ledger_residual
+    assert fields["overshoot_flag"] == fields["holder_flag"] == "False"
+
+
 def test_numeric_failure_leaves_outputs_up_to_last_snapshot(tmp_path,
                                                             monkeypatch):
     """Rows and checkpoints are written as snapshots are taken; a run that

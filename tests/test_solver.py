@@ -55,18 +55,20 @@ def test_advection_skew_symmetric(geom):
     assert inner < 1e-10 * u_sup * theta.l2_norm() * np.sqrt(grad_sq)
 
 
-def closed_grid_advection(theta, j_sign):
+def closed_grid_advection(theta, j_sign, psi=None):
     """-u . grad(theta) by type-I transforms on the closed Nf-grid.
 
     The factors are sampled at the interior nodes i L/Nf, i = 1..Nf-1 (a
     DST-I into the padded length, then a DCT-I over a zero-bordered copy),
-    and the flux is projected back with a full DST-I and sliced.
+    and the flux is projected back with a full DST-I and sliced.  ``psi``,
+    the stream function's coefficients, defaults to the SQG drift's.
     """
     g = theta.geometry
     L, n = g.side_length, g.n_interior
     Nf = int(np.ceil(1.5 * g.grid_size))
     k = g.modes * np.pi / L
-    psi = j_sign * theta.coeffs / np.sqrt(g.eigenvalues)
+    if psi is None:
+        psi = j_sign * theta.coeffs / np.sqrt(g.eigenvalues)
 
     def mixed(c, cos_axis):
         s = fft.dst(c, type=1, n=Nf - 1, axis=1 - cos_axis)
@@ -93,6 +95,104 @@ def test_advection_matches_closed_grid_formula(N, j_sign):
     assert np.linalg.norm(adv - ref) <= 1e-13 * np.linalg.norm(ref)
     inner = abs(float((adv * c).sum()))
     assert inner <= 1e-13 * np.linalg.norm(adv) * np.linalg.norm(c)
+
+
+def full_grid_advection(theta, psi):
+    """The flux on theta's own 3/2 grid: the four mixed evaluations and the
+    DST-II projection, with no band."""
+    g = theta.geometry
+    Nf = sp.fine_grid_size(g.grid_size)
+    k, c = g.wavenumbers, theta.coeffs
+    flux = (sp.eval_fine_mixed(sp._times_k(psi, k, 1), g, Nf, 1)
+            * sp.eval_fine_mixed(sp._times_k(c, k, 0), g, Nf, 0)
+            - sp.eval_fine_mixed(sp._times_k(psi, k, 0), g, Nf, 0)
+            * sp.eval_fine_mixed(sp._times_k(c, k, 1), g, Nf, 1))
+    return sp.forward_fine(flux, g)
+
+
+def smooth_field(g, seed, rate=1.5):
+    """Random coefficients decaying like e^{-rate (m + n)}: a live band far
+    below the grid."""
+    m = g.modes
+    c = np.random.default_rng(seed).standard_normal((g.n_interior,) * 2)
+    return sp.SpectralField(c * np.exp(-rate * (m[:, None] + m[None, :])), g)
+
+
+def test_live_extent_chops_relative_to_the_largest_coefficient():
+    c = np.zeros((15, 15))
+    assert sv._live_extent(c) == 0
+    c[0, 0] = -1.0
+    c[5, 2] = 2e-16
+    assert sv._live_extent(c) == 6
+    c[5, 2] = -1e-16            # at the tolerance: not live
+    assert sv._live_extent(c) == 1
+    c[2, 7] = 3e-16             # along the other axis
+    assert sv._live_extent(c) == 8
+    c[14, 14] = np.nan
+    assert sv._live_extent(c) == 15
+
+
+def test_band_advection_reads_the_stream_function_extent():
+    """A prescribed psi = w_1^3 reaches mode 3 where theta stops at 2.
+
+    A band sized from theta alone drops psi's modes (1, 3), (3, 1) and
+    (3, 3) and misses the flux by a relative 0.69.
+    """
+    g = build_square_geometry(64)
+    theta = sp.mode_field(g, 1, 1)
+    theta.coeffs[1, 0] = 0.2
+    # sin^3 = (3 sin - sin 3x) / 4, so w_1^3 = sum u_m u_n w_mn / (4 pi^2)
+    u = np.array([3.0, 0.0, -1.0])
+    psi = np.zeros((g.n_interior,) * 2)
+    psi[:3, :3] = np.outer(u, u) / (4.0 * np.pi ** 2)
+    assert (sv._live_extent(theta.coeffs), sv._live_extent(psi)) == (2, 3)
+    assert sv._band_size(3) < g.grid_size          # the band path runs
+    cfg = sv.SolverConfig(drift_mode="prescribed",
+                          drift_stream=sp.SpectralField(psi, g))
+    adv = sv.advection_coeffs(theta, cfg)
+    ref = closed_grid_advection(theta, 1.0, psi)
+    assert np.linalg.norm(ref) > 0.05
+    assert np.linalg.norm(adv - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_band_advection_matches_the_full_grid_on_smooth_data(N):
+    g = build_square_geometry(N)
+    theta = smooth_field(g, N)
+    assert sv._band_size(sv._live_extent(theta.coeffs)) < N
+    cfg = sv.SolverConfig(drift_mode="sqg")
+    adv = sv.advection_coeffs(theta, cfg)
+    ref = full_grid_advection(theta, sv._stream_coeffs(theta, cfg))
+    assert np.linalg.norm(adv - ref) <= 1e-13 * np.linalg.norm(ref)
+    inner = abs(float((adv * theta.coeffs).sum()))
+    assert inner <= 1e-13 * np.linalg.norm(adv) * theta.l2_norm()
+    work = sv.advection_workspace(g)               # stale values are ignored
+    work.fill(np.nan)
+    assert np.array_equal(sv.advection_coeffs(theta, cfg, work), adv)
+
+
+@pytest.mark.parametrize("top", [64, 127])
+def test_full_spectrum_advection_is_the_full_grid_result_bit_for_bit(
+        geom, top):
+    """An extent of (N - 1)/2 or more runs on the full 3/2 grid unchanged."""
+    c = np.zeros((geom.n_interior,) * 2)
+    c[:top, :top] = np.random.default_rng(top).standard_normal((top, top))
+    theta = sp.SpectralField(c, geom)
+    cfg = sv.SolverConfig(drift_mode="sqg")
+    assert sv._band_size(sv._live_extent(c)) >= geom.grid_size
+    ref = full_grid_advection(theta, sv._stream_coeffs(theta, cfg))
+    work = sv.advection_workspace(geom)
+    assert np.array_equal(sv.advection_coeffs(theta, cfg, work), ref)
+    assert np.array_equal(sv.advection_coeffs(theta, cfg), ref)
+
+
+@pytest.mark.parametrize("mode", ["sqg", "prescribed"])
+def test_zero_theta_advects_to_zero(geom, mode):
+    z = sp.SpectralField(np.zeros((geom.n_interior,) * 2), geom)
+    cfg = sv.SolverConfig(drift_mode=mode,
+                          drift_stream=sp.mode_field(geom, 2, 3))
+    adv = sv.advection_coeffs(z, cfg, sv.advection_workspace(geom))
+    assert adv.shape == z.coeffs.shape and not adv.any()
 
 
 def test_advection_workspace_matches_fresh_result(geom):
@@ -135,6 +235,25 @@ def test_run_monitors_and_ledger(geom):
     assert all(b <= a * 1.01 + 1e-12 for a, b in zip(sups, sups[1:]))
 
 
+def test_overshoot_monitor_reads_the_live_columns(geom):
+    """Each step's sup, from theta's live columns, is the sup of all modes
+    to round-off, and the run reports its largest live extent."""
+    theta0 = sp.mode_field(geom, 1, 1)
+    theta0.coeffs[1, 0] = 0.5
+    cfg = sv.SolverConfig(dt=2e-3, t_end=0.1, output_interval=2e-3)
+    res = sv.run(theta0, cfg)
+    assert len(res.snapshots) == len(res.sup_history) == 51
+    for state, sup in zip(res.snapshots, res.sup_history):
+        assert abs(sup - sp.inverse(state.theta).sup_norm()) <= 1e-15 * sup
+    extents = [sv._live_extent(s.theta.coeffs) for s in res.snapshots]
+    assert res.live_modes == max(extents) < geom.n_interior // 2
+    # the live band does not depend on the grid it sits in
+    coarse = build_square_geometry(64)
+    theta_c = sp.mode_field(coarse, 1, 1)
+    theta_c.coeffs[1, 0] = 0.5
+    assert sv.run(theta_c, cfg).live_modes == res.live_modes
+
+
 def test_run_with_callback_matches_retained_run(geom):
     """Streaming snapshots to a callback changes no snapshot and no monitor."""
     theta0 = sp.mode_field(geom, 1, 1)
@@ -150,7 +269,7 @@ def test_run_with_callback_matches_retained_run(geom):
     assert len(res.snapshots) == 1
     assert res.snapshots[0] is streamed[-1]
     for name in ("ledger_residual", "max_overshoot", "rejected_steps",
-                 "final_dt", "sup_history"):
+                 "final_dt", "sup_history", "live_modes"):
         assert getattr(res, name) == getattr(kept, name), name
 
 
