@@ -43,9 +43,9 @@ class Geometry:
     carries the bits of the table's rows.
 
     The mode multipliers ``wavenumbers`` (k_m = m pi / L),
-    ``sqrt_eigenvalues`` and ``inv_sqrt_eigenvalues`` (lam^{+-1/2}) are kept
-    the same way, read-only.  A geometry hashes by identity, so it can key a
-    cache.
+    ``sqrt_eigenvalues`` and ``inv_sqrt_eigenvalues`` (lam^{+-1/2}) and the
+    sine table ``node_sines`` are kept the same way, read-only.  A geometry
+    hashes by identity, so it can key a cache.
     """
 
     side_length: float
@@ -90,6 +90,17 @@ class Geometry:
         table = self.eigenvalue_rows()
         table **= -0.5
         return _read_only(table)
+
+    @cached_property
+    def node_sines(self) -> np.ndarray:
+        """(N-1, N-1) sin(m pi i / N) at node i and mode m, read-only.
+
+        The angle is formed from the integer m i mod 2N, so every entry
+        carries the rounding of one angle in [0, 2 pi), not of m i pi / N.
+        """
+        i = np.arange(1, self.grid_size)
+        reduced = np.outer(i, i) % (2 * self.grid_size)
+        return _read_only(np.sin(reduced * (np.pi / self.grid_size)))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

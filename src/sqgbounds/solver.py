@@ -20,7 +20,18 @@ N' - 1 only, so the 3/2 rule on N' is alias-free on every mode the product
 reaches, and the result is zero-padded from 2M x 2M back to N - 1.  Only the
 dropped coefficients, each at most 1e-16 of its field's largest, change the
 sum.  When N' >= N, the flux runs on the full 3/2 grid as without a band.
-The overshoot monitor evaluates theta from its live columns the same way.
+
+A step works on the state's nonzero block.  Every coefficient outside the
+leading K x K block of a state is exactly 0.0; K starts as the initial
+data's support and after each stage becomes max(K, 2M), since the band flux
+is zero beyond 2M (N - 1 once a stage takes the full grid).  The stream
+function, the extent scans, the Heun update, its finiteness check and
+:func:`velocity_bound` read only that block; outside it the update is
+exactly 0.0, so the state's bits are those of the whole-array update.  Each
+state carries its support and live extent, so its extent is scanned once,
+and the overshoot monitor evaluates the live block (rows to K, columns to M)
+at the nodes by :func:`spectral.eval_block`.  ``half_norm_sq`` and the
+ledger stay on whole arrays: their sums keep their bits.
 
 A run reuses one fine-grid workspace for every advection evaluation (the
 band uses its leading memory); the energy ledger integrates over the step
@@ -39,8 +50,9 @@ from scipy import fft
 from .errors import ConfigurationError, NumericError
 from .geometry import Geometry, build_square_geometry
 from .operators import _perp_gradient
-from .spectral import (GridField, SpectralField, _times_k, eval_fine,
-                       eval_fine_mixed, fine_grid_size, forward_fine)
+from .spectral import (GridField, SpectralField, _midpoint_tables, _times_k,
+                       eval_block, eval_fine_mixed, fine_grid_size,
+                       forward_fine)
 
 CHOP_RTOL = 1e-16    # a coefficient at or below CHOP_RTOL * max|c| is not live
 
@@ -69,9 +81,19 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
+    """theta at time t after ``step`` steps.
+
+    ``support`` K, when known, says every coefficient of theta outside its
+    leading K x K block is exactly 0.0, and ``extent`` is theta's
+    :func:`_live_extent`; :func:`step` sets both on the states it makes and
+    scans for them when they are None.
+    """
+
     t: float
     theta: SpectralField
     step: int = 0
+    support: int | None = None
+    extent: int | None = None
 
 
 @dataclass
@@ -101,8 +123,12 @@ def _decay(geometry: Geometry, dt: float) -> np.ndarray:
 
 
 def _stream_coeffs(theta: SpectralField, config: SolverConfig) -> np.ndarray | None:
+    """psi of the drift: under ``sqg`` of theta's block (see
+    :func:`advection_coeffs`), under ``prescribed`` the whole given psi."""
     if config.drift_mode == "sqg":
-        return config.j_sign * theta.coeffs * theta.geometry.inv_sqrt_eigenvalues
+        K = theta.coeffs.shape[0]
+        return (config.j_sign * theta.coeffs
+                * theta.geometry.inv_sqrt_eigenvalues[:K, :K])
     if config.drift_mode == "prescribed":
         return config.j_sign * config.drift_stream.coeffs
     return None
@@ -122,6 +148,8 @@ def _live_extent(c: np.ndarray) -> int:
     Column maxima and minima give max|c| per column, and those of the live
     columns' rows give it per row, with no temporary of the size of ``c``.
     """
+    if c.size == 0:
+        return 0
     cols = np.maximum(c.max(axis=0), -c.min(axis=0))
     top = cols.max()
     if not np.isfinite(top):
@@ -135,6 +163,24 @@ def _live_extent(c: np.ndarray) -> int:
     band = c[:, :n_cols]
     rows = np.maximum(band.max(axis=1), -band.min(axis=1))
     return max(n_cols, 1 + int(np.flatnonzero(rows > tol)[-1]))
+
+
+def _support(c: np.ndarray) -> int:
+    """Side K of the leading K x K block of ``c`` outside which every
+    coefficient is exactly 0.0 (a NaN counts as nonzero)."""
+    rows = np.flatnonzero(c.any(axis=1))
+    cols = np.flatnonzero(c.any(axis=0))
+    return 1 + int(max(rows[-1], cols[-1])) if rows.size else 0
+
+
+def _lead(c: np.ndarray, side: int) -> np.ndarray:
+    """The leading side x side block of the spectrum whose leading block is
+    ``c``: a view when ``c`` reaches that far, else a zero-padded copy."""
+    if c.shape[0] >= side:
+        return c[:side, :side]
+    out = np.zeros((side, side))
+    out[:c.shape[0], :c.shape[1]] = c
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -166,30 +212,35 @@ def _flux(c: np.ndarray, psi: np.ndarray, g: Geometry,
 
 
 def advection_coeffs(theta: SpectralField, config: SolverConfig,
-                     work: np.ndarray | None = None) -> np.ndarray:
+                     work: np.ndarray | None = None,
+                     extent: int | None = None) -> np.ndarray:
     """Coefficients of -u . grad(theta), alias-free on the retained modes.
 
-    The product runs on the live band.  M is the larger
-    :func:`_live_extent` of theta and of the stream function, and the M x M
-    blocks are advected on the 3/2 grid of the sub-geometry of
-    :func:`_band_size` (N' >= 2M + 2).  Modes <= M multiply into modes
-    <= 2M only, so the band result, zero-padded from 2M x 2M, carries every
-    mode of the full product.  When N' >= N, or theta's extent alone gives
-    that, the full geometry is used.  ``work`` is an
-    :func:`advection_workspace` of theta's geometry, which the call
-    overwrites (the band path uses its leading memory); without it the call
-    allocates its own.
+    ``theta.coeffs`` is the whole spectrum or its leading K x K block, with
+    every coefficient outside the block zero.  The product runs on the live
+    band.  M is the larger :func:`_live_extent` of theta (``extent``, when
+    the caller knows it) and of the stream function, and the M x M blocks
+    are advected on the 3/2 grid of the sub-geometry of :func:`_band_size`
+    (N' >= 2M + 2).  Modes <= M multiply into modes <= 2M only, so the
+    result is the flux's leading block of side max(K, 2M), zero outside
+    2M x 2M.  When N' >= N, or theta's extent alone gives that, the full
+    geometry is used and the result is the whole spectrum, as it is for a
+    whole theta.  ``work`` is an :func:`advection_workspace` of theta's
+    geometry, which the call overwrites (the band path uses its leading
+    memory); without it the call allocates its own.
     """
     g = theta.geometry
+    c = theta.coeffs
     psi = _stream_coeffs(theta, config)
-    M = 0 if psi is None else _live_extent(theta.coeffs)
-    if M == 0:
-        return np.zeros_like(theta.coeffs)
+    M = 0 if psi is None else _live_extent(c) if extent is None else extent
+    if M == 0:      # no drift, or theta is zero
+        return np.zeros_like(c)
     if _band_size(M) < g.grid_size:
         M = max(M, _live_extent(psi))
     n_band = _band_size(M)
     if n_band >= g.grid_size:
-        return _flux(theta.coeffs, psi, g,
+        n = g.n_interior
+        return _flux(_lead(c, n), _lead(psi, n), g,
                      advection_workspace(g) if work is None else work)
     sub = _band_geometry(n_band, g.side_length)
     if work is None:
@@ -197,9 +248,10 @@ def advection_coeffs(theta: SpectralField, config: SolverConfig,
     else:   # the leading memory of the full workspace, reshaped
         Nf = fine_grid_size(n_band)
         work = work.reshape(-1)[:3 * Nf * Nf].reshape(3, Nf, Nf)
-    out = np.zeros_like(theta.coeffs)
-    out[:2 * M, :2 * M] = _flux(theta.coeffs[:M, :M], psi[:M, :M], sub,
-                                work)[:2 * M, :2 * M]
+    band = _flux(_lead(c, M), psi[:M, :M], sub, work)
+    side = max(c.shape[0], 2 * M)
+    out = np.zeros((side, side))
+    out[:2 * M, :2 * M] = band[:2 * M, :2 * M]
     return out
 
 
@@ -213,16 +265,17 @@ def velocity_sup(theta: SpectralField, config: SolverConfig) -> float:
 
 
 def velocity_bound(theta: SpectralField, config: SolverConfig) -> float:
-    """A-priori upper bound on :func:`velocity_sup`, in O(N^2) and no transform.
+    """A-priori upper bound on :func:`velocity_sup`, in O(K^2) and no transform.
 
     |u_x| <= (2/L) sum |psi_mn| k_n and |u_y| <= (2/L) sum |psi_mn| k_m.  The
     factor 1 + 1e-9 covers the round-off of both evaluations, so the bound
-    is never below the computed sup.
+    is never below the computed sup.  ``theta.coeffs`` may be the leading
+    K x K block of the spectrum, as in :func:`advection_coeffs`.
     """
     psi = _stream_coeffs(theta, config)
     if psi is None:
         return 0.0
-    k = theta.geometry.wavenumbers
+    k = theta.geometry.wavenumbers[:psi.shape[0]]
     a = np.abs(psi)
     amp = np.hypot((a @ k).sum(), (k @ a).sum())
     return float((2.0 / theta.geometry.side_length) * amp * (1.0 + 1e-9))
@@ -230,39 +283,53 @@ def velocity_bound(theta: SpectralField, config: SolverConfig) -> float:
 
 def step(state: SolverState, dt: float, config: SolverConfig,
          work: np.ndarray | None = None) -> SolverState:
-    """One integrating-factor Heun step.
+    """One integrating-factor Heun step, on the state's nonzero block.
 
-    ``work`` is passed on to :func:`advection_coeffs`.  Raises
-    ``NumericError`` with a state dump if the update is non-finite; CFL
-    acceptance is the caller's job (see :func:`run`).
+    The stages, the update and its finiteness check run on leading blocks:
+    from the state's support K, each stage's flux widens the block to
+    max(K, 2M) (see :func:`advection_coeffs`), and every coefficient outside
+    it stays exactly 0.0, as the whole-array update would leave it.  A state
+    of unknown support or extent is scanned once.  ``work`` is passed on to
+    :func:`advection_coeffs`.  Raises ``NumericError`` with a state dump if
+    the update is non-finite; CFL acceptance is the caller's job (see
+    :func:`run`).
     """
-    g = state.theta.geometry
+    theta = state.theta
+    g = theta.geometry
     decay = _decay(g, dt)
-    a = state.theta.coeffs
-    k1 = advection_coeffs(state.theta, config, work)
-    mid = SpectralField(decay * (a + dt * k1), g, tag=state.theta.tag)
-    k2 = advection_coeffs(mid, config, work)
-    new = decay * a + 0.5 * dt * (decay * k1 + k2)
-    if not np.isfinite(new).all():
+    K = _support(theta.coeffs) if state.support is None else state.support
+    a = theta.coeffs[:K, :K]
+    k1 = advection_coeffs(SpectralField(a, g, theta.tag), config, work,
+                          state.extent)
+    K1 = len(k1)
+    mid = decay[:K1, :K1] * (_lead(a, K1) + dt * k1)
+    k2 = advection_coeffs(SpectralField(mid, g, theta.tag), config, work)
+    K2 = len(k2)
+    d2 = decay[:K2, :K2]
+    block = d2 * _lead(a, K2) + 0.5 * dt * (d2 * _lead(k1, K2) + k2)
+    if not np.isfinite(block).all():
         raise NumericError(
             f"non-finite state at t={state.t + dt:.6g}, step {state.step + 1}: "
-            f"max |coeff| before blowup {np.abs(a).max():.3e}")
+            f"max |coeff| before blowup {np.abs(a).max(initial=0.0):.3e}")
+    new = np.zeros_like(theta.coeffs)
+    new[:K2, :K2] = block
     return SolverState(t=state.t + dt,
-                       theta=SpectralField(new, g, tag=state.theta.tag),
-                       step=state.step + 1)
+                       theta=SpectralField(new, g, tag=theta.tag),
+                       step=state.step + 1, support=K2,
+                       extent=_live_extent(block))
 
 
-def _live_sup(theta: SpectralField,
-              out: np.ndarray | None = None) -> tuple[float, int]:
-    """max |theta| over the nodes, and theta's :func:`_live_extent` M.
+def _live_sup(state: SolverState, out: np.ndarray | None = None) -> float:
+    """max |theta| over the nodes, from the state's live block.
 
-    The sum runs over theta's first M columns of modes, the only columns
-    with a live coefficient; ``out`` takes the node values.
+    The sum runs over the rows up to the support and the columns up to the
+    extent, the only columns with a live coefficient (:func:`eval_block`);
+    ``out`` takes the node values.
     """
-    M = _live_extent(theta.coeffs)
-    band = SpectralField(theta.coeffs[:, :M], theta.geometry)
-    values = eval_fine(band, theta.geometry.grid_size, out=out)
-    return GridField(values, theta.geometry).sup_norm(), M
+    theta = state.theta
+    values = eval_block(theta.coeffs[:state.support, :state.extent],
+                        theta.geometry, out=out)
+    return GridField(values, theta.geometry).sup_norm()
 
 
 def half_norm_sq(theta: SpectralField) -> float:
@@ -316,13 +383,17 @@ def run(theta0: SpectralField, config: SolverConfig,
     tries :func:`velocity_bound` first and evaluates :func:`velocity_sup`
     only when the bound fails it; since the bound is never below the sup,
     each step is accepted or rejected exactly as the sup alone decides.
-    All steps share one :func:`advection_workspace`, released on return.
+    All steps share one :func:`advection_workspace`, released on return,
+    and the midpoint tables of the dense transforms are dropped on return,
+    so every run builds the ones its band sizes need and holds none after.
     """
     config.validate()
     if not np.isfinite(theta0.coeffs).all():
         raise NumericError("initial data has non-finite coefficients")
     g = theta0.geometry
-    state = SolverState(t=0.0, theta=theta0.copy(), step=0)
+    K = _support(theta0.coeffs)
+    state = SolverState(t=0.0, theta=theta0.copy(), step=0, support=K,
+                        extent=_live_extent(theta0.coeffs[:K, :K]))
     dt = config.dt
     rejected = 0
     work = advection_workspace(g)
@@ -330,7 +401,8 @@ def run(theta0: SpectralField, config: SolverConfig,
     times = [0.0]
     halves = [half_norm_sq(state.theta)]
     grid = np.empty((g.n_interior, g.n_interior))
-    sup0, live_modes = _live_sup(state.theta, grid)
+    sup0 = _live_sup(state, grid)
+    live_modes = state.extent
     sup_history = [sup0]
     running_min = sup0
     overshoot = 0.0
@@ -340,30 +412,36 @@ def run(theta0: SpectralField, config: SolverConfig,
     emit(state)
     next_output = config.output_interval
 
-    while state.t < config.t_end - 1e-12:
-        dt_step = min(dt, config.t_end - state.t)
-        limit = config.cfl * g.spacing
-        bound = velocity_bound(state.theta, config)
-        if bound > 0 and dt_step > limit / bound:
-            umax = velocity_sup(state.theta, config)
-            if umax > 0 and dt_step > limit / umax:
-                dt *= 0.5
-                rejected += 1
-                if dt < 1e-12:
-                    raise NumericError("CFL halving drove dt below 1e-12")
-                continue
-        state = step(state, dt_step, config, work)
-        times.append(state.t)
-        halves.append(half_norm_sq(state.theta))
-        sup, extent = _live_sup(state.theta, grid)
-        live_modes = max(live_modes, extent)
-        sup_history.append(sup)
-        if sup0 > 0:
-            overshoot = max(overshoot, (sup - running_min) / sup0)
-        running_min = min(running_min, sup)
-        if state.t >= next_output - 1e-12 or state.t >= config.t_end - 1e-12:
-            emit(state)
-            next_output += config.output_interval
+    try:
+        while state.t < config.t_end - 1e-12:
+            dt_step = min(dt, config.t_end - state.t)
+            limit = config.cfl * g.spacing
+            K = state.support
+            block = SpectralField(state.theta.coeffs[:K, :K], g)
+            bound = velocity_bound(block, config)
+            if bound > 0 and dt_step > limit / bound:
+                umax = velocity_sup(state.theta, config)
+                if umax > 0 and dt_step > limit / umax:
+                    dt *= 0.5
+                    rejected += 1
+                    if dt < 1e-12:
+                        raise NumericError("CFL halving drove dt below 1e-12")
+                    continue
+            state = step(state, dt_step, config, work)
+            times.append(state.t)
+            halves.append(half_norm_sq(state.theta))
+            sup = _live_sup(state, grid)
+            live_modes = max(live_modes, state.extent)
+            sup_history.append(sup)
+            if sup0 > 0:
+                overshoot = max(overshoot, (sup - running_min) / sup0)
+            running_min = min(running_min, sup)
+            if (state.t >= next_output - 1e-12
+                    or state.t >= config.t_end - 1e-12):
+                emit(state)
+                next_output += config.output_interval
+    finally:    # the run's tables go with it, like its workspace
+        _midpoint_tables.cache_clear()
 
     e0 = 0.5 * theta0.l2_norm() ** 2
     eT = 0.5 * state.theta.l2_norm() ** 2

@@ -22,6 +22,14 @@ The argument holds on any sub-geometry: factors with modes <= M on the
 N'-geometry with N' >= 2M + 1 multiply into modes <= 2M <= N' - 1, which
 its own 3/2 grid keeps exactly, so the solver advects the live band of a
 spectrum on such a sub-geometry and zero-pads the result (see ``solver``).
+
+Small transforms are matrix products.  Up to DENSE_MAX_NF nodes per axis,
+the midpoint sums of :func:`eval_fine_mixed` and :func:`forward_fine` are
+two products with cached, read-only sin/cos tables, and :func:`eval_block`
+evaluates a leading block of a spectrum at the N-grid nodes with the
+geometry's ``node_sines``; above that size the FFT route runs.  Every table
+angle is formed from an integer reduced modulo its period, so the two routes
+agree to about one rounding (under 1e-14 relative, tested).
 """
 from __future__ import annotations
 
@@ -34,6 +42,16 @@ from scipy import fft
 
 from .errors import NumericError, ShapeError
 from .geometry import Geometry
+
+# Transforms of at most DENSE_MAX_NF nodes per axis run as two products with
+# cached sine/cosine tables (Boyd, Chebyshev and Fourier Spectral Methods,
+# 2nd ed., ch. 10, matrix-multiplication transforms): at these sizes scipy's
+# per-call dispatch costs more than the transform.  Measured crossover, one
+# thread, BENCH_17.json "crossover": on band grids dense takes 0.22-0.45 of
+# the FFT time for eval_fine_mixed up to Nf = 162 and 0.26-0.69 for
+# forward_fine up to Nf = 120, whose gain closes at Nf = 135-162; the whole
+# 3/2 grid of N = 128 (Nf = 192) is faster by FFT.
+DENSE_MAX_NF = 128
 
 
 @dataclass
@@ -175,12 +193,19 @@ def _sin_cos_eval(coeffs: np.ndarray, cos_axis: int, scale: float,
 
     The sine factor runs along ``1 - cos_axis`` and the cosine factor along
     ``cos_axis``.  Both passes run in place in the bordered buffer of
-    :func:`cos_eval`, ``out`` if given.
+    :func:`cos_eval`, ``out`` if given; the sine pass transforms only the
+    lines up to the last one that holds a nonzero coefficient, as
+    :func:`_dst2` does.
     """
     buf, lines = _bordered(coeffs, cos_axis, out)
-    sin_vals = fft.dst(lines, type=1, axis=1 - cos_axis, overwrite_x=True)
-    if not np.may_share_memory(sin_vals, lines):    # not done in place
-        lines[...] = sin_vals
+    live = np.flatnonzero(lines.any(axis=1 - cos_axis))
+    if live.size:
+        head = [slice(None)] * 2
+        head[cos_axis] = slice(live[-1] + 1)
+        part = lines[tuple(head)]
+        sin_vals = fft.dst(part, type=1, axis=1 - cos_axis, overwrite_x=True)
+        if not np.may_share_memory(sin_vals, part):    # not done in place
+            part[...] = sin_vals
     return cos_eval(lines, cos_axis, 0.5 * scale, out=buf)
 
 
@@ -317,6 +342,53 @@ def fine_grid_size(N: int) -> int:
     return int(np.ceil(1.5 * N))
 
 
+@lru_cache(maxsize=16)
+def _midpoint_tables(Nf: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of m pi (i + 1/2) / Nf at the midpoints i = 0..Nf-1 and
+    modes m = 1..Nf-1, each Nf x (Nf-1) and read-only.
+
+    The angle is formed from the integer m (2i + 1) mod 4 Nf, so every entry
+    carries the rounding of one angle in [0, 2 pi): at Nf = 54, sin(m x_i)
+    in double precision is off by over 1e-14, these tables by under 1e-15.
+    """
+    reduced = np.outer(2 * np.arange(Nf) + 1, np.arange(1, Nf)) % (4 * Nf)
+    angle = reduced * (np.pi / (2 * Nf))
+    tables = np.sin(angle), np.cos(angle)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _sandwich(left: np.ndarray, c: np.ndarray, right: np.ndarray,
+              scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """scale * left @ c @ right.T, into ``out`` if given.
+
+    The scale multiplies the intermediate product, the smaller array.
+    """
+    half = left @ c
+    half *= scale
+    return np.matmul(half, right.T, out=out)
+
+
+def eval_block(coeffs: np.ndarray, geometry: Geometry,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The field at the interior nodes, from ``coeffs``, the leading K x M
+    block of its spectrum (every coefficient outside it zero).
+
+    Up to DENSE_MAX_NF nodes per axis this is the dense route,
+    (2/L) S_K c S_M^T with the geometry's ``node_sines``; above it,
+    :func:`eval_fine` on the block, a column band of :func:`_dst2`.
+    ``out``, an (N-1) x (N-1) array, takes the values.
+    """
+    N = geometry.grid_size
+    if N > DENSE_MAX_NF:
+        return eval_fine(SpectralField(coeffs, geometry), N, out=out)
+    sin = geometry.node_sines
+    K, M = coeffs.shape
+    return _sandwich(sin[:, :K], coeffs, sin[:, :M],
+                     2.0 / geometry.side_length, out)
+
+
 def eval_fine(spec: SpectralField, Nf: int, rows=slice(None),
               out: np.ndarray | None = None, col0: int = 0) -> np.ndarray:
     """Evaluate the field at the node rows ``rows`` of the Nf-grid.
@@ -338,15 +410,22 @@ def eval_fine_mixed(coeffs: np.ndarray, geometry: Geometry, Nf: int,
 
     The cosine factor cos(k x) runs along ``cos_axis`` and the sine factor
     sin(k x) along the other axis; the nodes are x_i = (i + 1/2) L/Nf,
-    i = 0..Nf-1, and Nf must exceed the mode count.  The coefficients go
-    into an Nf x Nf buffer (``out`` if given, else a new array) behind a
-    zero leading line along ``cos_axis``; a DCT-III along ``cos_axis`` over
-    the lines that hold modes and a DST-III along the other axis, both of
-    length Nf, evaluate the sum in place.  Use the returned array: it is
-    ``out`` unless scipy declined to work in place.
+    i = 0..Nf-1, and Nf must exceed the mode count.  Up to DENSE_MAX_NF
+    nodes the sum is two products with the cached tables of
+    :func:`_midpoint_tables`, written into ``out`` (else a new array).
+    Above it the coefficients go into an Nf x Nf buffer (``out`` if given)
+    behind a zero leading line along ``cos_axis``; a DCT-III along
+    ``cos_axis`` over the lines that hold modes and a DST-III along the
+    other axis, both of length Nf, evaluate the sum in place.  Use the
+    returned array: it is ``out`` unless scipy declined to work in place.
     """
     n = coeffs.shape[0]
     buf = np.empty((Nf, Nf)) if out is None else out
+    if Nf <= DENSE_MAX_NF:
+        sin, cos = _midpoint_tables(Nf)
+        left, right = (sin, cos) if cos_axis == 1 else (cos, sin)
+        return _sandwich(left[:, :n], coeffs, right[:, :n],
+                         2.0 / geometry.side_length, buf)
     # cosine axis last: each of the first n lines holds one sine mode
     view, coeffs = (buf, coeffs) if cos_axis == 1 else (buf.T, coeffs.T)
     view[n:] = 0.0
@@ -368,13 +447,19 @@ def forward_fine(values: np.ndarray, geometry: Geometry) -> np.ndarray:
     """Project midpoint samples back onto the geometry's N-1 modes per axis.
 
     ``values`` holds samples at the Nf x Nf nodes of :func:`eval_fine_mixed`
-    and is overwritten: the transforms run in place.  The DST-II pair is
-    exact for a sine polynomial of degree < 2*Nf - (N-1) per axis, which
-    covers quadratic products of opposite-parity factors (the advective
-    flux).  Same-parity products carry cosine content and go through
-    :func:`dealiased_product` instead.
+    and may be overwritten.  The projection, (2L/Nf^2) S^T values S with
+    S the midpoint sine table, is exact for a sine polynomial of degree
+    < 2*Nf - (N-1) per axis, which covers quadratic products of
+    opposite-parity factors (the advective flux).  Same-parity products
+    carry cosine content and go through :func:`dealiased_product` instead.
+    Up to DENSE_MAX_NF nodes it is two products with the table; above it a
+    DST-II pair in place.
     """
     Nf, n_keep = values.shape[0], geometry.n_interior
+    if Nf <= DENSE_MAX_NF:
+        sin_t = _midpoint_tables(Nf)[0][:, :n_keep].T
+        return _sandwich(sin_t, values, sin_t,
+                         2.0 * geometry.side_length / Nf ** 2)
     rows = fft.dst(values, type=2, axis=0, overwrite_x=True)[:n_keep]
     coeffs = fft.dst(rows, type=2, axis=1, overwrite_x=True)
     coeffs *= geometry.side_length / (2.0 * Nf ** 2)

@@ -165,3 +165,18 @@ def test_geometry_has_three_inputs_and_derives_the_rest():
     assert g.x is g.x and g.modes is g.modes
     fit_ground_state_equivalence(g)
     assert not hasattr(g, "c0") and not hasattr(g, "C0")
+
+
+def test_node_sines_are_lazy_reduced_and_read_only():
+    g = build_square_geometry(64)
+    assert "node_sines" not in vars(g)
+    table = g.node_sines
+    assert g.node_sines is table and table.shape == (63, 63)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    i = np.arange(1, 64).astype(np.longdouble)
+    exact = np.sin(pi * np.outer(i, i) / 64)
+    assert np.abs(table - exact).max() < 1e-15
+    # nodes and modes share the indices 1..N-1, so the table is symmetric
+    assert np.array_equal(table, table.T)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0

@@ -406,3 +406,150 @@ def test_config_validation(geom):
         sv.SolverConfig(drift_mode="warp").validate()
     with pytest.raises(ConfigurationError):
         sv.SolverConfig(drift_mode="prescribed").validate()
+
+
+def full_array_step(state, dt, config, advect=sv.advection_coeffs):
+    """The Heun step on whole arrays: every stage and the update over all
+    (N - 1)^2 coefficients."""
+    g = state.theta.geometry
+    decay = sv._decay(g, dt)
+    a = state.theta.coeffs
+    k1 = advect(state.theta, config)
+    mid = sp.SpectralField(decay * (a + dt * k1), g)
+    k2 = advect(mid, config)
+    return decay * a + 0.5 * dt * (decay * k1 + k2)
+
+
+def w1_cubed(g):
+    """The exact coefficients of w_1^3: modes (1|3, 1|3) only."""
+    # sin^3 = (3 sin - sin 3x) / 4, so w_1^3 = sum u_m u_n w_mn / (4 pi^2)
+    u = np.array([3.0, 0.0, -1.0])
+    psi = np.zeros((g.n_interior,) * 2)
+    psi[:3, :3] = np.outer(u, u) / (4.0 * np.pi ** 2)
+    return sp.SpectralField(psi, g)
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_block_step_is_the_full_array_step_bit_for_bit(N):
+    g = build_square_geometry(N)
+    theta = smooth_field(g, N)
+    theta.coeffs[12:] = 0.0           # support 12, extent 12
+    theta.coeffs[:, 12:] = 0.0
+    cfg = sv.SolverConfig(drift_mode="sqg")
+    new = sv.step(sv.SolverState(0.0, theta), 1e-2, cfg)
+    ref = full_array_step(sv.SolverState(0.0, theta), 1e-2, cfg)
+    assert new.theta.coeffs.tobytes() == ref.tobytes()
+    K = new.support
+    assert K < N - 1 and not new.theta.coeffs[K:].any() \
+        and not new.theta.coeffs[:, K:].any()
+    assert new.extent == sv._live_extent(ref)
+    # the next step reads the carried support and extent, not a scan
+    again = sv.step(new, 1e-2, cfg)
+    ref2 = full_array_step(sv.SolverState(0.0, sp.SpectralField(ref, g)),
+                           1e-2, cfg)
+    assert again.theta.coeffs.tobytes() == ref2.tobytes()
+
+
+def test_step_scans_a_state_of_unknown_support_once(geom, monkeypatch):
+    theta = smooth_field(geom, 5)
+    cfg = sv.SolverConfig(drift_mode="sqg")
+    scans = []
+    support = sv._support
+    monkeypatch.setattr(sv, "_support",
+                        lambda c: scans.append(c.shape) or support(c))
+    unknown = sv.step(sv.SolverState(0.0, theta), 1e-2, cfg)
+    assert scans == [theta.coeffs.shape]
+    known = sv.step(sv.SolverState(0.0, theta, support=support(theta.coeffs)),
+                    1e-2, cfg)
+    assert len(scans) == 1
+    assert np.array_equal(known.theta.coeffs, unknown.theta.coeffs)
+    assert (known.support, known.extent) == (unknown.support, unknown.extent)
+
+
+def test_full_spectrum_step_takes_the_fft_fallback_bit_for_bit(geom):
+    """Whole spectra at N = 128 step on the whole arrays, through the FFT
+    route of the 3/2 grid, with the bits of the whole-array step."""
+    assert sp.fine_grid_size(geom.grid_size) > sp.DENSE_MAX_NF
+    c = np.random.default_rng(8).standard_normal((geom.n_interior,) * 2)
+    theta = sp.SpectralField(1e-2 * c, geom)
+    cfg = sv.SolverConfig(drift_mode="sqg")
+
+    def fft_flux(th, config):
+        return full_grid_advection(th, sv._stream_coeffs(th, config))
+
+    new = sv.step(sv.SolverState(0.0, theta), 1e-3, cfg)
+    assert new.support == geom.n_interior
+    ref = full_array_step(sv.SolverState(0.0, theta), 1e-3, cfg, fft_flux)
+    assert new.theta.coeffs.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["sqg", "prescribed", "none"])
+def test_zero_state_steps_on_an_empty_block(geom, mode):
+    z = sp.SpectralField(np.zeros((geom.n_interior,) * 2), geom)
+    cfg = sv.SolverConfig(drift_mode=mode,
+                          drift_stream=sp.mode_field(geom, 2, 3))
+    new = sv.step(sv.SolverState(0.0, z), 1e-2, cfg)
+    assert (new.support, new.extent) == (0, 0)
+    assert new.theta.coeffs.shape == z.coeffs.shape
+    assert not new.theta.coeffs.any()
+
+
+def test_prescribed_drift_block_step_reads_psi_beyond_the_block():
+    """psi = w_1^3 reaches mode 3 where theta's block stops at 2: the band
+    pads theta, and the step keeps the whole-array bits."""
+    g = build_square_geometry(64)
+    theta = sp.mode_field(g, 1, 1)
+    theta.coeffs[1, 0] = 0.2
+    cfg = sv.SolverConfig(drift_mode="prescribed", drift_stream=w1_cubed(g))
+    state = sv.SolverState(0.0, theta)
+    new = sv.step(state, 1e-2, cfg)
+    assert sv._support(theta.coeffs) == 2
+    assert not new.theta.coeffs[new.support:].any()
+    assert not new.theta.coeffs[:, new.support:].any()
+    ref = full_array_step(state, 1e-2, cfg)
+    assert new.theta.coeffs.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["sqg", "prescribed"])
+def test_band_advection_allocates_less_than_one_fine_grid(
+        geom, traced_peak, mode):
+    """The band path at N = 128, under either drift, allocates under one
+    Nf^2 array, for a whole theta and for a leading 30 x 30 block as a
+    step passes it."""
+    theta = smooth_field(geom, 128)
+    cfg = sv.SolverConfig(drift_mode=mode, drift_stream=w1_cubed(geom))
+    assert sv._band_size(sv._live_extent(theta.coeffs)) < geom.grid_size
+    work = sv.advection_workspace(geom)
+    block = sp.SpectralField(theta.coeffs[:30, :30].copy(), geom)
+    grid_bytes = sp.fine_grid_size(geom.grid_size) ** 2 * 8
+    for th in (theta, block):
+        sv.advection_coeffs(th, cfg, work)
+        _, peak = traced_peak(lambda: sv.advection_coeffs(th, cfg, work))
+        assert peak < grid_bytes
+
+
+def test_default_run_keeps_the_benchmark_call_counts(monkeypatch):
+    """configs/default.cfg: 500 steps, two advection_coeffs calls per step
+    and four eval_fine_mixed calls per advection, as perfbench pins them."""
+    from pathlib import Path
+    from sqgbounds.config import load_config
+
+    counts = {"step": 0, "advection_coeffs": 0, "eval_fine_mixed": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((sv, "step"), (sv, "advection_coeffs"),
+                         (sv, "eval_fine_mixed"), (sp, "eval_fine_mixed")):
+        counting(module, name)
+    cfg = load_config(Path(__file__).resolve().parents[1]
+                      / "configs" / "default.cfg")
+    res = sv.run(cfg.initial_field(cfg.geometry()), cfg.solver_config())
+    assert res.snapshots[-1].step == counts["step"] == 500
+    assert counts["advection_coeffs"] == 2 * counts["step"]
+    assert counts["eval_fine_mixed"] == 4 * counts["advection_coeffs"]

@@ -314,3 +314,100 @@ def test_eval_fine_rows_and_forward_cols_match_dstn(geom):
     vals[:, 3:11] = full[:, 3:11]
     got = sp.forward(sp.GridField(vals, geom)).coeffs
     assert np.array_equal(got, (L / (2.0 * N ** 2)) * fft.dstn(vals, type=1))
+
+
+def _both_routes(monkeypatch, fn):
+    """``fn()`` on the dense route and on the FFT route, at any size."""
+    monkeypatch.setattr(sp, "DENSE_MAX_NF", 1 << 30)
+    dense = fn()
+    monkeypatch.setattr(sp, "DENSE_MAX_NF", 0)
+    return dense, fn()
+
+
+# band sub-geometries (Nf = 3j) and whole 3/2 grids, below and above the
+# crossover
+@pytest.mark.parametrize("N, modes", [(36, 17), (64, 63), (72, 32),
+                                      (86, 85), (100, 48), (128, 127)])
+def test_dense_route_matches_the_fft_route(monkeypatch, N, modes):
+    g = build_square_geometry(N)
+    Nf = sp.fine_grid_size(N)
+    rng = np.random.default_rng(N)
+    c = rng.standard_normal((modes, modes))
+    for cos_axis in (0, 1):
+        dense, fast = _both_routes(
+            monkeypatch, lambda: sp.eval_fine_mixed(c, g, Nf, cos_axis).copy())
+        assert np.abs(dense - fast).max() <= 1e-14 * np.abs(fast).max()
+    values = rng.standard_normal((Nf, Nf))
+    dense, fast = _both_routes(monkeypatch,
+                               lambda: sp.forward_fine(values.copy(), g))
+    assert dense.shape == fast.shape == (N - 1, N - 1)
+    assert np.abs(dense - fast).max() <= 1e-14 * np.abs(fast).max()
+
+
+def test_dense_route_runs_up_to_the_crossover(monkeypatch):
+    """Below the crossover no transform is called; above it no table is built."""
+    calls = []
+
+    def counting(transform):
+        return lambda *args, **kw: calls.append(1) or transform(*args, **kw)
+
+    monkeypatch.setattr(sp, "fft", types.SimpleNamespace(
+        dct=counting(fft.dct), dst=counting(fft.dst)))
+    for N in (8, 2 * sp.DENSE_MAX_NF // 3):
+        g = build_square_geometry(N)
+        Nf = sp.fine_grid_size(N)
+        assert Nf <= sp.DENSE_MAX_NF
+        c = np.ones((N - 1, N - 1))
+        sp.forward_fine(sp.eval_fine_mixed(c, g, Nf, 0), g)
+        sp.eval_block(c, g)
+    assert not calls
+    sp._midpoint_tables.cache_clear()
+    g = build_square_geometry(2 * sp.DENSE_MAX_NF // 3 + 1)
+    Nf = sp.fine_grid_size(g.grid_size)
+    sp.forward_fine(sp.eval_fine_mixed(np.ones((3, 3)), g, Nf, 1), g)
+    assert len(calls) == 4
+    assert sp._midpoint_tables.cache_info().currsize == 0
+
+
+def test_midpoint_tables_are_cached_and_read_only():
+    sin, cos = sp._midpoint_tables(54)
+    assert sp._midpoint_tables(54)[0] is sin
+    assert sin.shape == cos.shape == (54, 53)
+    # the angles in extended precision: sin(m x_i) in double precision is
+    # off by 2e-14 at the larger angles, the reduced tables by under 1e-15
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    x = pi * np.outer(np.arange(54) + 0.5, np.arange(1, 54)).astype(
+        np.longdouble) / 54
+    assert np.abs(np.sin(x.astype(float)) - np.sin(x)).max() > 1e-14
+    assert np.abs(sin - np.sin(x)).max() < 1e-15
+    assert np.abs(cos - np.cos(x)).max() < 1e-15
+    for table in (sin, cos):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("N, K, M", [(32, 31, 31), (128, 34, 17),
+                                     (128, 5, 0), (256, 40, 20)])
+def test_eval_block_matches_inverse(N, K, M):
+    """The leading K x M block at the nodes, by either route, against the
+    whole spectrum's inverse."""
+    g = build_square_geometry(N)
+    c = np.zeros((N - 1, N - 1))
+    c[:K, :M] = np.random.default_rng(K).standard_normal((K, M))
+    ref = sp.inverse(sp.SpectralField(c, g)).values
+    out = np.full_like(ref, np.nan)
+    got = sp.eval_block(c[:K, :M], g, out=out)
+    assert np.shares_memory(got, out)
+    assert np.abs(got - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
+
+
+@pytest.mark.parametrize("cos_axis", [0, 1])
+@pytest.mark.parametrize("top", [0, 1, 9, 31])
+def test_sin_cos_eval_skips_zero_lines_bit_for_bit(cos_axis, top):
+    """Transforming only the lines up to the last nonzero one changes no bit."""
+    c = np.zeros((31, 31))
+    c[:top, :top] = np.random.default_rng(top).standard_normal((top, top))
+    got = sp._sin_cos_eval(c, cos_axis, 0.7)
+    sin_vals = fft.dst(c, type=1, axis=1 - cos_axis)
+    ref = sp.cos_eval(sin_vals, cos_axis, 0.5 * 0.7)
+    assert got.tobytes() == ref.tobytes()
