@@ -34,8 +34,6 @@ from array import array
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import NamedTuple
 
-import numpy as np
-
 from . import inequalities as iq
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import VERIFY_NAMES, RunConfig, load_config
@@ -200,7 +198,7 @@ def _verify_dispatch(cfg: RunConfig, names) -> list:
             theta0, p=p, alpha=cfg.alphas[0]),
         "commutator_scaling": lambda: iq.verify_commutator_scaling(
             mode_field(build_square_geometry(max(cfg.grid_size, 2048), L),
-                       1, 1), p=np.inf),
+                       1, 1)),
         "kernel_bounds": lambda: iq.verify_kernel_bounds(
             g, n_samples=cfg.sample_count, seed=cfg.seed, horizon=cfg.t_end),
     }

@@ -15,12 +15,11 @@ import numpy as np
 from .errors import ConfigurationError, PreconditionError
 from .geometry import Geometry, fit_ground_state_equivalence
 from .diagnostics import (_shell_sup, boundary_ratio, fit_line,
-                          holder_seminorm, interior_lipschitz,
-                          ratio_from_values, ratio_lp_norm, ratio_quad,
-                          ratio_sup, weighted_ratio_norm)
-from .operators import (ConvexFn, _lambda_power_rows, _perp_gradient,
-                        apply_lambda_power, commutator, commutator_rows,
-                        eigensum_1d, finite_difference, heat_of_one_1d,
+                          holder_seminorm, interior_lipschitz, ratio_lp_norm,
+                          ratio_quad, ratio_sup, weighted_ratio_norm)
+from .operators import (ConvexFn, _lambda_power_rows, apply_lambda_power,
+                        commutator, commutator_rows, eigensum_1d,
+                        finite_difference, heat_of_one_1d,
                         heat_semigroup, lambda_of_values, log_time_rule,
                         nonlinear_dissipation, riesz_velocity,
                         short_time_velocity, standard_cutoff,
@@ -204,15 +203,6 @@ def verify_decay_envelope(result: RunResult, config: SolverConfig,
                           B: float) -> InequalityReport:
     """|theta(x,t)| <= B w_1(x) exp(-t sqrt(lam1)) along a run."""
     g = result.snapshots[0].theta.geometry
-    # drift admissibility: v . grad w_1 >= 0 for the advecting v = J grad psi
-    if config.drift_mode == "prescribed" and config.drift_stream is not None:
-        vx, vy = _perp_gradient(config.drift_stream.coeffs, g, config.j_sign)
-        w1x, w1y = gradient(mode_field(g, 1, 1))
-        drift_term = vx * w1x.values + vy * w1y.values
-        worst = float(drift_term.min())
-        if worst < -1e-10:
-            raise PreconditionError(
-                f"drift violates the ground-state condition by {worst:.3e}")
     theta0 = inverse(result.snapshots[0].theta).values
     if np.any(np.abs(theta0) > B * g.ground_state * (1 + 1e-12)):
         raise PreconditionError("initial data exceeds B w_1")
@@ -233,18 +223,14 @@ def verify_decay_envelope(result: RunResult, config: SolverConfig,
                      "drift_mode": config.drift_mode})
 
 
-def verify_weighted_lp_control(result: RunResult, m: int = 2,
-                               v_s_sup: float = 0.0) -> InequalityReport:
+def verify_weighted_lp_control(result: RunResult,
+                               m: int = 2) -> InequalityReport:
     """Weighted moment decay: int w_1 b_1^{2m} <= e^{-(2m-1) t sqrt(lam1)} x initial."""
     g = result.snapshots[0].theta.geometry
     c0, _ = fit_ground_state_equivalence(g)
     grad_w1 = gradient(mode_field(g, 1, 1))
     grad_sup = float(np.hypot(grad_w1[0].values, grad_w1[1].values).max())
     limit = c0 / ((2 * m - 1) * grad_sup)
-    if v_s_sup > limit:
-        raise PreconditionError(
-            f"perturbation drift {v_s_sup:.3e} exceeds the admissible "
-            f"threshold {limit:.3e}")
     lhs0 = weighted_ratio_norm(result.snapshots[0].theta, m) ** (2 * m)
     margins = []
     for state in result.snapshots:
@@ -521,13 +507,14 @@ def verify_normal_velocity_rate(theta: SpectralField, p: float,
                      "shells": len(logs_d), "theta": theta.tag})
 
 
-def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
+def verify_commutator_scaling(theta: SpectralField,
                               centers=None) -> InequalityReport:
     """Dyadic scaling of the localized commutator with the boundary distance.
 
     For centers at dyadic d(x0), h rounded to the grid near d(x0)/32 and
     ell = d(x0)/2, the regression slope of log(||C_h||_inf / |h|) against
-    log d(x0) must lie in [-(1 + 2/p) - 0.3, 0].
+    log d(x0) must lie in [-1.3, 0]: the exponent p of ||b_1||_p is inf,
+    where the 2/p shift of the slope vanishes.
 
     theta is evaluated on the whole grid once, for ||b_1||; theta and
     Lambda theta are then kept only on the band of rows that holds every
@@ -566,10 +553,7 @@ def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
                  min(g.n_interior, max(r.stop for r in spans)))
     box = (band, slice(0, g.n_interior))
     values = inverse(theta)
-    if np.isinf(p):
-        b1_p = ratio_sup(values)
-    else:
-        b1_p = ratio_lp_norm(ratio_from_values(values), p)
+    b1_sup = ratio_sup(values)
     values = BoxField(values.values[band].copy(), box, g)
     live = np.flatnonzero(theta.coeffs.any(axis=0))
     lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
@@ -584,10 +568,9 @@ def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
             continue
         logs_d.append(np.log(d0))
         logs_ratio.append(np.log(sup / hmag))
-        dd = 1.0 if np.isinf(p) else d0 ** (-2.0 / p)
-        gammas.append(sup * d0 / (hmag * b1_p * dd))
+        gammas.append(sup * d0 / (hmag * b1_sup))
     slope, intercept, r2 = fit_line(logs_d, logs_ratio)
-    lo = -(1.0 + (0.0 if np.isinf(p) else 2.0 / p)) - 0.3
+    lo = -1.3
     gamma0 = float(max(gammas))
     margins = [slope - lo, -slope]
     return InequalityReport(
@@ -598,7 +581,7 @@ def verify_commutator_scaling(theta: SpectralField, p: float = np.inf,
                           "slope_range_low": lo},
         regression=(slope, intercept, r2),
         margins=margins,
-        sample_plan={"centers": [list(c) for c in centers], "p": p,
+        sample_plan={"centers": [list(c) for c in centers], "p": np.inf,
                      "theta": theta.tag})
 
 

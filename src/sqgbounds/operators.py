@@ -263,25 +263,17 @@ class VelocityField:
         return float(np.sqrt(grad_l2_norm_sq(self.stream)))
 
 
-def _perp_gradient(stream_coeffs: np.ndarray, geometry: Geometry,
-                   j_sign: float, work: GridScratch | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(u_x, u_y) = j_sign * (-d_y psi, d_x psi) at the interior nodes.
-
-    With ``work``, they are ``work.grad_y`` and a view of ``work.rows``.
-    """
-    psi_x, psi_y = gradient(SpectralField(stream_coeffs, geometry), work)
-    psi_y.values *= -j_sign
-    psi_x.values *= j_sign
-    return psi_y.values, psi_x.values
-
-
 def _stream_velocity(stream: SpectralField, j_sign: float,
                      work: GridScratch | None = None) -> VelocityField:
-    """The velocity j_sign * grad-perp psi of the stream function psi."""
-    g = stream.geometry
-    ux, uy = _perp_gradient(stream.coeffs, g, j_sign, work)
-    return VelocityField(GridField(ux, g), GridField(uy, g), stream)
+    """The velocity j_sign * grad-perp psi = j_sign * (-d_y psi, d_x psi) of
+    the stream function psi, at the interior nodes.
+
+    With ``work``, u_x is ``work.grad_y`` and u_y a view of ``work.rows``.
+    """
+    psi_x, psi_y = gradient(stream, work)
+    psi_y.values *= -j_sign
+    psi_x.values *= j_sign
+    return VelocityField(psi_y, psi_x, stream)
 
 
 def riesz_velocity(theta: SpectralField, j_sign: float = 1.0,

@@ -10,28 +10,31 @@ of the mixed-parity factors (velocity components against gradient
 components) are sine polynomials, so the fine-grid projection is alias-free
 and the discrete advection term is skew-symmetric to round-off.
 
-N' is sized to the live band of the spectrum.  A coefficient is live when it
-exceeds CHOP_RTOL = 1e-16 times the largest coefficient of its field, and the
-extent M is the largest live mode index, along either axis, of theta and of
-the stream function psi (under ``prescribed`` drift psi does not follow
-theta).  The M x M blocks are advected on the sub-geometry with
-N' = 2j >= 2M + 2, j 5-smooth: a product of modes <= M has modes <= 2M <=
-N' - 1 only, so the 3/2 rule on N' is alias-free on every mode the product
-reaches, and the result is zero-padded from 2M x 2M back to N - 1.  Only the
-dropped coefficients, each at most 1e-16 of its field's largest, change the
-sum.  When N' >= N, the flux runs on the full 3/2 grid as without a band.
+The drift is ``sqg`` (u = J grad psi with psi = lam^{-1/2} theta) or
+``none``.  N' is sized to the live band of the spectrum.  A coefficient is
+live when it exceeds CHOP_RTOL = 1e-16 times the largest coefficient of its
+field, and the extent M is theta's largest live mode index along either
+axis.  psi's tail beyond M is at most sqrt(2) CHOP_RTOL max|psi|: for p > M
+and q <= M, lam_q / lam_p <= 2M^2 / ((M + 1)^2 + 1) < 2.  The M x M blocks
+are advected on the sub-geometry with N' = 2j >= 2M + 2, j 5-smooth: a
+product of modes <= M has modes <= 2M <= N' - 1 only, so the 3/2 rule on N'
+is alias-free on every mode the product reaches, and the result is
+zero-padded from 2M x 2M back to N - 1.  Only the dropped coefficients
+change the sum.  When N' >= N, the flux runs on the full 3/2 grid as
+without a band.
 
 A step works on the state's nonzero block.  Every coefficient outside the
 leading K x K block of a state is exactly 0.0; K starts as the initial
 data's support and after each stage becomes max(K, 2M), since the band flux
 is zero beyond 2M (N - 1 once a stage takes the full grid).  The stream
-function, the extent scans, the Heun update, its finiteness check and
-:func:`velocity_bound` read only that block; outside it the update is
-exactly 0.0, so the state's bits are those of the whole-array update.  Each
-state carries its support and live extent, so its extent is scanned once,
-and the overshoot monitor evaluates the live block (rows to K, columns to M)
-at the nodes by :func:`spectral.eval_block`.  ``half_norm_sq`` and the
-ledger stay on whole arrays: their sums keep their bits.
+function, built on the block the product reads, the extent scans, the Heun
+update, its finiteness check and :func:`velocity_bound` read only that
+block; outside it the update is exactly 0.0, so the state's bits are those
+of the whole-array update.  Each state carries its support and live extent,
+so its extent is scanned once, and the overshoot monitor evaluates the live
+block (rows to K, columns to M) at the nodes by :func:`spectral.eval_block`.
+``half_norm_sq`` and the ledger stay on whole arrays: their sums keep their
+bits.
 
 A run reuses one fine-grid workspace for every advection evaluation (the
 band uses its leading memory); the energy ledger integrates over the step
@@ -49,7 +52,7 @@ from scipy import fft
 
 from .errors import ConfigurationError, NumericError
 from .geometry import Geometry, build_square_geometry
-from .operators import _perp_gradient
+from .operators import riesz_velocity
 from .spectral import (GridField, SpectralField, _midpoint_tables, _times_k,
                        eval_block, eval_fine_mixed, fine_grid_size,
                        forward_fine)
@@ -59,13 +62,12 @@ CHOP_RTOL = 1e-16    # a coefficient at or below CHOP_RTOL * max|c| is not live
 
 @dataclass
 class SolverConfig:
-    """Integration parameters; drift_mode selects the advecting field."""
+    """Integration parameters; drift_mode is "sqg" or "none"."""
 
     dt: float = 5e-4
     t_end: float = 1.0
     cfl: float = 0.5
-    drift_mode: str = "sqg"          # "sqg" | "none" | "prescribed"
-    drift_stream: SpectralField | None = None
+    drift_mode: str = "sqg"
     j_sign: float = 1.0
     output_interval: float = 0.1
     max_overshoot: float = 0.01
@@ -73,10 +75,8 @@ class SolverConfig:
     def validate(self) -> None:
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigurationError("dt must be positive and t_end nonnegative")
-        if self.drift_mode not in ("sqg", "none", "prescribed"):
+        if self.drift_mode not in ("sqg", "none"):
             raise ConfigurationError(f"unknown drift mode {self.drift_mode!r}")
-        if self.drift_mode == "prescribed" and self.drift_stream is None:
-            raise ConfigurationError("prescribed drift mode needs drift_stream")
 
 
 @dataclass
@@ -122,16 +122,11 @@ def _decay(geometry: Geometry, dt: float) -> np.ndarray:
     return decay
 
 
-def _stream_coeffs(theta: SpectralField, config: SolverConfig) -> np.ndarray | None:
-    """psi of the drift: under ``sqg`` of theta's block (see
-    :func:`advection_coeffs`), under ``prescribed`` the whole given psi."""
-    if config.drift_mode == "sqg":
-        K = theta.coeffs.shape[0]
-        return (config.j_sign * theta.coeffs
-                * theta.geometry.inv_sqrt_eigenvalues[:K, :K])
-    if config.drift_mode == "prescribed":
-        return config.j_sign * config.drift_stream.coeffs
-    return None
+def _stream_coeffs(c: np.ndarray, geometry: Geometry,
+                   j_sign: float) -> np.ndarray:
+    """j_sign psi = j_sign lam^{-1/2} c on the leading K x K block ``c``."""
+    K = c.shape[0]
+    return j_sign * c * geometry.inv_sqrt_eigenvalues[:K, :K]
 
 
 def advection_workspace(geometry: Geometry) -> np.ndarray:
@@ -217,13 +212,14 @@ def advection_coeffs(theta: SpectralField, config: SolverConfig,
     """Coefficients of -u . grad(theta), alias-free on the retained modes.
 
     ``theta.coeffs`` is the whole spectrum or its leading K x K block, with
-    every coefficient outside the block zero.  The product runs on the live
-    band.  M is the larger :func:`_live_extent` of theta (``extent``, when
-    the caller knows it) and of the stream function, and the M x M blocks
-    are advected on the 3/2 grid of the sub-geometry of :func:`_band_size`
-    (N' >= 2M + 2).  Modes <= M multiply into modes <= 2M only, so the
-    result is the flux's leading block of side max(K, 2M), zero outside
-    2M x 2M.  When N' >= N, or theta's extent alone gives that, the full
+    every coefficient outside the block zero.  The drift is ``sqg`` or
+    ``none``.  The product runs on the live band: M is theta's
+    :func:`_live_extent` (``extent``, when the caller knows it), and psi's
+    tail beyond M is at most sqrt(2) CHOP_RTOL max|psi| (see the module
+    docstring).  The M x M blocks of theta and psi are advected on the 3/2
+    grid of the sub-geometry of :func:`_band_size` (N' >= 2M + 2).  Modes
+    <= M multiply into modes <= 2M only, so the result is the flux's leading
+    block of side max(K, 2M), zero outside 2M x 2M.  When N' >= N, the full
     geometry is used and the result is the whole spectrum, as it is for a
     whole theta.  ``work`` is an :func:`advection_workspace` of theta's
     geometry, which the call overwrites (the band path uses its leading
@@ -231,15 +227,14 @@ def advection_coeffs(theta: SpectralField, config: SolverConfig,
     """
     g = theta.geometry
     c = theta.coeffs
-    psi = _stream_coeffs(theta, config)
-    M = 0 if psi is None else _live_extent(c) if extent is None else extent
+    M = (0 if config.drift_mode == "none"
+         else _live_extent(c) if extent is None else extent)
     if M == 0:      # no drift, or theta is zero
         return np.zeros_like(c)
-    if _band_size(M) < g.grid_size:
-        M = max(M, _live_extent(psi))
     n_band = _band_size(M)
     if n_band >= g.grid_size:
         n = g.n_interior
+        psi = _stream_coeffs(c, g, config.j_sign)
         return _flux(_lead(c, n), _lead(psi, n), g,
                      advection_workspace(g) if work is None else work)
     sub = _band_geometry(n_band, g.side_length)
@@ -248,7 +243,8 @@ def advection_coeffs(theta: SpectralField, config: SolverConfig,
     else:   # the leading memory of the full workspace, reshaped
         Nf = fine_grid_size(n_band)
         work = work.reshape(-1)[:3 * Nf * Nf].reshape(3, Nf, Nf)
-    band = _flux(_lead(c, M), psi[:M, :M], sub, work)
+    block = c[:M, :M]
+    band = _flux(block, _stream_coeffs(block, g, config.j_sign), sub, work)
     side = max(c.shape[0], 2 * M)
     out = np.zeros((side, side))
     out[:2 * M, :2 * M] = band[:2 * M, :2 * M]
@@ -257,11 +253,9 @@ def advection_coeffs(theta: SpectralField, config: SolverConfig,
 
 def velocity_sup(theta: SpectralField, config: SolverConfig) -> float:
     """max |u| over the interior nodes of the drift."""
-    psi = _stream_coeffs(theta, config)
-    if psi is None:
+    if config.drift_mode == "none":
         return 0.0
-    ux, uy = _perp_gradient(psi, theta.geometry, 1.0)
-    return float(np.sqrt(ux ** 2 + uy ** 2).max())
+    return riesz_velocity(theta, config.j_sign).sup_norm()
 
 
 def velocity_bound(theta: SpectralField, config: SolverConfig) -> float:
@@ -272,9 +266,9 @@ def velocity_bound(theta: SpectralField, config: SolverConfig) -> float:
     is never below the computed sup.  ``theta.coeffs`` may be the leading
     K x K block of the spectrum, as in :func:`advection_coeffs`.
     """
-    psi = _stream_coeffs(theta, config)
-    if psi is None:
+    if config.drift_mode == "none":
         return 0.0
+    psi = _stream_coeffs(theta.coeffs, theta.geometry, config.j_sign)
     k = theta.geometry.wavenumbers[:psi.shape[0]]
     a = np.abs(psi)
     amp = np.hypot((a @ k).sum(), (k @ a).sum())

@@ -126,7 +126,7 @@ def test_06_velocity_dichotomy(geom128):
 
 def test_07_commutator_scaling():
     g = build_square_geometry(2048)
-    rep = iq.verify_commutator_scaling(sp.mode_field(g, 1, 1), p=np.inf)
+    rep = iq.verify_commutator_scaling(sp.mode_field(g, 1, 1))
     slope, r2 = rep.fitted_constants["slope"], rep.regression[2]
     ok = rep.passed and -1.3 <= slope <= 0.0 and r2 >= 0.85 \
         and rep.samples >= 4

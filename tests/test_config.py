@@ -7,6 +7,7 @@ import pytest
 
 from sqgbounds.config import _SCHEMA, RunConfig, load_config
 from sqgbounds.errors import ConfigurationError
+from sqgbounds.solver import SolverConfig
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -166,3 +167,12 @@ def test_config_hash_is_pinned_and_each_field_has_one_key(
     assert load_config(path).config_hash().hex() == "586a5513560d7eca"
     assert sorted(row.field for row in _SCHEMA) == sorted(
         f.name for f in dataclasses.fields(RunConfig))
+
+
+def test_every_solver_setting_has_a_config_key():
+    """Each SolverConfig field is a RunConfig field with a schema row, so an
+    INI file reaches every solver setting."""
+    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    keyed = {row.field for row in _SCHEMA}
+    for f in dataclasses.fields(SolverConfig):
+        assert f.name in run_fields and f.name in keyed, f.name

@@ -55,20 +55,18 @@ def test_advection_skew_symmetric(geom):
     assert inner < 1e-10 * u_sup * theta.l2_norm() * np.sqrt(grad_sq)
 
 
-def closed_grid_advection(theta, j_sign, psi=None):
+def closed_grid_advection(theta, j_sign):
     """-u . grad(theta) by type-I transforms on the closed Nf-grid.
 
     The factors are sampled at the interior nodes i L/Nf, i = 1..Nf-1 (a
     DST-I into the padded length, then a DCT-I over a zero-bordered copy),
-    and the flux is projected back with a full DST-I and sliced.  ``psi``,
-    the stream function's coefficients, defaults to the SQG drift's.
+    and the flux is projected back with a full DST-I and sliced.
     """
     g = theta.geometry
     L, n = g.side_length, g.n_interior
     Nf = int(np.ceil(1.5 * g.grid_size))
     k = g.modes * np.pi / L
-    if psi is None:
-        psi = j_sign * theta.coeffs / np.sqrt(g.eigenvalues)
+    psi = j_sign * theta.coeffs / np.sqrt(g.eigenvalues)
 
     def mixed(c, cos_axis):
         s = fft.dst(c, type=1, n=Nf - 1, axis=1 - cos_axis)
@@ -132,37 +130,41 @@ def test_live_extent_chops_relative_to_the_largest_coefficient():
     assert sv._live_extent(c) == 15
 
 
-def test_band_advection_reads_the_stream_function_extent():
-    """A prescribed psi = w_1^3 reaches mode 3 where theta stops at 2.
+def psi_beyond_theta(g):
+    """theta of extent 10 whose psi = lam^{-1/2} theta has extent 11.
 
-    A band sized from theta alone drops psi's modes (1, 3), (3, 1) and
-    (3, 3) and misses the flux by a relative 0.69.
+    theta's (11, 1) coefficient is 0.9e-16 of its largest, at (10, 10), so
+    it is not live; psi's (11, 1) is 0.9e-16 sqrt(200 / 122) = 1.15e-16 of
+    its largest, so it is.
     """
-    g = build_square_geometry(64)
-    theta = sp.mode_field(g, 1, 1)
-    theta.coeffs[1, 0] = 0.2
-    # sin^3 = (3 sin - sin 3x) / 4, so w_1^3 = sum u_m u_n w_mn / (4 pi^2)
-    u = np.array([3.0, 0.0, -1.0])
-    psi = np.zeros((g.n_interior,) * 2)
-    psi[:3, :3] = np.outer(u, u) / (4.0 * np.pi ** 2)
-    assert (sv._live_extent(theta.coeffs), sv._live_extent(psi)) == (2, 3)
-    assert sv._band_size(3) < g.grid_size          # the band path runs
-    cfg = sv.SolverConfig(drift_mode="prescribed",
-                          drift_stream=sp.SpectralField(psi, g))
-    adv = sv.advection_coeffs(theta, cfg)
-    ref = closed_grid_advection(theta, 1.0, psi)
-    assert np.linalg.norm(ref) > 0.05
-    assert np.linalg.norm(adv - ref) <= 1e-13 * np.linalg.norm(ref)
+    c = np.zeros((g.n_interior,) * 2)
+    c[:10, :10] = 1e-3 * np.random.default_rng(10).standard_normal((10, 10))
+    c[9, 9] = 1.0
+    c[10, 0] = 0.9e-16
+    psi = sv._stream_coeffs(c, g, 1.0)
+    assert (sv._live_extent(c), sv._live_extent(psi)) == (10, 11)
+    return sp.SpectralField(c, g)
 
 
-@pytest.mark.parametrize("N", [64, 128])
-def test_band_advection_matches_the_full_grid_on_smooth_data(N):
+@pytest.mark.parametrize("N, make", [
+    pytest.param(64, lambda g: smooth_field(g, 64), id="64"),
+    pytest.param(128, lambda g: smooth_field(g, 128), id="128"),
+    pytest.param(64, psi_beyond_theta, id="psi_beyond_theta")])
+def test_band_advection_matches_the_full_grid_on_smooth_data(N, make):
+    """The band is theta's extent M; every psi coefficient it drops is at
+    most sqrt(2) CHOP_RTOL max|psi|, and the flux keeps to 1e-13."""
     g = build_square_geometry(N)
-    theta = smooth_field(g, N)
-    assert sv._band_size(sv._live_extent(theta.coeffs)) < N
+    theta = make(g)
+    M = sv._live_extent(theta.coeffs)
+    assert sv._band_size(M) < N
     cfg = sv.SolverConfig(drift_mode="sqg")
+    psi = sv._stream_coeffs(theta.coeffs, g, 1.0)
+    dropped = psi.copy()
+    dropped[:M, :M] = 0.0
+    assert np.abs(dropped).max() <= (np.sqrt(2.0) * sv.CHOP_RTOL
+                                     * np.abs(psi).max())
     adv = sv.advection_coeffs(theta, cfg)
-    ref = full_grid_advection(theta, sv._stream_coeffs(theta, cfg))
+    ref = full_grid_advection(theta, psi)
     assert np.linalg.norm(adv - ref) <= 1e-13 * np.linalg.norm(ref)
     inner = abs(float((adv * theta.coeffs).sum()))
     assert inner <= 1e-13 * np.linalg.norm(adv) * theta.l2_norm()
@@ -180,17 +182,16 @@ def test_full_spectrum_advection_is_the_full_grid_result_bit_for_bit(
     theta = sp.SpectralField(c, geom)
     cfg = sv.SolverConfig(drift_mode="sqg")
     assert sv._band_size(sv._live_extent(c)) >= geom.grid_size
-    ref = full_grid_advection(theta, sv._stream_coeffs(theta, cfg))
+    ref = full_grid_advection(theta, sv._stream_coeffs(c, geom, 1.0))
     work = sv.advection_workspace(geom)
     assert np.array_equal(sv.advection_coeffs(theta, cfg, work), ref)
     assert np.array_equal(sv.advection_coeffs(theta, cfg), ref)
 
 
-@pytest.mark.parametrize("mode", ["sqg", "prescribed"])
+@pytest.mark.parametrize("mode", ["sqg", "none"])
 def test_zero_theta_advects_to_zero(geom, mode):
     z = sp.SpectralField(np.zeros((geom.n_interior,) * 2), geom)
-    cfg = sv.SolverConfig(drift_mode=mode,
-                          drift_stream=sp.mode_field(geom, 2, 3))
+    cfg = sv.SolverConfig(drift_mode=mode)
     adv = sv.advection_coeffs(z, cfg, sv.advection_workspace(geom))
     assert adv.shape == z.coeffs.shape and not adv.any()
 
@@ -306,15 +307,6 @@ def test_dt_refinement_order(geom):
     assert np.log2(e1 / e2) >= 1.8
 
 
-def test_prescribed_drift_mode(geom):
-    """Drift by the ground-state stream leaves w_1 invariant up to decay."""
-    cfg = sv.SolverConfig(dt=1e-3, t_end=0.2, drift_mode="prescribed",
-                          drift_stream=sp.mode_field(geom, 1, 1, amp=0.5))
-    res = sv.run(sp.mode_field(geom, 1, 1), cfg)
-    th = res.snapshots[-1].theta
-    assert abs(th.coeffs[0, 0] - np.exp(-0.2 * np.sqrt(2.0))) < 1e-8
-
-
 @pytest.fixture(scope="module")
 def cfl_run(geom):
     """A run whose dt halves 7 times, with the ledger's Simpson samples."""
@@ -360,16 +352,13 @@ _SMALL = build_square_geometry(16)
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), top=st.integers(1, 15),
-       amp=st.floats(1e-6, 1e3), j_sign=st.sampled_from([1.0, -1.0]),
-       mode=st.sampled_from(["sqg", "prescribed"]))
-def test_velocity_bound_never_below_sup(seed, top, amp, j_sign, mode):
+       amp=st.floats(1e-6, 1e3), j_sign=st.sampled_from([1.0, -1.0]))
+def test_velocity_bound_never_below_sup(seed, top, amp, j_sign):
     rng = np.random.default_rng(seed)
     c = np.zeros((_SMALL.n_interior,) * 2)
     c[:top, :top] = amp * rng.standard_normal((top, top))
     theta = sp.SpectralField(c, _SMALL)
-    stream = sp.SpectralField(np.roll(c, 1, axis=0), _SMALL)
-    cfg = sv.SolverConfig(drift_mode=mode, j_sign=j_sign,
-                          drift_stream=stream if mode == "prescribed" else None)
+    cfg = sv.SolverConfig(drift_mode="sqg", j_sign=j_sign)
     assert sv.velocity_bound(theta, cfg) >= sv.velocity_sup(theta, cfg)
 
 
@@ -420,15 +409,6 @@ def full_array_step(state, dt, config, advect=sv.advection_coeffs):
     return decay * a + 0.5 * dt * (decay * k1 + k2)
 
 
-def w1_cubed(g):
-    """The exact coefficients of w_1^3: modes (1|3, 1|3) only."""
-    # sin^3 = (3 sin - sin 3x) / 4, so w_1^3 = sum u_m u_n w_mn / (4 pi^2)
-    u = np.array([3.0, 0.0, -1.0])
-    psi = np.zeros((g.n_interior,) * 2)
-    psi[:3, :3] = np.outer(u, u) / (4.0 * np.pi ** 2)
-    return sp.SpectralField(psi, g)
-
-
 @pytest.mark.parametrize("N", [64, 128])
 def test_block_step_is_the_full_array_step_bit_for_bit(N):
     g = build_square_geometry(N)
@@ -475,7 +455,8 @@ def test_full_spectrum_step_takes_the_fft_fallback_bit_for_bit(geom):
     cfg = sv.SolverConfig(drift_mode="sqg")
 
     def fft_flux(th, config):
-        return full_grid_advection(th, sv._stream_coeffs(th, config))
+        return full_grid_advection(
+            th, sv._stream_coeffs(th.coeffs, th.geometry, config.j_sign))
 
     new = sv.step(sv.SolverState(0.0, theta), 1e-3, cfg)
     assert new.support == geom.n_interior
@@ -483,41 +464,23 @@ def test_full_spectrum_step_takes_the_fft_fallback_bit_for_bit(geom):
     assert new.theta.coeffs.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("mode", ["sqg", "prescribed", "none"])
+@pytest.mark.parametrize("mode", ["sqg", "none"])
 def test_zero_state_steps_on_an_empty_block(geom, mode):
     z = sp.SpectralField(np.zeros((geom.n_interior,) * 2), geom)
-    cfg = sv.SolverConfig(drift_mode=mode,
-                          drift_stream=sp.mode_field(geom, 2, 3))
+    cfg = sv.SolverConfig(drift_mode=mode)
     new = sv.step(sv.SolverState(0.0, z), 1e-2, cfg)
     assert (new.support, new.extent) == (0, 0)
     assert new.theta.coeffs.shape == z.coeffs.shape
     assert not new.theta.coeffs.any()
 
 
-def test_prescribed_drift_block_step_reads_psi_beyond_the_block():
-    """psi = w_1^3 reaches mode 3 where theta's block stops at 2: the band
-    pads theta, and the step keeps the whole-array bits."""
-    g = build_square_geometry(64)
-    theta = sp.mode_field(g, 1, 1)
-    theta.coeffs[1, 0] = 0.2
-    cfg = sv.SolverConfig(drift_mode="prescribed", drift_stream=w1_cubed(g))
-    state = sv.SolverState(0.0, theta)
-    new = sv.step(state, 1e-2, cfg)
-    assert sv._support(theta.coeffs) == 2
-    assert not new.theta.coeffs[new.support:].any()
-    assert not new.theta.coeffs[:, new.support:].any()
-    ref = full_array_step(state, 1e-2, cfg)
-    assert new.theta.coeffs.tobytes() == ref.tobytes()
-
-
-@pytest.mark.parametrize("mode", ["sqg", "prescribed"])
+@pytest.mark.parametrize("mode", ["sqg"])
 def test_band_advection_allocates_less_than_one_fine_grid(
         geom, traced_peak, mode):
-    """The band path at N = 128, under either drift, allocates under one
-    Nf^2 array, for a whole theta and for a leading 30 x 30 block as a
-    step passes it."""
+    """The band path at N = 128 allocates under one Nf^2 array, for a whole
+    theta and for a leading 30 x 30 block as a step passes it."""
     theta = smooth_field(geom, 128)
-    cfg = sv.SolverConfig(drift_mode=mode, drift_stream=w1_cubed(geom))
+    cfg = sv.SolverConfig(drift_mode=mode)
     assert sv._band_size(sv._live_extent(theta.coeffs)) < geom.grid_size
     work = sv.advection_workspace(geom)
     block = sp.SpectralField(theta.coeffs[:30, :30].copy(), geom)
