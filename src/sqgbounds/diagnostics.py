@@ -14,10 +14,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Geometry
-from .operators import riesz_velocity
-from .spectral import (GridField, GridScratch, SpectralField, gradient,
-                       grid_scratch, inverse)
-from .solver import SolverState
+from .spectral import (GridField, SpectralField, _leading, _times_k,
+                       eval_block, gradient, inverse)
+from .solver import SolverState, _support
 
 SPACE_DIMENSION = 2    # d in the d/p exponents
 
@@ -111,15 +110,16 @@ def _weighted_of_abs(geometry: Geometry, abs_b1: np.ndarray, m: int) -> float:
     return float(ratio_quad(geometry, abs_b1) ** (1.0 / (2 * m)))
 
 
-def interior_lipschitz(theta: SpectralField,
-                       work: GridScratch | None = None) -> float:
-    """M = sup_x d(x) |grad theta(x)| with the spectral gradient.
+def interior_lipschitz(theta: SpectralField) -> float:
+    """M = sup_x d(x) |grad theta(x)| with the spectral gradient."""
+    dx, dy = gradient(theta)
+    return _lipschitz(dx.values, dy.values, theta.geometry)
 
-    The gradient is computed in ``work`` (see :func:`gradient`).
-    """
-    dx, dy = gradient(theta, work)
-    mag = np.hypot(dx.values, dy.values, out=dx.values)
-    mag *= theta.geometry.distance
+
+def _lipschitz(dx: np.ndarray, dy: np.ndarray, geometry: Geometry) -> float:
+    """max d(x) |(dx, dy)| from the gradient's node values; overwrites dx."""
+    mag = np.hypot(dx, dy, out=dx)
+    mag *= geometry.distance
     return float(mag.max())
 
 
@@ -255,60 +255,91 @@ class DiagnosticsRecord:
     normal_rate: float
 
 
-def record_workspace(geometry: Geometry) -> GridScratch:
-    """A :func:`grid_scratch` for :func:`record`, with the geometry tables
-    that a record reads built here.
+def record_workspace(geometry: Geometry) -> np.ndarray:
+    """Three (N-1) x (N-1) node-grid slots for :func:`record`, one
+    (3, N-1, N-1) array, with every geometry table that a record reads
+    built here.
 
-    Records that share it allocate no grid-sized array, only a few boolean
-    masks: their memory stays flat from one snapshot to the next.
+    Records that share it allocate no grid-sized array on the dense route,
+    only a few boolean masks: their memory stays flat from one snapshot to
+    the next.
     """
     # each built on first read (cached_property); read them all here, so no
     # record, on whichever thread, builds one
     (geometry.wavenumbers, geometry.sqrt_eigenvalues,
-     geometry.inv_sqrt_eigenvalues, geometry.ground_state, geometry.distance,
+     geometry.inv_sqrt_eigenvalues, geometry.node_sines,
+     geometry.node_cosines, geometry.ground_state, geometry.distance,
      geometry.x_side_nearest)
-    return grid_scratch(geometry)
+    n = geometry.n_interior
+    return np.empty((3, n, n))
 
 
 def record(state: SolverState,
            ps=DEFAULT_PS, ms=DEFAULT_MS, alphas=DEFAULT_ALPHAS,
-           work: GridScratch | None = None) -> DiagnosticsRecord:
+           work: np.ndarray | None = None) -> DiagnosticsRecord:
     """Aggregate all functionals for one state.
 
-    One velocity solve and one grid evaluation of theta serve every
-    functional, and every grid array lives in ``work`` (a new
+    The row depends on theta's coefficients alone.  The record scans
+    theta's support K (every coefficient outside the leading K x K block is
+    exactly 0.0) and forms the K x K blocks of theta, k (x) theta and
+    k (x) psi with psi = lam^{-1/2} theta.  :func:`spectral.eval_block`
+    evaluates theta, grad theta and u = grad-perp psi at the nodes from
+    them: by products with the geometry's node tables when K is at most
+    ``spectral.DENSE_MAX_NF``, else by the FFT route of :func:`inverse`,
+    :func:`gradient` and :func:`operators.riesz_velocity`, with their
+    bits.  The energy and the half norm are sums over the whole spectrum.
+
+    Every grid array lives in the three slots of ``work`` (a new
     :func:`record_workspace` when None): the squared coefficients, then
-    the gradient, then the grid values with |b_1|, then the velocity, each
-    overwriting the last, and each elementwise operation on C-contiguous
-    arrays, for which numpy allocates no iterator buffer.  Only |u| enters
-    the record, so the velocity's components are overwritten in place by
-    their magnitudes and then their squares; u_sup is
-    sqrt(max(u_x^2 + u_y^2)), equal to max |u| because the square root is
-    monotone and correctly rounded.
+    the gradient, then the grid values with |b_1|, then |u_x|, |u_y| and
+    |u . n|, each overwriting what is no longer read.  The K x K blocks and
+    the dense route's (N-1) x K intermediate products go into the leading
+    memory of slots that are free at the time, so on the dense route a
+    record allocates no array of either size.  Each elementwise operation
+    runs on C-contiguous arrays, for which numpy allocates no iterator
+    buffer.  u_sup is sqrt(max(u_x^2 + u_y^2)), equal to max |u| because
+    the square root is monotone and correctly rounded.
     """
     theta = state.theta
     g = theta.geometry
     work = record_workspace(g) if work is None else work
     # one square of the coefficients serves theta.l2_norm() ** 2 and
     # half_norm_sq(theta), operation for operation
-    sq = np.square(theta.coeffs, out=work.field)
+    sq = np.square(theta.coeffs, out=work[0])
     energy = float(np.sqrt(sq.sum())) ** 2
     sq *= g.sqrt_eigenvalues
     half_norm = float(sq.sum())
-    lipschitz = interior_lipschitz(theta, work)
-    values = inverse(theta, out=work.field).values
-    scratch = work.grad_y
+    # each K x K block goes into the leading memory of the slot its values
+    # go to, or of a free one; eval_block's intermediate into a free slot
+    K = _support(theta.coeffs)
+    c = theta.coeffs[:K, :K]
+    k = g.wavenumbers[:K]
+    dx = eval_block(_times_k(c, k, 0, out=_leading(work[0], K, K)), g, 0,
+                    out=work[0], scratch=work[2])
+    dy = eval_block(_times_k(c, k, 1, out=_leading(work[1], K, K)), g, 1,
+                    out=work[1], scratch=work[2])
+    lipschitz = _lipschitz(dx, dy, g)
+    values = eval_block(c, g, out=work[0], scratch=work[1])
+    scratch = work[1]
     sup_norm = float(np.max(np.abs(values, out=scratch), initial=0.0))
     b1_lp = {p: _lp_of_abs(g, _abs_ratio(values, g, scratch), p) for p in ps}
     weighted_norm = {m: _weighted_of_abs(g, _abs_ratio(values, g, scratch), m)
                      for m in ms}
     holder = {a: _holder(GridField(values, g), a, scratch=scratch).value
               for a in alphas}
-    u = riesz_velocity(theta, work=work)      # the values are overwritten
-    abs_ux = np.abs(u.u_x.values, out=u.u_x.values)
-    abs_uy = np.abs(u.u_y.values, out=u.u_y.values)
-    # u . n goes where the stream coefficients were: they are not read again
-    slope, _ = _normal_slope(abs_ux, abs_uy, g, out=work.field)
+    # u = (-psi_y, psi_x), and only |u| enters the record; psi's block is
+    # formed once for each component, each time in a slot free until then
+    inv = g.inv_sqrt_eigenvalues[:K, :K]
+    psi = np.einsum("ij,ij->ij", c, inv, out=_leading(work[2], K, K))
+    abs_ux = eval_block(_times_k(psi, k, 1, out=_leading(work[1], K, K)), g,
+                        1, out=work[1], scratch=work[0])
+    psi = np.einsum("ij,ij->ij", c, inv, out=_leading(work[0], K, K))
+    abs_uy = eval_block(_times_k(psi, k, 0, out=_leading(work[2], K, K)), g,
+                        0, out=work[2], scratch=work[0])
+    np.abs(abs_ux, out=abs_ux)
+    np.abs(abs_uy, out=abs_uy)
+    # u . n goes where theta's values were: they are not read again
+    slope, _ = _normal_slope(abs_ux, abs_uy, g, out=work[0])
     abs_ux **= 2
     abs_uy **= 2
     abs_ux += abs_uy

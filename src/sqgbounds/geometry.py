@@ -21,6 +21,10 @@ import numpy as np
 from .errors import ConfigurationError
 
 DEFAULT_CORNER_RADIUS_FRAC = 0.05
+# modes per axis of the node tables: the widest block that
+# spectral.eval_block evaluates with them (spectral.DENSE_MAX_NF, where the
+# crossover is measured)
+NODE_TABLE_MODES = 128
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -44,8 +48,8 @@ class Geometry:
 
     The mode multipliers ``wavenumbers`` (k_m = m pi / L),
     ``sqrt_eigenvalues`` and ``inv_sqrt_eigenvalues`` (lam^{+-1/2}) and the
-    sine table ``node_sines`` are kept the same way, read-only.  A geometry
-    hashes by identity, so it can key a cache.
+    node tables ``node_sines`` and ``node_cosines`` are kept the same way,
+    read-only.  A geometry hashes by identity, so it can key a cache.
     """
 
     side_length: float
@@ -91,16 +95,26 @@ class Geometry:
         table **= -0.5
         return _read_only(table)
 
+    def _node_angles(self) -> np.ndarray:
+        """m pi i / N at node i = 1..N-1 and mode m = 1..min(N-1,
+        NODE_TABLE_MODES), formed from the integer m i mod 2N, so every
+        entry carries the rounding of one angle in [0, 2 pi)."""
+        N = self.grid_size
+        reduced = np.outer(np.arange(1, N),
+                           np.arange(1, min(N - 1, NODE_TABLE_MODES) + 1))
+        return (reduced % (2 * N)) * (np.pi / N)
+
     @cached_property
     def node_sines(self) -> np.ndarray:
-        """(N-1, N-1) sin(m pi i / N) at node i and mode m, read-only.
+        """sin(m pi i / N) at node i and mode m, read-only; modes as in
+        :meth:`_node_angles`."""
+        return _read_only(np.sin(self._node_angles()))
 
-        The angle is formed from the integer m i mod 2N, so every entry
-        carries the rounding of one angle in [0, 2 pi), not of m i pi / N.
-        """
-        i = np.arange(1, self.grid_size)
-        reduced = np.outer(i, i) % (2 * self.grid_size)
-        return _read_only(np.sin(reduced * (np.pi / self.grid_size)))
+    @cached_property
+    def node_cosines(self) -> np.ndarray:
+        """cos(m pi i / N) at node i and mode m, read-only; modes as in
+        :meth:`_node_angles`."""
+        return _read_only(np.cos(self._node_angles()))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

@@ -21,9 +21,9 @@ from scipy.special import erf, gamma
 from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
 from .geometry import Geometry
-from .spectral import (BoxField, GridField, GridScratch, SpectralField,
-                       _forward_coeffs, dealiased_product, eval_fine, forward,
-                       grad_l2_norm_sq, gradient, inverse)
+from .spectral import (BoxField, GridField, SpectralField, _forward_coeffs,
+                       dealiased_product, eval_fine, forward, grad_l2_norm_sq,
+                       gradient, inverse)
 
 MAX_CUTOFF_SCALE_FRAC = 0.25    # ell0 = L/4
 ERF_SATURATION = 6.0            # scipy's erf(z) == sign(z) for |z| >= 6
@@ -263,31 +263,22 @@ class VelocityField:
         return float(np.sqrt(grad_l2_norm_sq(self.stream)))
 
 
-def _stream_velocity(stream: SpectralField, j_sign: float,
-                     work: GridScratch | None = None) -> VelocityField:
+def _stream_velocity(stream: SpectralField, j_sign: float) -> VelocityField:
     """The velocity j_sign * grad-perp psi = j_sign * (-d_y psi, d_x psi) of
-    the stream function psi, at the interior nodes.
-
-    With ``work``, u_x is ``work.grad_y`` and u_y a view of ``work.rows``.
-    """
-    psi_x, psi_y = gradient(stream, work)
+    the stream function psi, at the interior nodes."""
+    psi_x, psi_y = gradient(stream)
     psi_y.values *= -j_sign
     psi_x.values *= j_sign
     return VelocityField(psi_y, psi_x, stream)
 
 
-def riesz_velocity(theta: SpectralField, j_sign: float = 1.0,
-                   work: GridScratch | None = None) -> VelocityField:
-    """u = J grad Lambda^{-1} theta with J = rotation by +pi/2 (sign flippable).
-
-    With ``work``, the stream coefficients are ``work.field`` and the
-    components ``work.grad_y`` and a view of ``work.rows``: no new array.
-    """
+def riesz_velocity(theta: SpectralField,
+                   j_sign: float = 1.0) -> VelocityField:
+    """u = J grad Lambda^{-1} theta with J = rotation by +pi/2 (sign flippable)."""
     g = theta.geometry
-    stream = SpectralField(np.multiply(
-        theta.coeffs, g.inv_sqrt_eigenvalues,
-        out=None if work is None else work.field), g, theta.tag)
-    return _stream_velocity(stream, j_sign, work)
+    stream = SpectralField(theta.coeffs * g.inv_sqrt_eigenvalues, g,
+                           theta.tag)
+    return _stream_velocity(stream, j_sign)
 
 
 def short_time_velocity(theta: SpectralField, tau: float) -> VelocityField:

@@ -317,8 +317,9 @@ def _live_sup(state: SolverState, out: np.ndarray | None = None) -> float:
     """max |theta| over the nodes, from the state's live block.
 
     The sum runs over the rows up to the support and the columns up to the
-    extent, the only columns with a live coefficient (:func:`eval_block`);
-    ``out`` takes the node values.
+    extent, the only columns with a live coefficient: by products with the
+    node tables at any N while that block is at most DENSE_MAX_NF wide
+    (:func:`eval_block`).  ``out`` takes the node values.
     """
     theta = state.theta
     values = eval_block(theta.coeffs[:state.support, :state.extent],

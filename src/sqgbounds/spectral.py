@@ -25,33 +25,41 @@ spectrum on such a sub-geometry and zero-pads the result (see ``solver``).
 
 Small transforms are matrix products.  Up to DENSE_MAX_NF nodes per axis,
 the midpoint sums of :func:`eval_fine_mixed` and :func:`forward_fine` are
-two products with cached, read-only sin/cos tables, and :func:`eval_block`
-evaluates a leading block of a spectrum at the N-grid nodes with the
-geometry's ``node_sines``; above that size the FFT route runs.  Every table
-angle is formed from an integer reduced modulo its period, so the two routes
-agree to about one rounding (under 1e-14 relative, tested).
+two products with cached, read-only sin/cos tables; above that size the FFT
+route runs.  :func:`eval_block`, the one node-grid evaluator of a leading
+block of a spectrum (sine-sine, or with a cosine factor along one axis),
+goes by the block's side instead: a block of at most DENSE_MAX_NF modes per
+axis is two products with the geometry's node tables at any N, and a
+wider one takes the FFT route with the bits of :func:`inverse` and
+:func:`gradient`.  Every table angle is formed from an integer reduced
+modulo its period, so the routes agree to about one rounding (under 1e-14
+relative, tested).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
 
 from .errors import NumericError, ShapeError
-from .geometry import Geometry
+from .geometry import NODE_TABLE_MODES, Geometry
 
-# Transforms of at most DENSE_MAX_NF nodes per axis run as two products with
-# cached sine/cosine tables (Boyd, Chebyshev and Fourier Spectral Methods,
-# 2nd ed., ch. 10, matrix-multiplication transforms): at these sizes scipy's
-# per-call dispatch costs more than the transform.  Measured crossover, one
-# thread, BENCH_17.json "crossover": on band grids dense takes 0.22-0.45 of
-# the FFT time for eval_fine_mixed up to Nf = 162 and 0.26-0.69 for
-# forward_fine up to Nf = 120, whose gain closes at Nf = 135-162; the whole
-# 3/2 grid of N = 128 (Nf = 192) is faster by FFT.
-DENSE_MAX_NF = 128
+# Transforms of at most DENSE_MAX_NF nodes per axis, and node evaluations of
+# spectrum blocks of at most DENSE_MAX_NF modes per axis, run as two products
+# with cached sine/cosine tables (Boyd, Chebyshev and Fourier Spectral
+# Methods, 2nd ed., ch. 10, matrix-multiplication transforms): at these sizes
+# scipy's per-call dispatch, or the transform of a mostly-zero spectrum,
+# costs more than the products.  Measured crossover, one thread,
+# BENCH_17.json "crossover": on band grids dense takes 0.22-0.45 of the FFT
+# time for eval_fine_mixed up to Nf = 162 and 0.26-0.69 for forward_fine up
+# to Nf = 120, whose gain closes at Nf = 135-162; the whole 3/2 grid of
+# N = 128 (Nf = 192) is faster by FFT.  BENCH_19.json "crossover": a K x K
+# block at the N-grid nodes takes, dense against FFT, 0.60 / 0.90 of the
+# time at N = 256 (K = 128 / 192), 0.54 / 0.81 at N = 512 and 0.43 / 0.64 at
+# N = 1024; the cap keeps the node tables at (N-1) x 128 per geometry.
+DENSE_MAX_NF = NODE_TABLE_MODES
 
 
 @dataclass
@@ -110,28 +118,6 @@ def mode_field(geometry: Geometry, m: int, n: int,
 # Building blocks.  Sums run over modes m = 1..N-1 against the interior nodes
 # i = 1..N-1 of the N-grid (i.e. sin(pi*m*i/N)).
 # ---------------------------------------------------------------------------
-
-class GridScratch(NamedTuple):
-    """Reusable node-grid buffers for repeated evaluations on one geometry.
-
-    ``field`` and ``grad_y`` are C-contiguous (N-1) x (N-1) arrays;
-    ``rows`` and ``cols`` are the zero-bordered buffers of a cosine pass
-    along axis 0 and along axis 1 (one extra line on each side along that
-    axis).  A result computed into a scratch is a view of it and holds
-    until the scratch is used again.
-    """
-
-    field: np.ndarray
-    grad_y: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-
-
-def grid_scratch(geometry: Geometry) -> GridScratch:
-    n = geometry.n_interior
-    return GridScratch(np.empty((n, n)), np.empty((n, n)),
-                       np.empty((n + 2, n)), np.empty((n, n + 2)))
-
 
 def _times_k(c: np.ndarray, k: np.ndarray, axis: int,
              out: np.ndarray | None = None) -> np.ndarray:
@@ -302,27 +288,24 @@ def inverse(spec: SpectralField, out: np.ndarray | None = None) -> GridField:
     return GridField(eval_fine(spec, g.grid_size, out=out), g)
 
 
-def gradient(spec: SpectralField,
-             work: GridScratch | None = None) -> tuple[GridField, GridField]:
+def gradient(spec: SpectralField) -> tuple[GridField, GridField]:
     """Spectral gradient, sampled at the interior nodes.
 
     sin(k_m x) differentiates to k_m cos(k_m x); the cosine factor is
     evaluated with a zero-bordered DCT-I.  Both components are computed in
-    place in bordered buffers, ``work.rows`` and ``work.cols`` if given.
-    The x component is a view of the first; the y component is copied to
-    ``work.grad_y``, so that both are C-contiguous and no elementwise
-    operation on them needs numpy's iterator buffer.
+    place in bordered buffers.  The x component is a view of the first; the
+    y component is copied out of the second, so that both are C-contiguous
+    and no elementwise operation on them needs numpy's iterator buffer.
     """
     g = spec.geometry
     n = g.n_interior
     k = g.wavenumbers
     scale = 2.0 / g.side_length
-    rows = np.empty((n + 2, n)) if work is None else work.rows
-    cols = np.empty((n, n + 2)) if work is None else work.cols
-    grad_y = np.empty((n, n)) if work is None else work.grad_y
+    rows = np.empty((n + 2, n))
+    cols = np.empty((n, n + 2))
     dx = _sin_cos_eval(_times_k(spec.coeffs, k, 0, out=_interior(rows, 0)),
                        0, scale, out=rows)
-    np.copyto(grad_y, _sin_cos_eval(
+    grad_y = np.ascontiguousarray(_sin_cos_eval(
         _times_k(spec.coeffs, k, 1, out=_interior(cols, 1)), 1, scale,
         out=cols))
     return GridField(dx, g), GridField(grad_y, g)
@@ -359,34 +342,68 @@ def _midpoint_tables(Nf: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+def _leading(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols array in the leading memory of ``buf``, C-contiguous."""
+    return buf.reshape(-1)[:rows * cols].reshape(rows, cols)
+
+
 def _sandwich(left: np.ndarray, c: np.ndarray, right: np.ndarray,
-              scale: float, out: np.ndarray | None = None) -> np.ndarray:
+              scale: float, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """scale * left @ c @ right.T, into ``out`` if given.
 
-    The scale multiplies the intermediate product, the smaller array.
+    The scale multiplies the intermediate product left @ c, the smaller
+    array, which goes into the leading memory of ``scratch`` if given.
+    ``c`` is read only for that product, so it may live in ``out``.
     """
-    half = left @ c
+    half = None if scratch is None else _leading(scratch, left.shape[0],
+                                                 c.shape[1])
+    half = np.matmul(left, c, out=half)
     half *= scale
     return np.matmul(half, right.T, out=out)
 
 
 def eval_block(coeffs: np.ndarray, geometry: Geometry,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """The field at the interior nodes, from ``coeffs``, the leading K x M
-    block of its spectrum (every coefficient outside it zero).
+               cos_axis: int | None = None, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """(2/L) sum c_{m,n} (factor in x)(factor in y) at the interior nodes,
+    from ``coeffs``, the leading K x M block of the spectrum (every
+    coefficient outside it zero).
 
-    Up to DENSE_MAX_NF nodes per axis this is the dense route,
-    (2/L) S_K c S_M^T with the geometry's ``node_sines``; above it,
-    :func:`eval_fine` on the block, a column band of :func:`_dst2`.
-    ``out``, an (N-1) x (N-1) array, takes the values.
+    Both factors are sin(k x), or, with ``cos_axis`` 0 or 1, the factor
+    along that axis is cos(k x): the block of k (x) c along that axis gives
+    a gradient component, as :func:`gradient` does for a whole spectrum.
+    The route goes by the block's larger side.  Up to DENSE_MAX_NF it is
+    the dense route, (2/L) A c B^T with columns of the geometry's
+    ``node_sines`` and ``node_cosines``; its intermediate (N-1) x K product
+    goes into the leading memory of ``scratch`` when given (an (N-1) x
+    (N-1) array will do).  Above it, the FFT route of :func:`inverse` and :func:`gradient`
+    runs on the block with their bits; a cosine factor there allocates the
+    zero-bordered buffer of :func:`cos_eval`.  ``out``, an (N-1) x (N-1)
+    array, takes the values; with a cosine factor ``coeffs`` may live in
+    ``out``'s memory.
     """
-    N = geometry.grid_size
-    if N > DENSE_MAX_NF:
-        return eval_fine(SpectralField(coeffs, geometry), N, out=out)
-    sin = geometry.node_sines
     K, M = coeffs.shape
-    return _sandwich(sin[:, :K], coeffs, sin[:, :M],
-                     2.0 / geometry.side_length, out)
+    scale = 2.0 / geometry.side_length
+    if max(K, M) <= DENSE_MAX_NF:
+        left = geometry.node_cosines if cos_axis == 0 else geometry.node_sines
+        right = geometry.node_cosines if cos_axis == 1 else geometry.node_sines
+        return _sandwich(left[:, :K], coeffs, right[:, :M], scale, out,
+                         scratch)
+    if cos_axis is None:    # a column band of _dst2
+        return eval_fine(SpectralField(coeffs, geometry),
+                         geometry.grid_size, out=out)
+    n = geometry.n_interior
+    shape = [n, n]
+    shape[cos_axis] += 2
+    buf = np.zeros(shape)
+    lines = _interior(buf, cos_axis)
+    lines[:K, :M] = coeffs
+    values = _sin_cos_eval(lines, cos_axis, scale, out=buf)
+    if out is None:
+        return np.ascontiguousarray(values)
+    np.copyto(out, values)
+    return out
 
 
 def eval_fine(spec: SpectralField, Nf: int, rows=slice(None),

@@ -236,6 +236,25 @@ def test_diag_reproduces_last_row(run_cfg, capsys):
     assert printed[1] == csv_lines[-1]
 
 
+@pytest.mark.parametrize("grid_size, t_end, output_interval",
+                         [(64, 0.2, 0.02), (512, 0.012, 0.004)])
+def test_diag_reproduces_every_row(tmp_path, capsys, grid_size, t_end,
+                                   output_interval):
+    """A record depends on theta's coefficients alone: diag on each
+    checkpoint prints that snapshot's row byte for byte."""
+    out = tmp_path / "out"
+    path = _write_run_cfg(tmp_path / "run.cfg", out, grid_size, 2e-3, t_end,
+                          output_interval)
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+    checkpoints = sorted(out.glob("checkpoint_*.sqgb"))
+    assert len(checkpoints) == len(rows) == round(t_end / output_interval) + 1
+    for ck, row in zip(checkpoints, rows):
+        assert main(["diag", str(ck)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == row
+
+
 def test_diag_dump(run_cfg, tmp_path):
     path, out = run_cfg
     main(["run", str(path)])

@@ -149,7 +149,10 @@ def test_csv_round_trip(tmp_path, geom):
     assert vals[0] == rec.t and abs(vals[2] - rec.energy) < 1e-15
 
 
-def test_record_matches_single_functionals(geom):
+def test_record_matches_single_functionals(geom, monkeypatch):
+    """On the FFT route the record has the bits of the single functionals
+    (the dense route is held to it by the route-agreement test)."""
+    monkeypatch.setattr(sp, "DENSE_MAX_NF", 0)
     theta = sp.mode_field(geom, 2, 1, amp=0.3)
     theta.coeffs[0, 0] = 1.0
     rec = dg.record(sv.SolverState(0.0, theta), ps=(2.0, np.inf), ms=(1, 2),
@@ -167,6 +170,63 @@ def _random_field(geom, seed, modes=12):
     c = np.zeros((geom.n_interior,) * 2)
     c[:modes, :modes] = np.random.default_rng(seed).standard_normal((modes, modes))
     return sp.SpectralField(c, geom)
+
+
+def _functionals_row(theta, ps, ms, alphas):
+    """The CSV row of a record at t = 0, from the single functionals."""
+    g = theta.geometry
+    b1 = dg.boundary_ratio(theta)
+    u = op.riesz_velocity(theta)
+    slope, _ = dg._normal_slope(np.abs(u.u_x.values), np.abs(u.u_y.values), g)
+    return ([0.0, sp.inverse(theta).sup_norm(), theta.l2_norm() ** 2,
+             sv.half_norm_sq(theta), dg.interior_lipschitz(theta)]
+            + [dg.ratio_lp_norm(b1, p) for p in ps]
+            + [dg.weighted_ratio_norm(theta, m) for m in ms]
+            + [dg.holder_seminorm(theta, a).value for a in alphas]
+            + [u.sup_norm(), slope])
+
+
+def test_full_spectrum_record_keeps_the_fft_route_bits():
+    """A spectrum wider than DENSE_MAX_NF (N = 257, every mode live) takes
+    the FFT route and keeps the bits of the single functionals."""
+    g = build_square_geometry(257)
+    theta = _random_field(g, 257, modes=g.n_interior)
+    theta.coeffs *= 1e-2 / (1.0 + g.eigenvalues)
+    assert sv._support(theta.coeffs) > sp.DENSE_MAX_NF
+    rec = dg.record(sv.SolverState(0.0, theta), ps=(2.0, 4.0), ms=(2,),
+                    alphas=(0.4,))
+    assert dg.csv_row(rec) == _functionals_row(theta, (2.0, 4.0), (2,),
+                                               (0.4,))
+
+
+# Largest relative gap between the routes, measured over every snapshot
+# (output every 0.02, or every step at N = 512) of three seeded runs per N:
+# 4.2e-14 for the Hölder seminorm, whose smallest displacement takes the
+# difference of neighbouring node values, and 1.3e-15 for every other
+# column.
+ROUTE_RTOL = {"holder": 1e-13, "other": 3e-15}
+
+
+@pytest.mark.parametrize("N, t_end", [(64, 0.6), (128, 0.6), (512, 0.012)])
+def test_record_routes_agree_on_solver_states(monkeypatch, N, t_end):
+    """Every CSV column of a record, dense route against FFT route, on the
+    snapshots of a run."""
+    g = build_square_geometry(N)
+    theta0 = sp.mode_field(g, 1, 1)
+    theta0.coeffs[1, 0] = 0.5
+    res = sv.run(theta0, sv.SolverConfig(dt=2e-3, t_end=t_end,
+                                         output_interval=t_end / 3))
+    assert max(s.support for s in res.snapshots) <= sp.DENSE_MAX_NF
+    for state in res.snapshots:
+        monkeypatch.setattr(sp, "DENSE_MAX_NF", 1 << 30)
+        dense = dg.record(state)
+        monkeypatch.setattr(sp, "DENSE_MAX_NF", 0)
+        fast = dg.record(state)
+        for name, a, b in zip(dg.csv_columns(fast), dg.csv_row(dense),
+                              dg.csv_row(fast)):
+            rtol = ROUTE_RTOL["holder" if name.startswith("holder")
+                              else "other"]
+            assert abs(a - b) <= rtol * abs(b), name
 
 
 def _holder_masked_overlap(values, alpha, h_budget=1.0 / 32.0):
@@ -242,8 +302,9 @@ def test_normal_velocity_slope_matches_meshgrid(n):
 
 def test_record_peak_memory_at_n512(traced_peak):
     """A record that shares a workspace allocates less than half of one
-    511^2 array (boolean masks and vectors), and the workspace is four
-    arrays; the geometry tables are built with the workspace."""
+    511^2 array (boolean masks and vectors), and the workspace is under
+    four arrays (it is three); the geometry tables, the node tables among
+    them, are built with the workspace, so a record builds none."""
     g = build_square_geometry(512)
     theta = sp.mode_field(g, 1, 1)
     theta.coeffs[1, 0] = 0.5
@@ -251,7 +312,11 @@ def test_record_peak_memory_at_n512(traced_peak):
     array_bytes = g.n_interior ** 2 * 8
     work = dg.record_workspace(g)
     assert sum(buf.nbytes for buf in work) < 4.1 * array_bytes
+    assert g.node_sines.nbytes + g.node_cosines.nbytes <= 2 * 511 * 128 * 8
+    tables = dict(vars(g))
     warm = dg.record(state, work=work)
     rec, peak = traced_peak(lambda: dg.record(state, work=work))
+    assert vars(g).keys() == tables.keys()
+    assert all(vars(g)[name] is table for name, table in tables.items())
     assert rec == warm == dg.record(state)
     assert peak < 0.5 * array_bytes

@@ -4,8 +4,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sqgbounds import spectral as sp
 from sqgbounds.errors import ConfigurationError
-from sqgbounds.geometry import (Geometry, build_square_geometry,
+from sqgbounds.geometry import (NODE_TABLE_MODES, Geometry,
+                                build_square_geometry,
                                 fit_ground_state_equivalence)
 
 
@@ -168,15 +170,25 @@ def test_geometry_has_three_inputs_and_derives_the_rest():
 
 
 def test_node_sines_are_lazy_reduced_and_read_only():
-    g = build_square_geometry(64)
-    assert "node_sines" not in vars(g)
-    table = g.node_sines
-    assert g.node_sines is table and table.shape == (63, 63)
+    """The sin and cos node tables: each built on first read, modes capped
+    at NODE_TABLE_MODES, angles reduced, read-only."""
     pi = np.longdouble("3.14159265358979323846264338327950288")
-    i = np.arange(1, 64).astype(np.longdouble)
-    exact = np.sin(pi * np.outer(i, i) / 64)
-    assert np.abs(table - exact).max() < 1e-15
-    # nodes and modes share the indices 1..N-1, so the table is symmetric
-    assert np.array_equal(table, table.T)
-    with pytest.raises(ValueError):
-        table[0, 0] = 1.0
+    for N in (64, 512):
+        g = build_square_geometry(N)
+        width = min(N - 1, NODE_TABLE_MODES)
+        i = np.arange(1, N).astype(np.longdouble)
+        angle = pi * np.outer(i, i[:width]) / N
+        for name, exact in (("node_sines", np.sin(angle)),
+                            ("node_cosines", np.cos(angle))):
+            assert name not in vars(g)
+            table = getattr(g, name)
+            assert getattr(g, name) is table
+            assert table.shape == (N - 1, width)
+            assert np.abs(table - exact).max() < 1e-15
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+    # at N = 64 nodes and modes share the indices 1..N-1: symmetric tables
+    g = build_square_geometry(64)
+    for table in (g.node_sines, g.node_cosines):
+        assert np.array_equal(table, table.T)
+    assert NODE_TABLE_MODES == sp.DENSE_MAX_NF

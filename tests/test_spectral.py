@@ -345,7 +345,8 @@ def test_dense_route_matches_the_fft_route(monkeypatch, N, modes):
 
 
 def test_dense_route_runs_up_to_the_crossover(monkeypatch):
-    """Below the crossover no transform is called; above it no table is built."""
+    """Below the crossover no transform is called; above it no table is
+    built.  eval_block goes by the block's larger side, not by N."""
     calls = []
 
     def counting(transform):
@@ -360,6 +361,11 @@ def test_dense_route_runs_up_to_the_crossover(monkeypatch):
         c = np.ones((N - 1, N - 1))
         sp.forward_fine(sp.eval_fine_mixed(c, g, Nf, 0), g)
         sp.eval_block(c, g)
+    big = build_square_geometry(512)
+    sp.eval_block(np.ones((24, 12)), big)
+    assert "node_cosines" not in vars(big)     # built only when read
+    for cos_axis in (0, 1):
+        sp.eval_block(np.ones((24, 12)), big, cos_axis)
     assert not calls
     sp._midpoint_tables.cache_clear()
     g = build_square_geometry(2 * sp.DENSE_MAX_NF // 3 + 1)
@@ -367,6 +373,11 @@ def test_dense_route_runs_up_to_the_crossover(monkeypatch):
     sp.forward_fine(sp.eval_fine_mixed(np.ones((3, 3)), g, Nf, 1), g)
     assert len(calls) == 4
     assert sp._midpoint_tables.cache_info().currsize == 0
+    wide = build_square_geometry(512)
+    for cos_axis in (None, 0, 1):
+        sp.eval_block(np.ones((sp.DENSE_MAX_NF + 1, 12)), wide, cos_axis)
+    assert len(calls) == 4 + 3 * 2
+    assert not {"node_sines", "node_cosines"} & vars(wide).keys()
 
 
 def test_midpoint_tables_are_cached_and_read_only():
@@ -387,18 +398,47 @@ def test_midpoint_tables_are_cached_and_read_only():
 
 
 @pytest.mark.parametrize("N, K, M", [(32, 31, 31), (128, 34, 17),
-                                     (128, 5, 0), (256, 40, 20)])
+                                     (128, 5, 0), (256, 40, 20),
+                                     (512, 24, 12), (512, 200, 12)])
 def test_eval_block_matches_inverse(N, K, M):
     """The leading K x M block at the nodes, by either route, against the
-    whole spectrum's inverse."""
+    whole spectrum's inverse, and with a cosine factor against its
+    gradient; a block wider than DENSE_MAX_NF has their bits."""
     g = build_square_geometry(N)
     c = np.zeros((N - 1, N - 1))
     c[:K, :M] = np.random.default_rng(K).standard_normal((K, M))
-    ref = sp.inverse(sp.SpectralField(c, g)).values
-    out = np.full_like(ref, np.nan)
-    got = sp.eval_block(c[:K, :M], g, out=out)
-    assert np.shares_memory(got, out)
-    assert np.abs(got - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
+    spec = sp.SpectralField(c, g)
+    k = g.wavenumbers
+    blocks = {None: c[:K, :M], 0: (k[:, None] * c)[:K, :M],
+              1: (c * k[None, :])[:K, :M]}
+    refs = {None: sp.inverse(spec).values,
+            **dict(enumerate(grad.values for grad in sp.gradient(spec)))}
+    for cos_axis, ref in refs.items():
+        out = np.full_like(ref, np.nan)
+        got = sp.eval_block(blocks[cos_axis], g, cos_axis, out=out)
+        assert np.shares_memory(got, out)
+        assert np.abs(got - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
+        if max(K, M) > sp.DENSE_MAX_NF:
+            assert got.tobytes() == ref.tobytes()
+        fresh = sp.eval_block(blocks[cos_axis], g, cos_axis)
+        assert fresh.flags.c_contiguous
+        assert fresh.tobytes() == got.tobytes()
+
+
+def test_eval_block_reads_a_block_that_lives_in_its_output():
+    """With a cosine factor the block may sit in the leading memory of
+    ``out``, and the product's intermediate in ``scratch``, on both routes."""
+    for N, K in ((64, 20), (512, 24), (512, 200)):
+        g = build_square_geometry(N)
+        kc = np.random.default_rng(N + K).standard_normal((K, K))
+        scratch = np.empty((N - 1, N - 1))
+        for cos_axis in (0, 1):
+            ref = sp.eval_block(kc, g, cos_axis)
+            out = np.empty((N - 1, N - 1))
+            block = sp._leading(out, K, K)
+            block[...] = kc
+            got = sp.eval_block(block, g, cos_axis, out=out, scratch=scratch)
+            assert got is out and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("cos_axis", [0, 1])
