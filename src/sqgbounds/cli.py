@@ -8,14 +8,15 @@ in snapshot order.  No state array is kept per snapshot, only the four
 scalars the Hölder monitor reads.  ``final.sqgb`` and ``run_summary.txt``
 are written last, after the pending write, and mark a finished run.
 
-``verify`` runs its families in two lanes: ``commutator_scaling``, the
-largest, on the calling thread, and every other requested family, in
-request order, on one helper thread.  The lanes share no mutable state:
-they read separate geometries (the config's N and a 2048 grid), and only
-the helper lane runs the drift-free solver run that the decay families
-share.  The reports come back in request order, so what is printed and
-written, and the exit code, do not depend on the lanes; an exception in
-either lane reaches the caller after the helper thread has finished.
+``verify`` runs its families in two lanes, which take about equally long:
+``commutator_scaling``, the largest, on the calling thread, and every other
+requested family, in request order, on one helper thread.  The lanes share
+no mutable state: they read separate geometries (the config's N and a 2048
+grid), and only the helper lane runs the drift-free solver run that the
+decay families share.  The reports come back in request order, so what is
+printed and written, and the exit code, do not depend on the lanes; an
+exception in either lane reaches the caller after the helper thread has
+finished.
 
 Exit codes: 0 clean, 1 when ``verify`` finds a failing family, 2 on
 configuration/numeric failure, 3 when a run finishes but a monitor
@@ -202,9 +203,9 @@ def _verify_dispatch(cfg: RunConfig, names) -> list:
         "kernel_bounds": lambda: iq.verify_kernel_bounds(
             g, n_samples=cfg.sample_count, seed=cfg.seed, horizon=cfg.t_end),
     }
-    # commutator_scaling's 2047^2 arrays stay on the calling thread: a
-    # helper thread's malloc arena keeps such blocks and raises peak RSS.
-    # Leaving the block waits for the helper lane, also on an exception.
+    # commutator_scaling alone takes about as long as the other families
+    # together, so the two lanes overlap the halves of the work.  Leaving
+    # the block waits for the helper lane, also on an exception.
     lane = [name for name in names if name != "commutator_scaling"]
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(lambda: [families[name]() for name in lane])

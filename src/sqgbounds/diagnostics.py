@@ -38,19 +38,21 @@ def ratio_from_values(values: GridField) -> GridField:
 
 
 def ratio_sup(values: GridField) -> float:
-    """||b_1||_inf = max |theta / w_1| from the node values of theta.
+    """||b_1||_inf = max |theta / w_1| from the node values of theta."""
+    return ratio_sup_by_rows(values.geometry, lambda rows: values.values[rows])
 
-    Taken over ``_SUP_ROWS`` rows at a time, with w_1's rows from
+
+def ratio_sup_by_rows(geometry: Geometry, theta_rows) -> float:
+    """||b_1||_inf from theta's node rows ``theta_rows(rows)``, taken over
+    ``_SUP_ROWS`` rows at a time with w_1's rows from
     ``Geometry.ground_state_rows``: equal to
     ``ratio_lp_norm(ratio_from_values(values), inf)`` without its two
-    whole-grid temporaries.
-    """
-    g = values.geometry
+    whole-grid temporaries."""
     sups = []
-    for r in range(0, g.n_interior, _SUP_ROWS):
+    for r in range(0, geometry.n_interior, _SUP_ROWS):
         rows = slice(r, r + _SUP_ROWS)
-        sups.append(np.abs(values.values[rows]
-                           / g.ground_state_rows(rows)).max())
+        sups.append(np.abs(theta_rows(rows)
+                           / geometry.ground_state_rows(rows)).max())
     return float(np.max(sups))
 
 
@@ -194,16 +196,27 @@ def _holder(values: GridField, alpha: float, h_budget: float = 1.0 / 32.0,
 
 def _shell_sup(values: np.ndarray, geometry: Geometry,
                shells: int) -> tuple[list[float], list[float]]:
-    """log top, sup of values on each nonempty shell top/2 < d <= top = L/2^(k+3)."""
+    """log top, sup of values on each nonempty shell top/2 < d <= top = L/2^(k+3).
+
+    d = min(e_i, e_j) and the side distance e is unimodal, so {e > s} is
+    one run of nodes and the shell is the square of runs at s = top/2 less
+    the square at s = top: the maxima of four strips give its sup, bits
+    and all, with no whole-grid mask.
+    """
     tops = (geometry.side_length / 8.0) * 0.5 ** np.arange(shells)
-    d = geometry.distance
+    e = geometry.side_distance
     logs_d, sups = [], []
     for t in tops:
-        sel = d <= t
-        sel &= d > 0.5 * t
-        if sel.any():
-            logs_d.append(float(np.log(t)))
-            sups.append(float(np.max(values, where=sel, initial=-np.inf)))
+        outer, inner = np.flatnonzero(e > 0.5 * t), np.flatnonzero(e > t)
+        if outer.size == inner.size:        # inner is a subset: empty shell
+            continue
+        a, b = outer[0], outer[-1] + 1
+        c, d = (inner[0], inner[-1] + 1) if inner.size else (a, a)
+        strips = (values[a:c, a:b], values[d:b, a:b],
+                  values[c:d, a:c], values[c:d, d:b])
+        logs_d.append(float(np.log(t)))
+        sups.append(float(np.max([np.max(v, initial=-np.inf)
+                                  for v in strips])))
     return logs_d, sups
 
 

@@ -16,7 +16,8 @@ from .errors import ConfigurationError, PreconditionError
 from .geometry import Geometry, fit_ground_state_equivalence
 from .diagnostics import (_shell_sup, boundary_ratio, fit_line,
                           holder_seminorm, interior_lipschitz, ratio_lp_norm,
-                          ratio_quad, ratio_sup, weighted_ratio_norm)
+                          ratio_quad, ratio_sup_by_rows,
+                          weighted_ratio_norm)
 from .operators import (ConvexFn, _lambda_power_rows, apply_lambda_power,
                         commutator, commutator_rows, eigensum_1d,
                         finite_difference, heat_of_one_1d,
@@ -24,9 +25,9 @@ from .operators import (ConvexFn, _lambda_power_rows, apply_lambda_power,
                         nonlinear_dissipation, riesz_velocity,
                         short_time_velocity, standard_cutoff,
                         weighted_convexity_terms)
-from .solver import RunResult, SolverConfig
-from .spectral import (BoxField, GridField, SpectralField, eval_fine, forward,
-                       gradient, inverse, mode_field)
+from .solver import RunResult, SolverConfig, _support
+from .spectral import (BoxField, GridField, SpectralField, forward, gradient,
+                       inverse, mode_field)
 
 
 @dataclass
@@ -516,17 +517,15 @@ def verify_commutator_scaling(theta: SpectralField,
     log d(x0) must lie in [-1.3, 0]: the exponent p of ||b_1||_p is inf,
     where the 2/p shift of the slope vanishes.
 
-    theta is evaluated on the whole grid once, for ||b_1||; theta and
-    Lambda theta are then kept only on the band of rows that holds every
-    center's cutoff box and its h-shift.  Lambda theta is evaluated from
-    the columns of theta's spectrum between its first and last nonzero
-    column, scaled by lam^{1/2}, so theta's spectrum is not copied whole.
-    Each center makes one :func:`commutator` call, which works on its
-    cutoff box (only Lambda's spectrum spans the grid), and the sup is
-    taken over that box.
+    theta and Lambda theta are evaluated from theta's K x K support block
+    by products with the sine table of the nodes and modes up to K: row
+    blocks give ||b_1||_inf, and both fields are kept on the band of rows
+    that holds every center's cutoff box and its h-shift.  Each center
+    makes one :func:`commutator` call, on its cutoff box, and the sup is
+    taken over that box.  For a low-mode theta no other array spans the grid.
 
-    The ``verify`` command runs this family alone on the calling thread,
-    while its other families run on one helper thread (see :mod:`.cli`).
+    The ``verify`` command runs this family on the calling thread, while
+    its other families run on one helper thread (see :mod:`.cli`).
     """
     g = theta.geometry
     dx = g.spacing
@@ -552,15 +551,15 @@ def verify_commutator_scaling(theta: SpectralField,
     band = slice(max(0, min(r.start for r in spans)),
                  min(g.n_interior, max(r.stop for r in spans)))
     box = (band, slice(0, g.n_interior))
-    values = inverse(theta)
-    b1_sup = ratio_sup(values)
-    values = BoxField(values.values[band].copy(), box, g)
-    live = np.flatnonzero(theta.coeffs.any(axis=0))
-    lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
-    lam_band = _lambda_power_rows(theta.coeffs[:, lo:hi].copy(), g, 1.0,
-                                  col0=lo)
-    lam_values = BoxField(eval_fine(SpectralField(lam_band, g), g.grid_size,
-                                    band, col0=lo), box, g)
+    K = _support(theta.coeffs)
+    sines = g.sine_rows(slice(None), K)
+    block = theta.coeffs[:K, :K]
+    # theta at the node rows r is sines[r] @ half, Lambda theta likewise
+    half = (2.0 / L) * block @ sines.T
+    lam_half = (2.0 / L) * _lambda_power_rows(block.copy(), g, 1.0) @ sines.T
+    b1_sup = ratio_sup_by_rows(g, lambda rows: sines[rows] @ half)
+    values = BoxField(sines[band] @ half, box, g)
+    lam_values = BoxField(sines[band] @ lam_half, box, g)
     logs_d, logs_ratio, gammas = [], [], []
     for x0, d0, ell, hmag in plan:
         sup = commutator(values, lam_values, x0, ell, (hmag, 0.0)).sup_norm()

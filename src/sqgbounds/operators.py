@@ -21,9 +21,8 @@ from scipy.special import erf, gamma
 from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
 from .geometry import Geometry
-from .spectral import (BoxField, GridField, SpectralField, _forward_coeffs,
-                       dealiased_product, eval_fine, forward, grad_l2_norm_sq,
-                       gradient, inverse)
+from .spectral import (BoxField, GridField, SpectralField, dealiased_product,
+                       forward, grad_l2_norm_sq, gradient, inverse)
 
 MAX_CUTOFF_SCALE_FRAC = 0.25    # ell0 = L/4
 ERF_SATURATION = 6.0            # scipy's erf(z) == sign(z) for |z| >= 6
@@ -34,24 +33,27 @@ _LAMBDA_ROWS = 128              # rows per block of an in-place Lambda
 # Mode multipliers
 # ---------------------------------------------------------------------------
 
-def _lambda_power_rows(coeffs: np.ndarray, geometry: Geometry, s: float,
-                       col0: int = 0) -> np.ndarray:
-    """Multiply ``coeffs`` in place by lam^{s/2}, a block of rows at a time.
-
-    ``coeffs`` holds the spectrum's columns from ``col0`` on: all of them,
-    or a column band.  Each block's multiplier k_m^2 + k_n^2 is formed in
-    one reused block buffer from k^2, so no whole-grid table or multiplier
-    is allocated; the product has the bits of the matching columns of
-    ``geometry.eigenvalues ** (s / 2) * coeffs``.
-    """
-    n, width = coeffs.shape
+def _lambda_power_blocks(geometry: Geometry, s: float, shape):
+    """Yield (rows, lam^{s/2} on those rows) over the leading ``shape``
+    block of the spectrum, _LAMBDA_ROWS rows at a time, each formed from
+    k^2 in one reused buffer (overwritten by the next) with the bits of
+    ``geometry.eigenvalues ** (s / 2)``: no whole-grid table is built."""
+    n, width = shape
     k2 = geometry.wavenumbers ** 2
     block = np.empty((min(_LAMBDA_ROWS, n), width))
     for r in range(0, n, _LAMBDA_ROWS):
         rows = slice(r, min(r + _LAMBDA_ROWS, n))
         mult = block[:rows.stop - r]
-        np.add(k2[rows, None], k2[None, col0:col0 + width], out=mult)
+        np.add(k2[rows, None], k2[None, :width], out=mult)
         mult **= s / 2.0
+        yield rows, mult
+
+
+def _lambda_power_rows(coeffs: np.ndarray, geometry: Geometry,
+                       s: float) -> np.ndarray:
+    """Multiply ``coeffs``, a leading block of the spectrum or all of it,
+    in place by lam^{s/2} (see :func:`_lambda_power_blocks`)."""
+    for rows, mult in _lambda_power_blocks(geometry, s, coeffs.shape):
         coeffs[rows] *= mult
     return coeffs
 
@@ -516,21 +518,25 @@ def commutator(values: BoxField, lam_values: BoxField, x0, ell: float,
     C_h is returned on the cutoff box, which holds both supports; it is zero
     outside.  The box sits >= ell from the boundary and |h| <= ell / 16, so
     every box node has its shifted neighbour in the interior and every node
-    is valid.  Everything but Lambda is box-local: phi, chi and the
-    localized field chi * delta_h theta live on the box's nodes, and the
-    only whole-grid array is the spectrum of the localized field, scaled by
-    lam^{1/2} in place.  The inverse transform evaluates only the box's rows.
+    is valid.  Everything is box-local: phi, chi and f = chi * delta_h theta
+    live on the box's nodes, and Lambda f is taken there with the sine
+    tables S_r, S_c of the box's node rows and columns over every mode.
+    f's spectrum S_r^T f S_c is formed one block of mode rows at a time,
+    scaled by lam^{1/2} and taken back as S_r (block S_c^T), so no
+    (N-1) x (N-1) array exists.  This agrees with the DST route to about
+    1e-13 of the sup (tested).
     """
     hv = np.hypot(float(h[0]), float(h[1]))
     if hv > ell / 16.0 + 1e-12 * ell:
         raise PreconditionError(
             f"|h| = {hv:.4g} exceeds ell/16 = {ell / 16:.4g}")
     g = values.geometry
+    n = g.n_interior
     box, phi, chi = _cutoff_box(g, x0, ell)
     band = values.box[0]
     need = commutator_rows(g, x0, ell, h)
     if (lam_values.box != values.box
-            or values.box[1] != slice(0, g.n_interior)
+            or values.box[1] != slice(0, n)
             or not band.start <= need.start <= need.stop <= band.stop):
         raise ShapeError(
             f"theta and Lambda theta must share one band of rows over all "
@@ -540,13 +546,14 @@ def commutator(values: BoxField, lam_values: BoxField, x0, ell: float,
     r0, r1 = rows.start - band.start, rows.stop - band.start
     here = (slice(r0, r1), cols)
     shifted = (slice(r0 + p, r1 + p), slice(cols.start + q, cols.stop + q))
-    # chi * delta_h theta on the column band of the box
-    loc = np.zeros((g.n_interior, cols.stop - cols.start))
-    loc[rows] = chi * (values.values[shifted] - values.values[here])
-    coeffs = _lambda_power_rows(_forward_coeffs(loc, g, col0=cols.start),
-                                g, 1.0)
-    lam_loc = eval_fine(SpectralField(coeffs, g), g.grid_size, rows)
+    loc = chi * (values.values[shifted] - values.values[here])
+    sr, sc = g.sine_rows(rows, n), g.sine_rows(cols, n)
+    lam_loc = np.zeros_like(loc)
+    for modes, mult in _lambda_power_blocks(g, 1.0, (n, n)):
+        mult *= sr[:, modes].T @ loc @ sc
+        lam_loc += sr[:, modes] @ (mult @ sc.T)
     d_lam = lam_values.values[shifted] - lam_values.values[here]
-    d_lam -= lam_loc[:, cols]
+    # the forward (L / 2N^2) * 4 and inverse (2 / L) / 4 * 4 DST scales
+    d_lam -= (4.0 / g.grid_size ** 2) * lam_loc
     d_lam *= phi
     return BoxField(d_lam, box, g)

@@ -199,69 +199,35 @@ def _sin_cos_eval(coeffs: np.ndarray, cos_axis: int, scale: float,
 # Grid <-> spectrum
 # ---------------------------------------------------------------------------
 
-_BLOCK = 128    # columns per block of a row band's axis-0 pass
+def _dst2(a: np.ndarray, n: int, out: np.ndarray | None = None
+          ) -> np.ndarray:
+    """``fft.dstn(A, type=1, s=(n, n))``, A zero but for its leading
+    block ``a``, skipping zero lines.
 
-
-def _dst2(a: np.ndarray, n: int, rows=slice(None), col0: int = 0,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """Rows ``rows`` of ``fft.dstn(A, type=1, s=(n, n))``, skipping zero lines.
-
-    A holds ``a`` in its columns from ``col0`` on and is zero elsewhere, so
-    a column band of an n x n array can be passed without its zero columns.
     The axis-0 pass transforms only the span of columns of ``a`` from its
-    first to its last nonzero column: every column outside that span is
+    first to its last nonzero column, in place in an n x n array (``out``
+    if given) that is zero elsewhere: every column outside that span is
     zero and transforms to zero, so an all-zero ``a`` costs no transform.
-    When ``rows`` is a band, the axis-0 pass runs over blocks of columns,
-    each transformed as a transposed view so its output lines are
-    contiguous, and keeps only the band: no n-row intermediate of the whole
-    width is materialised.  The axis-1 pass transforms only the rows
-    ``rows``.  The passes keep dstn's order, axis 0 then axis 1, so the
-    result equals dstn's bit for bit; the reverse order differs in the last
-    bit.  ``out``, an n x n array, takes the transform in place when
-    ``rows`` is the whole range.
+    The axis-1 pass then runs in place as well.  The passes keep dstn's
+    order, axis 0 then axis 1, so the result equals dstn's bit for bit; the
+    reverse order differs in the last bit.
     """
+    first = np.empty((n, n)) if out is None else out
     live = np.flatnonzero(a.any(axis=0))
     if live.size == 0:
-        if out is None:
-            return np.zeros((n, n))[rows]
-        out.fill(0.0)
-        return out
+        first.fill(0.0)
+        return first
     lo, hi = live[0], live[-1] + 1
-    picked = range(n)[rows]
-    whole = picked == range(n)
-    if whole:
-        # the axis-0 pass runs in place on the live columns of an n x n
-        # array, zero elsewhere, so the axis-1 pass runs in place as well
-        first = np.empty((n, n)) if out is None else out
-        m = a.shape[0]
-        first[m:] = 0.0
-        first[:, :col0 + lo] = 0.0
-        first[:, col0 + hi:] = 0.0
-        band = first[:, col0 + lo:col0 + hi]
-        np.copyto(band[:m], a[:, lo:hi])
-        vals = fft.dst(band, type=1, axis=0, overwrite_x=True)
-        if not np.may_share_memory(vals, band):    # not done in place
-            band[...] = vals
-    else:
-        first = np.zeros((len(picked), n))
-        for c in range(lo, hi, _BLOCK):
-            blk = fft.dst(a[:, c:min(c + _BLOCK, hi)].T, type=1, n=n, axis=1)
-            first[:, col0 + c:col0 + c + blk.shape[0]] = blk[:, rows].T
-    return fft.dst(first, type=1, n=n, axis=1, overwrite_x=True)
-
-
-def _forward_coeffs(values: np.ndarray, geometry: Geometry,
-                    col0: int = 0) -> np.ndarray:
-    """Coefficients of the grid field equal to ``values`` from column ``col0`` on.
-
-    ``values`` has N-1 rows and may be a column band; the field is zero in
-    every column outside it.
-    """
-    if not np.isfinite(values).all():
-        raise NumericError("forward transform of non-finite grid values")
-    coeffs = _dst2(values, geometry.n_interior, col0=col0)
-    coeffs *= geometry.side_length / (2.0 * geometry.grid_size ** 2)
-    return coeffs
+    m = a.shape[0]
+    first[m:] = 0.0
+    first[:, :lo] = 0.0
+    first[:, hi:] = 0.0
+    band = first[:, lo:hi]
+    np.copyto(band[:m], a[:, lo:hi])
+    vals = fft.dst(band, type=1, axis=0, overwrite_x=True)
+    if not np.may_share_memory(vals, band):    # not done in place
+        band[...] = vals
+    return fft.dst(first, type=1, axis=1, overwrite_x=True)
 
 
 def forward(grid: GridField) -> SpectralField:
@@ -271,8 +237,12 @@ def forward(grid: GridField) -> SpectralField:
     last nonzero column (see :func:`_dst2`), so values that vanish outside
     a band of columns cost the transform of that band.
     """
-    return SpectralField(_forward_coeffs(grid.values, grid.geometry),
-                         grid.geometry)
+    g = grid.geometry
+    if not np.isfinite(grid.values).all():
+        raise NumericError("forward transform of non-finite grid values")
+    coeffs = _dst2(grid.values, g.n_interior)
+    coeffs *= g.side_length / (2.0 * g.grid_size ** 2)
+    return SpectralField(coeffs, g)
 
 
 def inverse(spec: SpectralField, out: np.ndarray | None = None) -> GridField:
@@ -390,7 +360,7 @@ def eval_block(coeffs: np.ndarray, geometry: Geometry,
         right = geometry.node_cosines if cos_axis == 1 else geometry.node_sines
         return _sandwich(left[:, :K], coeffs, right[:, :M], scale, out,
                          scratch)
-    if cos_axis is None:    # a column band of _dst2
+    if cos_axis is None:    # a leading block of _dst2
         return eval_fine(SpectralField(coeffs, geometry),
                          geometry.grid_size, out=out)
     n = geometry.n_interior
@@ -406,16 +376,16 @@ def eval_block(coeffs: np.ndarray, geometry: Geometry,
     return out
 
 
-def eval_fine(spec: SpectralField, Nf: int, rows=slice(None),
-              out: np.ndarray | None = None, col0: int = 0) -> np.ndarray:
-    """Evaluate the field at the node rows ``rows`` of the Nf-grid.
+def eval_fine(spec: SpectralField, Nf: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the field at the interior nodes of the Nf-grid.
 
     Nf >= N; Nf = N evaluates at the collocation nodes themselves.
-    ``out`` (Nf-1 x Nf-1) takes all the rows in place.  ``spec.coeffs``
-    may be a column band of the spectrum, its columns from ``col0`` on,
-    when every other column is zero (see :func:`_dst2`).
+    ``out`` (Nf-1 x Nf-1) takes the values in place.  ``spec.coeffs`` may
+    be a leading block of the spectrum when every other coefficient is
+    zero (see :func:`_dst2`).
     """
-    values = _dst2(spec.coeffs, Nf - 1, rows=rows, col0=col0, out=out)
+    values = _dst2(spec.coeffs, Nf - 1, out=out)
     values *= 2.0 / spec.geometry.side_length
     values /= 4.0
     return values

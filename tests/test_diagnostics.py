@@ -285,6 +285,31 @@ def _normal_velocity_slope_meshgrid(u, geometry, shells=4):
     return float(slope), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
+def _shell_sup_masked(values, geometry, shells):
+    """The dyadic shell sups with a whole-grid mask per shell."""
+    d = geometry.distance
+    logs_d, sups = [], []
+    for top in (geometry.side_length / 8.0) * 0.5 ** np.arange(shells):
+        sel = (d <= top) & (d > 0.5 * top)
+        if sel.any():
+            logs_d.append(float(np.log(top)))
+            sups.append(float(np.max(values, where=sel, initial=-np.inf)))
+    return logs_d, sups
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_shell_sup_by_strips_matches_the_masks(n):
+    """Four strips per shell give the masked sups with their bits, empty
+    shells (shells=9 at N = 64) included."""
+    g = build_square_geometry(n)
+    rng = np.random.default_rng(n)
+    for shells in (4, 6, 9):
+        values = rng.standard_normal((g.n_interior,) * 2)
+        got = dg._shell_sup(values, g, shells)
+        assert got == _shell_sup_masked(values, g, shells)
+        assert len(got[0]) >= 4
+
+
 @pytest.mark.parametrize("n", [64, 128, 257])
 def test_normal_velocity_slope_matches_meshgrid(n):
     g = build_square_geometry(n)

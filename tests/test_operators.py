@@ -46,14 +46,14 @@ def test_lambda_power_monotone_positive(geom):
 
 @pytest.mark.parametrize("s", [-1.0, 1.0, 2.0])
 def test_lambda_power_rows_keeps_the_bits_of_the_whole_table(s):
-    """Whole spectrum or column band, the product is that of the table."""
+    """Whole spectrum or leading block, the product is that of the table."""
     g = build_square_geometry(300)           # 299 rows: 2 full blocks + 43
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal((g.n_interior,) * 2)
     want = g.eigenvalues ** (s / 2) * coeffs
     assert np.array_equal(op._lambda_power_rows(coeffs.copy(), g, s), want)
-    band = op._lambda_power_rows(coeffs[:, 5:40].copy(), g, s, col0=5)
-    assert np.array_equal(band, want[:, 5:40])
+    block = op._lambda_power_rows(coeffs[:140, :40].copy(), g, s)
+    assert np.array_equal(block, want[:140, :40])
 
 
 def test_lambda_power_rows_allocates_one_block(traced_peak):
@@ -537,6 +537,11 @@ def test_commutator_dyadic_stability(geom):
     assert abs(gammas[1] - gammas[0]) / gammas[0] < 0.2
 
 
+# error of the sine-table commutator against the DST route, relative to the
+# commutator's sup: measured at most 1.6e-13 over the cases below
+COMMUTATOR_RTOL = 2e-13
+
+
 def _full_grid_cutoffs(g, x0, ell):
     X, Y = g.meshgrid()
     r = np.hypot(X - x0[0], Y - x0[1])
@@ -570,9 +575,11 @@ def _full_grid_commutator(theta, x0, ell, h):
     (256, (np.pi / 4, np.pi / 2), np.pi / 8, (-1, 1)),
     (256, (1.3, 2.05), 0.5, (0, 2)),
     (256, (2.4, 2.4), 0.35, (-1, 0)),
+    (2048, (np.pi / 8, np.pi / 2), np.pi / 16, (4, 0)),   # verify's largest
 ])
 def test_commutator_matches_full_grid_formula(N, x0, ell, steps):
-    """The box-local commutator equals the whole-grid formula bit for bit."""
+    """The box-local commutator, by sine-table products, equals the
+    whole-grid formula by DSTs to round-off relative to its sup."""
     g = build_square_geometry(N)
     theta = sp.SpectralField(np.zeros((N - 1, N - 1)), g)
     rng = np.random.default_rng(N)
@@ -583,9 +590,11 @@ def test_commutator_matches_full_grid_formula(N, x0, ell, steps):
     vals, valid = _full_grid_commutator(theta, x0, ell, h)
     embedded = np.zeros_like(vals)
     embedded[C.box] = C.values
-    assert np.array_equal(embedded, vals)
     assert valid.all()          # the box result needs no validity mask
-    assert C.sup_norm() == sp.GridField(vals, g, valid=valid).sup_norm() > 0
+    sup = sp.GridField(vals, g, valid=valid).sup_norm()
+    assert sup > 0
+    assert np.abs(embedded - vals).max() <= COMMUTATOR_RTOL * sup
+    assert abs(C.sup_norm() - sup) <= COMMUTATOR_RTOL * sup
 
 
 def test_commutator_on_a_row_band_equals_all_rows():

@@ -245,34 +245,6 @@ def test_restricted_dst_passes_match_dstn(n):
     a[:, 9:20] = np.random.default_rng(n).standard_normal((31, 11))
     full = fft.dstn(a, type=1, s=(n, n))
     assert np.array_equal(sp._dst2(a, n), full)
-    assert np.array_equal(sp._dst2(a, n, rows=slice(4, 13)), full[4:13])
-
-
-@pytest.mark.parametrize("rows, cols", [
-    (slice(0, 1023), slice(0, 1023)),       # whole grid, no band
-    (slice(300, 431), slice(None)),         # row band, dense columns
-    (slice(100, 229), slice(126, 390)),     # both bands across block edges
-    (slice(1022, 1023), slice(1000, 1023)),
-])
-def test_dst2_row_and_column_bands_match_dstn(rows, cols):
-    """A row band and a column band of _dst2 equal dstn's rows bit for bit."""
-    n = 1023
-    a = np.zeros((n, n))
-    a[:, cols] = np.random.default_rng(n).standard_normal((n, n))[:, cols]
-    full = fft.dstn(a, type=1)
-    c0, c1, _ = cols.indices(n)
-    assert np.array_equal(sp._dst2(a, n, rows=rows), full[rows])
-    assert np.array_equal(sp._dst2(a[:, c0:c1], n, rows=rows, col0=c0),
-                          full[rows])
-
-
-def test_dst2_of_a_column_band_makes_no_padded_copy(traced_peak):
-    """The n x n result plus the band's axis-0 pass, not a second n x n."""
-    n = 1023
-    band = np.random.default_rng(5).standard_normal((n, 128))
-    out, peak = traced_peak(lambda: sp._dst2(band, n, col0=400))
-    assert out.shape == (n, n)
-    assert peak < 1.5 * n * n * 8
 
 
 @pytest.mark.parametrize("live", [(), (0,), (30,), tuple(range(9, 20)),
@@ -286,7 +258,6 @@ def test_zero_column_skip_matches_dstn(geom, live):
     for m in (n, 47):
         full = fft.dstn(a, type=1, s=(m, m))
         assert np.array_equal(sp._dst2(a, m), full)
-        assert np.array_equal(sp._dst2(a, m, rows=slice(4, 13)), full[4:13])
     L, N = geom.side_length, geom.grid_size
     full = fft.dstn(a, type=1)
     assert np.array_equal(sp.forward(sp.GridField(a, geom)).coeffs,
@@ -309,7 +280,7 @@ def test_eval_fine_rows_and_forward_cols_match_dstn(geom):
     f = random_field(geom, 20, seed=8)
     L, N = geom.side_length, geom.grid_size
     full = (2.0 / L) * fft.dstn(f.coeffs, type=1) / 4.0
-    assert np.array_equal(sp.eval_fine(f, N, rows=slice(5, 17)), full[5:17])
+    assert np.array_equal(sp.eval_fine(f, N), full)
     vals = np.zeros_like(full)
     vals[:, 3:11] = full[:, 3:11]
     got = sp.forward(sp.GridField(vals, geom)).coeffs
