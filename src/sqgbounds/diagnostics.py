@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Geometry
-from .spectral import (GridField, SpectralField, _leading, _times_k,
-                       eval_block, gradient, inverse)
-from .solver import SolverState, _support
+from .spectral import (GridField, SpectralField, _leading, _support,
+                       _times_k, eval_block, gradient, inverse)
+from .solver import SolverState
 
 SPACE_DIMENSION = 2    # d in the d/p exponents
 
@@ -83,13 +83,6 @@ def _lp_of_abs(geometry: Geometry, abs_b1: np.ndarray, p: float) -> float:
         raise ConfigurationError(f"Lebesgue exponent must be >= 1, got {p}")
     abs_b1 **= p
     return float(ratio_quad(geometry, abs_b1) ** (1.0 / p))
-
-
-def _abs_ratio(values: np.ndarray, geometry: Geometry,
-               out: np.ndarray) -> np.ndarray:
-    """|b_1| = |theta / w_1| from the node values of theta, into ``out``."""
-    np.divide(values, geometry.ground_state, out=out)
-    return np.abs(out, out=out)
 
 
 def weighted_ratio_norm(theta: SpectralField, m: int) -> float:
@@ -297,15 +290,15 @@ def record(state: SolverState,
     exactly 0.0) and forms the K x K blocks of theta, k (x) theta and
     k (x) psi with psi = lam^{-1/2} theta.  :func:`spectral.eval_block`
     evaluates theta, grad theta and u = grad-perp psi at the nodes from
-    them: by products with the geometry's node tables when K is at most
-    ``spectral.DENSE_MAX_NF``, else by the FFT route of :func:`inverse`,
-    :func:`gradient` and :func:`operators.riesz_velocity`, with their
-    bits.  The energy and the half norm are sums over the whole spectrum.
+    them, as :func:`inverse`, :func:`gradient` and
+    :func:`operators.riesz_velocity` do, with their bits.  The energy and
+    the half norm are sums over the whole spectrum.
 
     Every grid array lives in the three slots of ``work`` (a new
     :func:`record_workspace` when None): the squared coefficients, then
-    the gradient, then the grid values with |b_1|, then |u_x|, |u_y| and
-    |u . n|, each overwriting what is no longer read.  The K x K blocks and
+    the gradient, then the grid values, |b_1|, formed once, and a copy of
+    it for each of its powers, then |u_x|, |u_y| and |u . n|, each
+    overwriting what is no longer read.  The K x K blocks and
     the dense route's (N-1) x K intermediate products go into the leading
     memory of slots that are free at the time, so on the dense route a
     record allocates no array of either size.  Each elementwise operation
@@ -335,9 +328,16 @@ def record(state: SolverState,
     values = eval_block(c, g, out=work[0], scratch=work[1])
     scratch = work[1]
     sup_norm = float(np.max(np.abs(values, out=scratch), initial=0.0))
-    b1_lp = {p: _lp_of_abs(g, _abs_ratio(values, g, scratch), p) for p in ps}
-    weighted_norm = {m: _weighted_of_abs(g, _abs_ratio(values, g, scratch), m)
-                     for m in ms}
+    # |b_1| = |theta / w_1| once; each norm takes its powers in a copy
+    abs_b1 = np.abs(np.divide(values, g.ground_state, out=work[2]),
+                    out=work[2])
+    b1_lp, weighted_norm = {}, {}
+    for p in ps:
+        np.copyto(scratch, abs_b1)
+        b1_lp[p] = _lp_of_abs(g, scratch, p)
+    for m in ms:
+        np.copyto(scratch, abs_b1)
+        weighted_norm[m] = _weighted_of_abs(g, scratch, m)
     holder = {a: _holder(GridField(values, g), a, scratch=scratch).value
               for a in alphas}
     # u = (-psi_y, psi_x), and only |u| enters the record; psi's block is

@@ -21,9 +21,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 DEFAULT_CORNER_RADIUS_FRAC = 0.05
-# modes per axis of the node tables: the widest block that
-# spectral.eval_block evaluates with them (spectral.DENSE_MAX_NF, where the
-# crossover is measured)
+# modes per axis of the node tables, the widest block spectral.eval_block
+# evaluates and the widest grid spectral.forward projects with them
+# (spectral.DENSE_MAX_NF, where the crossover is measured)
 NODE_TABLE_MODES = 128
 
 

@@ -25,9 +25,9 @@ from .operators import (ConvexFn, _lambda_power_rows, apply_lambda_power,
                         nonlinear_dissipation, riesz_velocity,
                         short_time_velocity, standard_cutoff,
                         weighted_convexity_terms)
-from .solver import RunResult, SolverConfig, _support
-from .spectral import (BoxField, GridField, SpectralField, forward, gradient,
-                       inverse, mode_field)
+from .solver import RunResult, SolverConfig
+from .spectral import (BoxField, GridField, SpectralField, _support, forward,
+                       gradient, inverse, mode_field)
 
 
 @dataclass

@@ -53,8 +53,8 @@ from scipy import fft
 from .errors import ConfigurationError, NumericError
 from .geometry import Geometry, build_square_geometry
 from .operators import riesz_velocity
-from .spectral import (GridField, SpectralField, _midpoint_tables, _times_k,
-                       eval_block, eval_fine_mixed, fine_grid_size,
+from .spectral import (GridField, SpectralField, _midpoint_tables, _support,
+                       _times_k, eval_block, eval_fine_mixed, fine_grid_size,
                        forward_fine)
 
 CHOP_RTOL = 1e-16    # a coefficient at or below CHOP_RTOL * max|c| is not live
@@ -158,14 +158,6 @@ def _live_extent(c: np.ndarray) -> int:
     band = c[:, :n_cols]
     rows = np.maximum(band.max(axis=1), -band.min(axis=1))
     return max(n_cols, 1 + int(np.flatnonzero(rows > tol)[-1]))
-
-
-def _support(c: np.ndarray) -> int:
-    """Side K of the leading K x K block of ``c`` outside which every
-    coefficient is exactly 0.0 (a NaN counts as nonzero)."""
-    rows = np.flatnonzero(c.any(axis=1))
-    cols = np.flatnonzero(c.any(axis=0))
-    return 1 + int(max(rows[-1], cols[-1])) if rows.size else 0
 
 
 def _lead(c: np.ndarray, side: int) -> np.ndarray:

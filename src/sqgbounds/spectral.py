@@ -23,17 +23,17 @@ N'-geometry with N' >= 2M + 1 multiply into modes <= 2M <= N' - 1, which
 its own 3/2 grid keeps exactly, so the solver advects the live band of a
 spectrum on such a sub-geometry and zero-pads the result (see ``solver``).
 
-Small transforms are matrix products.  Up to DENSE_MAX_NF nodes per axis,
-the midpoint sums of :func:`eval_fine_mixed` and :func:`forward_fine` are
-two products with cached, read-only sin/cos tables; above that size the FFT
-route runs.  :func:`eval_block`, the one node-grid evaluator of a leading
-block of a spectrum (sine-sine, or with a cosine factor along one axis),
-goes by the block's side instead: a block of at most DENSE_MAX_NF modes per
-axis is two products with the geometry's node tables at any N, and a
-wider one takes the FFT route with the bits of :func:`inverse` and
-:func:`gradient`.  Every table angle is formed from an integer reduced
-modulo its period, so the routes agree to about one rounding (under 1e-14
-relative, tested).
+One evaluator, one rule.  Every node evaluation of a spectrum is a call of
+:func:`eval_block` on the leading block that holds its nonzero coefficients
+(:func:`_support`): :func:`inverse`, :func:`gradient` (a cosine factor along
+one axis) and the closed-grid samples of :func:`dealiased_product` (on the
+finer grid's geometry).  A block of at most DENSE_MAX_NF modes per axis is
+two products with the geometry's cached, read-only node tables, at any N; a
+wider block takes the FFT route.  :func:`forward` is the transposed product
+by the same rule, and the midpoint sums of :func:`eval_fine_mixed` and
+:func:`forward_fine` go by theirs, at most DENSE_MAX_NF nodes per axis.
+Every table angle is formed from an integer reduced modulo its period, so
+the routes agree to about one rounding (under 1e-14 relative, tested).
 """
 from __future__ import annotations
 
@@ -119,6 +119,16 @@ def mode_field(geometry: Geometry, m: int, n: int,
 # i = 1..N-1 of the N-grid (i.e. sin(pi*m*i/N)).
 # ---------------------------------------------------------------------------
 
+def _support(c: np.ndarray) -> int:
+    """Side K of the leading K x K block of ``c`` outside which every
+    coefficient is exactly 0.0 (a NaN counts as nonzero)."""
+    if c[-1:].any() or c[:, -1:].any():     # a full spectrum, read in O(N)
+        return c.shape[0]
+    rows = np.flatnonzero(c.any(axis=1))
+    cols = np.flatnonzero(c.any(axis=0))
+    return 1 + int(max(rows[-1], cols[-1])) if rows.size else 0
+
+
 def _times_k(c: np.ndarray, k: np.ndarray, axis: int,
              out: np.ndarray | None = None) -> np.ndarray:
     """``c`` times the wavenumbers ``k`` along ``axis``.
@@ -129,75 +139,6 @@ def _times_k(c: np.ndarray, k: np.ndarray, axis: int,
     """
     return np.einsum("ij,i->ij" if axis == 0 else "ij,j->ij", c, k, out=out)
 
-
-def _interior(buf: np.ndarray, axis: int) -> np.ndarray:
-    """``buf`` without its first and last line along ``axis``."""
-    inner = [slice(None)] * buf.ndim
-    inner[axis] = slice(1, -1)
-    return buf[tuple(inner)]
-
-
-def _bordered(coeffs: np.ndarray, axis: int,
-              out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """``out`` (a new array when None), one line longer on each side along
-    ``axis`` than ``coeffs``, and its interior, which receives ``coeffs``
-    unless ``coeffs`` already is that interior."""
-    if out is None:
-        shape = list(coeffs.shape)
-        shape[axis] += 2
-        out = np.empty(shape)
-    inner = _interior(out, axis)
-    if not np.may_share_memory(inner, coeffs):
-        inner[...] = coeffs
-    return out, inner
-
-
-def cos_eval(coeffs: np.ndarray, axis: int, scale: float = 1.0,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """scale * sum_m c_m cos(pi m i / N) at the interior nodes along ``axis``.
-
-    Modes run m = 1..N-1.  They are written into a zero-bordered
-    length-(N+1) buffer (the m = 0 and m = N slots stay zero), so the DCT-I
-    evaluates the sum exactly.  The buffer is ``out`` if given (see
-    :func:`_bordered`), and the result is its interior view.
-    """
-    buf, inner = _bordered(coeffs, axis, out)
-    border = [slice(None)] * buf.ndim
-    for end in (0, -1):
-        border[axis] = end
-        buf[tuple(border)] = 0.0
-    full = fft.dct(buf, type=1, axis=axis, overwrite_x=True)
-    if not np.may_share_memory(full, buf):     # not done in place
-        buf[...] = full
-    buf *= 0.5 * scale
-    return inner
-
-
-def _sin_cos_eval(coeffs: np.ndarray, cos_axis: int, scale: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """scale * sum c_{m,n} sin(pi m i/N) cos(pi n j/N) at the interior nodes.
-
-    The sine factor runs along ``1 - cos_axis`` and the cosine factor along
-    ``cos_axis``.  Both passes run in place in the bordered buffer of
-    :func:`cos_eval`, ``out`` if given; the sine pass transforms only the
-    lines up to the last one that holds a nonzero coefficient, as
-    :func:`_dst2` does.
-    """
-    buf, lines = _bordered(coeffs, cos_axis, out)
-    live = np.flatnonzero(lines.any(axis=1 - cos_axis))
-    if live.size:
-        head = [slice(None)] * 2
-        head[cos_axis] = slice(live[-1] + 1)
-        part = lines[tuple(head)]
-        sin_vals = fft.dst(part, type=1, axis=1 - cos_axis, overwrite_x=True)
-        if not np.may_share_memory(sin_vals, part):    # not done in place
-            part[...] = sin_vals
-    return cos_eval(lines, cos_axis, 0.5 * scale, out=buf)
-
-
-# ---------------------------------------------------------------------------
-# Grid <-> spectrum
-# ---------------------------------------------------------------------------
 
 def _dst2(a: np.ndarray, n: int, out: np.ndarray | None = None
           ) -> np.ndarray:
@@ -230,55 +171,143 @@ def _dst2(a: np.ndarray, n: int, out: np.ndarray | None = None
     return fft.dst(first, type=1, axis=1, overwrite_x=True)
 
 
+def _leading(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols array in the leading memory of ``buf``, C-contiguous."""
+    return buf.reshape(-1)[:rows * cols].reshape(rows, cols)
+
+
+def _sandwich(left: np.ndarray, c: np.ndarray, right: np.ndarray,
+              scale: float, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """scale * left @ c @ right.T, into ``out`` if given.
+
+    The scale multiplies the intermediate product left @ c, the smaller
+    array, which goes into the leading memory of ``scratch`` if given.
+    ``c`` is read only for that product, so it may live in ``out``.
+    """
+    half = None if scratch is None else _leading(scratch, left.shape[0],
+                                                 c.shape[1])
+    half = np.matmul(left, c, out=half)
+    half *= scale
+    return np.matmul(half, right.T, out=out)
+
+
+# ---------------------------------------------------------------------------
+# Node-grid evaluation
+# ---------------------------------------------------------------------------
+
+def eval_block(coeffs: np.ndarray, geometry: Geometry,
+               cos_axis: int | None = None, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """(2/L) sum c_{m,n} (factor in x)(factor in y) at the interior nodes,
+    from ``coeffs``, the leading K x M block of the spectrum (every
+    coefficient outside it zero).
+
+    Both factors are sin(k x), or, with ``cos_axis`` 0 or 1, the factor
+    along that axis is cos(k x): the block of k (x) c along that axis gives
+    a gradient component (see :func:`gradient`).  The route goes by the
+    block's larger side.  Up to DENSE_MAX_NF it is the dense route,
+    (2/L) A c B^T with columns of the geometry's ``node_sines`` and
+    ``node_cosines``; its intermediate (N-1) x K product goes into the
+    leading memory of ``scratch`` when given (an (N-1) x (N-1) array will
+    do).  Above it, :func:`_fft_block` runs.  ``out``, an (N-1) x (N-1)
+    array, takes the values; with a cosine factor ``coeffs`` may live in
+    ``out``'s memory.
+    """
+    K, M = coeffs.shape
+    if max(K, M) > DENSE_MAX_NF:
+        return _fft_block(coeffs, geometry, cos_axis, out)
+    left = geometry.node_cosines if cos_axis == 0 else geometry.node_sines
+    right = geometry.node_cosines if cos_axis == 1 else geometry.node_sines
+    return _sandwich(left[:, :K], coeffs, right[:, :M],
+                     2.0 / geometry.side_length, out, scratch)
+
+
+def _fft_block(coeffs: np.ndarray, geometry: Geometry,
+               cos_axis: int | None, out: np.ndarray | None) -> np.ndarray:
+    """The FFT route of :func:`eval_block`, for a block wider than
+    DENSE_MAX_NF.
+
+    Sine-sine it is the DST-I pair of :func:`_dst2`, in place in ``out``
+    if given.  With a cosine factor the block goes into the interior of a
+    buffer with a zero line on each side along ``cos_axis`` (the m = 0 and
+    m = N terms of the DCT-I), where a DST-I along the other axis over the
+    block's lines and a DCT-I along ``cos_axis`` evaluate the sum in place.
+    The values are scaled in place when ``out`` is None and they are
+    C-contiguous (the buffer's interior for ``cos_axis`` 0), else as they
+    are written to ``out`` or a new array.
+    """
+    n = geometry.n_interior
+    scale = 0.5 / geometry.side_length      # (2/L) / 4: each pass doubles
+    if cos_axis is None:
+        values = _dst2(coeffs, n, out)
+    else:
+        buf = np.zeros((n + 2, n) if cos_axis == 0 else (n, n + 2))
+        inner = buf[1:-1] if cos_axis == 0 else buf[:, 1:-1]
+        K, M = coeffs.shape
+        inner[:K, :M] = coeffs
+        sines = inner[:K] if cos_axis == 0 else inner[:, :M]
+        for transform, part, axis in ((fft.dst, sines, 1 - cos_axis),
+                                      (fft.dct, buf, cos_axis)):
+            vals = transform(part, type=1, axis=axis, overwrite_x=True)
+            if not np.may_share_memory(vals, part):    # not done in place
+                part[...] = vals
+        values = inner
+    if out is None and values.flags.c_contiguous:
+        values *= scale
+        return values
+    return np.multiply(values, scale, out=out)
+
+
 def forward(grid: GridField) -> SpectralField:
     """Project grid samples onto the eigenbasis (discrete <f, w_{m,n}>).
 
-    The transform skips the all-zero columns before the first and after the
-    last nonzero column (see :func:`_dst2`), so values that vanish outside
-    a band of columns cost the transform of that band.
+    Up to DENSE_MAX_NF nodes per axis it is the transposed product
+    (2L/N^2) S^T values S with S the geometry's ``node_sines``; above it
+    the DST-I pair of :func:`_dst2`, which skips the all-zero columns
+    before the first and after the last nonzero column, so values that
+    vanish outside a band of columns cost the transform of that band.
     """
     g = grid.geometry
     if not np.isfinite(grid.values).all():
         raise NumericError("forward transform of non-finite grid values")
-    coeffs = _dst2(grid.values, g.n_interior)
-    coeffs *= g.side_length / (2.0 * g.grid_size ** 2)
+    scale = g.side_length / (2.0 * g.grid_size ** 2)  # dstn doubles per pass
+    if g.n_interior <= DENSE_MAX_NF:
+        sin_t = g.node_sines.T
+        coeffs = _sandwich(sin_t, grid.values, sin_t, 4.0 * scale)
+    else:
+        coeffs = _dst2(grid.values, g.n_interior)
+        coeffs *= scale
     return SpectralField(coeffs, g)
 
 
-def inverse(spec: SpectralField, out: np.ndarray | None = None) -> GridField:
-    """Evaluate the eigen-expansion at the interior collocation nodes.
-
-    ``out``, an (N-1) x (N-1) array, takes the values in place.
-    """
+def inverse(spec: SpectralField) -> GridField:
+    """Evaluate the eigen-expansion at the interior collocation nodes: its
+    support block by :func:`eval_block`."""
     g = spec.geometry
     if spec.coeffs.shape != (g.n_interior, g.n_interior):
         raise ShapeError(
             f"coefficient block {spec.coeffs.shape} does not match geometry "
             f"with {g.n_interior} interior nodes per axis")
-    return GridField(eval_fine(spec, g.grid_size, out=out), g)
+    K = _support(spec.coeffs)
+    return GridField(eval_block(spec.coeffs[:K, :K], g), g)
 
 
 def gradient(spec: SpectralField) -> tuple[GridField, GridField]:
     """Spectral gradient, sampled at the interior nodes.
 
-    sin(k_m x) differentiates to k_m cos(k_m x); the cosine factor is
-    evaluated with a zero-bordered DCT-I.  Both components are computed in
-    place in bordered buffers.  The x component is a view of the first; the
-    y component is copied out of the second, so that both are C-contiguous
-    and no elementwise operation on them needs numpy's iterator buffer.
+    sin(k_m x) differentiates to k_m cos(k_m x): each component is the
+    support block times k along its axis, evaluated by :func:`eval_block`
+    with the cosine factor there.  Both components are C-contiguous.
     """
     g = spec.geometry
-    n = g.n_interior
-    k = g.wavenumbers
-    scale = 2.0 / g.side_length
-    rows = np.empty((n + 2, n))
-    cols = np.empty((n, n + 2))
-    dx = _sin_cos_eval(_times_k(spec.coeffs, k, 0, out=_interior(rows, 0)),
-                       0, scale, out=rows)
-    grad_y = np.ascontiguousarray(_sin_cos_eval(
-        _times_k(spec.coeffs, k, 1, out=_interior(cols, 1)), 1, scale,
-        out=cols))
-    return GridField(dx, g), GridField(grad_y, g)
+    K = _support(spec.coeffs)
+    c, k = spec.coeffs[:K, :K], g.wavenumbers[:K]
+    grads = np.empty((2, g.n_interior, g.n_interior))
+    for axis, out in enumerate(grads):    # each block in its output's memory
+        eval_block(_times_k(c, k, axis, out=_leading(out, K, K)), g, axis,
+                   out=out)
+    return GridField(grads[0], g), GridField(grads[1], g)
 
 
 def grad_l2_norm_sq(spec: SpectralField) -> float:
@@ -310,85 +339,6 @@ def _midpoint_tables(Nf: int) -> tuple[np.ndarray, np.ndarray]:
     for table in tables:
         table.setflags(write=False)
     return tables
-
-
-def _leading(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A rows x cols array in the leading memory of ``buf``, C-contiguous."""
-    return buf.reshape(-1)[:rows * cols].reshape(rows, cols)
-
-
-def _sandwich(left: np.ndarray, c: np.ndarray, right: np.ndarray,
-              scale: float, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """scale * left @ c @ right.T, into ``out`` if given.
-
-    The scale multiplies the intermediate product left @ c, the smaller
-    array, which goes into the leading memory of ``scratch`` if given.
-    ``c`` is read only for that product, so it may live in ``out``.
-    """
-    half = None if scratch is None else _leading(scratch, left.shape[0],
-                                                 c.shape[1])
-    half = np.matmul(left, c, out=half)
-    half *= scale
-    return np.matmul(half, right.T, out=out)
-
-
-def eval_block(coeffs: np.ndarray, geometry: Geometry,
-               cos_axis: int | None = None, out: np.ndarray | None = None,
-               scratch: np.ndarray | None = None) -> np.ndarray:
-    """(2/L) sum c_{m,n} (factor in x)(factor in y) at the interior nodes,
-    from ``coeffs``, the leading K x M block of the spectrum (every
-    coefficient outside it zero).
-
-    Both factors are sin(k x), or, with ``cos_axis`` 0 or 1, the factor
-    along that axis is cos(k x): the block of k (x) c along that axis gives
-    a gradient component, as :func:`gradient` does for a whole spectrum.
-    The route goes by the block's larger side.  Up to DENSE_MAX_NF it is
-    the dense route, (2/L) A c B^T with columns of the geometry's
-    ``node_sines`` and ``node_cosines``; its intermediate (N-1) x K product
-    goes into the leading memory of ``scratch`` when given (an (N-1) x
-    (N-1) array will do).  Above it, the FFT route of :func:`inverse` and :func:`gradient`
-    runs on the block with their bits; a cosine factor there allocates the
-    zero-bordered buffer of :func:`cos_eval`.  ``out``, an (N-1) x (N-1)
-    array, takes the values; with a cosine factor ``coeffs`` may live in
-    ``out``'s memory.
-    """
-    K, M = coeffs.shape
-    scale = 2.0 / geometry.side_length
-    if max(K, M) <= DENSE_MAX_NF:
-        left = geometry.node_cosines if cos_axis == 0 else geometry.node_sines
-        right = geometry.node_cosines if cos_axis == 1 else geometry.node_sines
-        return _sandwich(left[:, :K], coeffs, right[:, :M], scale, out,
-                         scratch)
-    if cos_axis is None:    # a leading block of _dst2
-        return eval_fine(SpectralField(coeffs, geometry),
-                         geometry.grid_size, out=out)
-    n = geometry.n_interior
-    shape = [n, n]
-    shape[cos_axis] += 2
-    buf = np.zeros(shape)
-    lines = _interior(buf, cos_axis)
-    lines[:K, :M] = coeffs
-    values = _sin_cos_eval(lines, cos_axis, scale, out=buf)
-    if out is None:
-        return np.ascontiguousarray(values)
-    np.copyto(out, values)
-    return out
-
-
-def eval_fine(spec: SpectralField, Nf: int,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate the field at the interior nodes of the Nf-grid.
-
-    Nf >= N; Nf = N evaluates at the collocation nodes themselves.
-    ``out`` (Nf-1 x Nf-1) takes the values in place.  ``spec.coeffs`` may
-    be a leading block of the spectrum when every other coefficient is
-    zero (see :func:`_dst2`).
-    """
-    values = _dst2(spec.coeffs, Nf - 1, out=out)
-    values *= 2.0 / spec.geometry.side_length
-    values /= 4.0
-    return values
 
 
 def eval_fine_mixed(coeffs: np.ndarray, geometry: Geometry, Nf: int,
@@ -453,10 +403,21 @@ def forward_fine(values: np.ndarray, geometry: Geometry) -> np.ndarray:
     return coeffs[:, :n_keep].copy()
 
 
+@lru_cache(maxsize=4)
+def _closed_grid(side_length: float, Mf: int) -> Geometry:
+    """The Mf-grid of the side-L square, whose node tables serve
+    :func:`eval_closed`."""
+    return Geometry(side_length, Mf, 0.0)
+
+
 def eval_closed(spec: SpectralField, Mf: int) -> np.ndarray:
-    """Evaluate the field at the closed nodes i = 0..Mf of the Mf-grid."""
+    """Evaluate the field at the closed nodes i = 0..Mf of the Mf-grid: its
+    support block by :func:`eval_block` on that grid's geometry, zero on
+    the boundary."""
+    K = _support(spec.coeffs)
     out = np.zeros((Mf + 1, Mf + 1))
-    out[1:Mf, 1:Mf] = eval_fine(spec, Mf)
+    out[1:Mf, 1:Mf] = eval_block(
+        spec.coeffs[:K, :K], _closed_grid(spec.geometry.side_length, Mf))
     return out
 
 

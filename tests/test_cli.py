@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from sqgbounds import cli
 from sqgbounds import inequalities as iq
 from sqgbounds import solver
+from sqgbounds import spectral
 from sqgbounds.checkpoint import save_checkpoint
 from sqgbounds.cli import _HolderSample, _holder_monitor, cmd_run, main
 from sqgbounds.config import VERIFY_NAMES, RunConfig, load_config
@@ -30,7 +32,7 @@ PINNED_CONSTANTS = {
                          "symmetry_residual": "9.947598300641403e-14"},
     "commutator_scaling": {"slope": "-1.0969669985586896",
                            "Gamma0": "1.9525137451702765"},
-    "decay_envelope": {"B": "1.9996988196962082"},
+    "decay_envelope": {"B": "1.9996988196962064"},
 }
 
 
@@ -344,6 +346,33 @@ def test_cli_paths_do_not_import_scipy_integrate(run_cfg):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_helper_lane_transforms_only_the_closed_grid_product(
+        tmp_path, monkeypatch):
+    """At N = 128 the families of verify's helper lane (all but
+    commutator_scaling) evaluate every spectrum by eval_block's node-table
+    products: each scipy transform they reach is the cosine analysis of
+    dealiased_product.  Counted, as the benchmark does, through a proxy in
+    place of the ``scipy.fft`` that ``spectral`` holds as ``fft``."""
+    callers = []
+    real = spectral.fft
+    proxy = types.ModuleType(real.__name__)
+    proxy.__dict__.update(real.__dict__)
+    for name in ("dst", "dct", "dstn", "dctn", "idst", "idct", "idstn",
+                 "idctn"):
+        def counted(*args, _transform=getattr(real, name), **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _transform(*args, **kwargs)
+        setattr(proxy, name, counted)
+    monkeypatch.setattr(spectral, "fft", proxy)
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(DEFAULT_CFG.read_text().replace(
+        "directory = out", f"directory = {tmp_path}"))
+    lane = [name for name in VERIFY_NAMES if name != "commutator_scaling"]
+    assert len(lane) == 12
+    assert main(["verify", str(cfg), *lane]) == 0
+    assert callers and set(callers) == {"cos_analyze_closed"}
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from scipy import fft
 
 from sqgbounds.errors import NumericError, ShapeError
 from sqgbounds.geometry import build_square_geometry
+from sqgbounds import operators as op
 from sqgbounds import spectral as sp
 
 
@@ -72,27 +73,32 @@ def test_gradient_of_single_mode(geom):
 
 @pytest.mark.parametrize("n_nodes", [12, sp.fine_grid_size(12)])
 @pytest.mark.parametrize("cos_axis", [0, 1])
-def test_sin_cos_eval_matches_dense_double_sum(n_nodes, cos_axis):
+def test_sin_cos_eval_matches_dense_double_sum(monkeypatch, n_nodes,
+                                               cos_axis):
     """0.7 sum c sin(pi m x/L) cos(pi n y/L) of a 12-grid field on both grids.
 
-    n_nodes = 12: the interior collocation nodes i L/12 (``_sin_cos_eval``);
-    n_nodes = 18: the fine midpoints (i + 1/2) L/18 (``eval_fine_mixed``).
+    n_nodes = 12: the interior collocation nodes i L/12 (``eval_block``, on
+    both of its routes); n_nodes = 18: the fine midpoints (i + 1/2) L/18
+    (``eval_fine_mixed``).
     """
     rng = np.random.default_rng(7 + cos_axis)
     c = rng.standard_normal((11, 11))
+    g = build_square_geometry(12)
     if n_nodes == 12:
         nodes = np.arange(1, n_nodes)
-        got = sp._sin_cos_eval(c, cos_axis, 0.7)
+        got = _both_routes(monkeypatch,
+                           lambda: sp.eval_block(c, g, cos_axis))
     else:
-        g = build_square_geometry(12)
         nodes = np.arange(n_nodes) + 0.5
-        got = 0.35 * g.side_length * sp.eval_fine_mixed(c, g, n_nodes, cos_axis)
+        got = [sp.eval_fine_mixed(c, g, n_nodes, cos_axis)]
     modes = np.arange(1, 12)
     S = np.sin(np.pi * np.outer(nodes, modes) / n_nodes)
     C = np.cos(np.pi * np.outer(nodes, modes) / n_nodes)
     dense = 0.7 * (S @ c @ C.T if cos_axis == 1 else C @ c @ S.T)
-    assert got.shape == (len(nodes), len(nodes))
-    assert np.abs(got - dense).max() < 1e-12 * np.abs(c).sum()
+    for values in got:
+        assert values.shape == (len(nodes), len(nodes))
+        assert (np.abs(0.35 * g.side_length * values - dense).max()
+                < 1e-12 * np.abs(c).sum())
 
 
 def test_forward_fine_matches_full_transform_then_slice(geom):
@@ -124,11 +130,15 @@ def test_eval_fine_mixed_out_matches_fresh_result(geom, cos_axis):
 @pytest.mark.parametrize("cos_axis", [0, 1])
 def test_fine_transforms_do_not_rely_on_in_place_fft(geom, cos_axis,
                                                      monkeypatch):
-    """Results stand when scipy returns new arrays instead of working in place."""
+    """Results of the FFT route stand when scipy returns new arrays
+    instead of working in place."""
+    monkeypatch.setattr(sp, "DENSE_MAX_NF", 0)
     Nf = sp.fine_grid_size(geom.grid_size)
     c = random_field(geom, geom.n_interior, seed=11 + cos_axis).coeffs
     values = sp.eval_fine_mixed(c, geom, Nf, cos_axis)
     coeffs = sp.forward_fine(values.copy(), geom)
+    nodes = {axis: sp.eval_block(c, geom, axis) for axis in (None, cos_axis)}
+    spec = sp.forward(sp.GridField(nodes[None], geom)).coeffs
 
     def copying(transform):
         return lambda x, *args, **kw: transform(
@@ -139,6 +149,12 @@ def test_fine_transforms_do_not_rely_on_in_place_fft(geom, cos_axis,
     got = sp.eval_fine_mixed(c, geom, Nf, cos_axis, out=np.full((Nf, Nf), np.nan))
     assert np.array_equal(got, values)
     assert np.array_equal(sp.forward_fine(got, geom), coeffs)
+    for axis, ref in nodes.items():
+        out = np.full_like(ref, np.nan)
+        assert sp.eval_block(c, geom, axis, out=out) is out
+        assert np.array_equal(out, ref)
+    assert np.array_equal(
+        sp.forward(sp.GridField(nodes[None], geom)).coeffs, spec)
 
 
 def test_grad_norm_parseval(geom):
@@ -250,8 +266,10 @@ def test_restricted_dst_passes_match_dstn(n):
 @pytest.mark.parametrize("live", [(), (0,), (30,), tuple(range(9, 20)),
                                   (3, 25)],
                          ids=["zero", "first", "last", "band", "gap"])
-def test_zero_column_skip_matches_dstn(geom, live):
-    """_dst2's automatic zero-column skip keeps forward and inverse bit-equal."""
+def test_zero_column_skip_matches_dstn(geom, live, monkeypatch):
+    """_dst2's automatic zero-column skip keeps forward and inverse on the
+    FFT route bit-equal to dstn."""
+    monkeypatch.setattr(sp, "DENSE_MAX_NF", 0)
     n = geom.n_interior
     a = np.zeros((n, n))
     a[:, list(live)] = np.random.default_rng(n).standard_normal((n, len(live)))
@@ -267,20 +285,29 @@ def test_zero_column_skip_matches_dstn(geom, live):
 
 
 @pytest.mark.parametrize("N", [128, 512])
-def test_eval_fine_matches_padded_dstn(N):
+def test_eval_closed_matches_padded_dstn(N, monkeypatch):
+    """The closed-grid samples of a 40-mode field: on the FFT route the
+    padded dstn's bits, on the dense route (the default at this block
+    size) the same values to round-off, and zero on the boundary."""
     g = build_square_geometry(N)
     f = random_field(g, 40, seed=N)
     Mf = 2 * N
     padded = (2.0 / g.side_length) * fft.dstn(f.coeffs, type=1,
                                               s=(Mf - 1, Mf - 1)) / 4.0
-    assert np.array_equal(sp.eval_fine(f, Mf), padded)
+    dense, fast = _both_routes(monkeypatch, lambda: sp.eval_closed(f, Mf))
+    assert np.array_equal(fast[1:Mf, 1:Mf], padded)
+    assert (np.abs(dense[1:Mf, 1:Mf] - padded).max()
+            <= ROUTE_RTOL * np.abs(padded).max())
+    for values in (dense, fast):
+        assert not values[[0, Mf]].any() and not values[:, [0, Mf]].any()
 
 
-def test_eval_fine_rows_and_forward_cols_match_dstn(geom):
+def test_inverse_rows_and_forward_cols_match_dstn(geom, monkeypatch):
+    monkeypatch.setattr(sp, "DENSE_MAX_NF", 0)
     f = random_field(geom, 20, seed=8)
     L, N = geom.side_length, geom.grid_size
     full = (2.0 / L) * fft.dstn(f.coeffs, type=1) / 4.0
-    assert np.array_equal(sp.eval_fine(f, N), full)
+    assert np.array_equal(sp.inverse(f).values, full)
     vals = np.zeros_like(full)
     vals[:, 3:11] = full[:, 3:11]
     got = sp.forward(sp.GridField(vals, geom)).coeffs
@@ -288,11 +315,67 @@ def test_eval_fine_rows_and_forward_cols_match_dstn(geom):
 
 
 def _both_routes(monkeypatch, fn):
-    """``fn()`` on the dense route and on the FFT route, at any size."""
+    """``fn()`` on the dense route and on the FFT route, at any size; a
+    node-grid evaluation's dense route reads its node tables, so its block
+    or grid may have at most NODE_TABLE_MODES modes per axis."""
     monkeypatch.setattr(sp, "DENSE_MAX_NF", 1 << 30)
     dense = fn()
     monkeypatch.setattr(sp, "DENSE_MAX_NF", 0)
     return dense, fn()
+
+
+# dense against FFT route of forward, inverse, gradient and riesz_velocity,
+# relative to the result's sup: measured at most 1.4e-15 at N = 8..129
+ROUTE_RTOL = 3e-15
+
+
+@pytest.mark.parametrize("N, K", [(8, 7), (32, 31), (32, 5), (64, 21),
+                                  (100, 99), (128, 127), (129, 128)])
+def test_node_grid_routes_agree(monkeypatch, N, K):
+    """forward, inverse, gradient and riesz_velocity give the same values
+    on the table route and the FFT route."""
+    g = build_square_geometry(N)
+    rng = np.random.default_rng(N + K)
+    c = np.zeros((N - 1, N - 1))
+    c[:K, :K] = rng.standard_normal((K, K))
+    f = sp.SpectralField(c, g)
+    values = rng.standard_normal((N - 1, N - 1))
+
+    def fields():
+        u = op.riesz_velocity(f)
+        return [sp.forward(sp.GridField(values, g)).coeffs,
+                sp.inverse(f).values,
+                *(grad.values for grad in sp.gradient(f)),
+                u.u_x.values, u.u_y.values]
+
+    for dense, fast in zip(*_both_routes(monkeypatch, fields)):
+        assert dense.flags.c_contiguous and fast.flags.c_contiguous
+        assert np.abs(dense - fast).max() <= ROUTE_RTOL * np.abs(fast).max()
+
+
+def _plain_gradient(c, g, cos_axis):
+    """One gradient component of the spectrum ``c`` by whole-array scipy
+    transforms: DST-I along the sine axis, then DCT-I along the cosine
+    axis with a zero line on each side."""
+    kc = c * (g.wavenumbers[:, None] if cos_axis == 0
+              else g.wavenumbers[None, :])
+    sines = fft.dst(kc, type=1, axis=1 - cos_axis)
+    pad = [(0, 0), (0, 0)]
+    pad[cos_axis] = (1, 1)
+    full = fft.dct(np.pad(sines, pad), type=1, axis=cos_axis)
+    full *= 0.25 * (2.0 / g.side_length)
+    return full[1:-1] if cos_axis == 0 else full[:, 1:-1]
+
+
+@pytest.mark.parametrize("N", [256, 512])
+def test_wide_gradient_keeps_the_whole_array_transform_bits(N):
+    """A full spectrum wider than DENSE_MAX_NF takes the FFT route with the
+    bits of the whole-array DST/DCT evaluation."""
+    g = build_square_geometry(N)
+    c = np.random.default_rng(N).standard_normal((N - 1, N - 1))
+    for cos_axis, grad in enumerate(sp.gradient(sp.SpectralField(c, g))):
+        assert grad.values.tobytes() == _plain_gradient(c, g,
+                                                        cos_axis).tobytes()
 
 
 # band sub-geometries (Nf = 3j) and whole 3/2 grids, below and above the
@@ -332,6 +415,8 @@ def test_dense_route_runs_up_to_the_crossover(monkeypatch):
         c = np.ones((N - 1, N - 1))
         sp.forward_fine(sp.eval_fine_mixed(c, g, Nf, 0), g)
         sp.eval_block(c, g)
+        spec = sp.forward(sp.GridField(c, g))
+        sp.inverse(spec), sp.gradient(spec)
     big = build_square_geometry(512)
     sp.eval_block(np.ones((24, 12)), big)
     assert "node_cosines" not in vars(big)     # built only when read
@@ -373,17 +458,17 @@ def test_midpoint_tables_are_cached_and_read_only():
                                      (512, 24, 12), (512, 200, 12)])
 def test_eval_block_matches_inverse(N, K, M):
     """The leading K x M block at the nodes, by either route, against the
-    whole spectrum's inverse, and with a cosine factor against its
-    gradient; a block wider than DENSE_MAX_NF has their bits."""
+    whole spectrum's dstn, and with a cosine factor against its gradient
+    by whole-array transforms; a block wider than DENSE_MAX_NF has their
+    bits."""
     g = build_square_geometry(N)
     c = np.zeros((N - 1, N - 1))
     c[:K, :M] = np.random.default_rng(K).standard_normal((K, M))
-    spec = sp.SpectralField(c, g)
     k = g.wavenumbers
     blocks = {None: c[:K, :M], 0: (k[:, None] * c)[:K, :M],
               1: (c * k[None, :])[:K, :M]}
-    refs = {None: sp.inverse(spec).values,
-            **dict(enumerate(grad.values for grad in sp.gradient(spec)))}
+    refs = {None: (2.0 / g.side_length) * fft.dstn(c, type=1) / 4.0,
+            0: _plain_gradient(c, g, 0), 1: _plain_gradient(c, g, 1)}
     for cos_axis, ref in refs.items():
         out = np.full_like(ref, np.nan)
         got = sp.eval_block(blocks[cos_axis], g, cos_axis, out=out)
@@ -414,11 +499,12 @@ def test_eval_block_reads_a_block_that_lives_in_its_output():
 
 @pytest.mark.parametrize("cos_axis", [0, 1])
 @pytest.mark.parametrize("top", [0, 1, 9, 31])
-def test_sin_cos_eval_skips_zero_lines_bit_for_bit(cos_axis, top):
-    """Transforming only the lines up to the last nonzero one changes no bit."""
+def test_sin_cos_eval_skips_zero_lines_bit_for_bit(geom, cos_axis, top,
+                                                   monkeypatch):
+    """The FFT route transforms only the lines of the support block, with
+    the bits of the whole-array transforms."""
+    monkeypatch.setattr(sp, "DENSE_MAX_NF", 0)
     c = np.zeros((31, 31))
     c[:top, :top] = np.random.default_rng(top).standard_normal((top, top))
-    got = sp._sin_cos_eval(c, cos_axis, 0.7)
-    sin_vals = fft.dst(c, type=1, axis=1 - cos_axis)
-    ref = sp.cos_eval(sin_vals, cos_axis, 0.5 * 0.7)
-    assert got.tobytes() == ref.tobytes()
+    got = sp.gradient(sp.SpectralField(c, geom))[cos_axis].values
+    assert got.tobytes() == _plain_gradient(c, geom, cos_axis).tobytes()
