@@ -12,21 +12,31 @@ self-check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erf, gamma
 
 from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
 from .geometry import Geometry
-from .spectral import (BoxField, GridField, SpectralField, dealiased_product,
-                       forward, grad_l2_norm_sq, gradient, inverse)
+from .spectral import (BoxField, GridField, SpectralField, _support,
+                       dealiased_product, forward, grad_l2_norm_sq, gradient,
+                       inverse)
 
 MAX_CUTOFF_SCALE_FRAC = 0.25    # ell0 = L/4
-ERF_SATURATION = 6.0            # scipy's erf(z) == sign(z) for |z| >= 6
+ERF_SATURATION = 6.0            # erf(z) rounds to sign(z) for |z| >= 6
 _LAMBDA_ROWS = 128              # rows per block of an in-place Lambda
+
+
+def erf(z) -> np.ndarray:
+    """erf elementwise: math.erf where |z| < ERF_SATURATION, else sign(z)."""
+    z = np.asarray(z, dtype=float)
+    out = np.sign(z, out=np.empty_like(z))
+    small = np.abs(z) < ERF_SATURATION
+    out[small] = np.frompyfunc(math.erf, 1, 1)(z[small])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +112,7 @@ def log_time_rule(t_min: float, t_max: float, panels: int,
 def _heat_multiplier(lam: np.ndarray, s: float, quad: QuadratureConfig,
                      panels: int) -> np.ndarray:
     """c_s * int (1 - e^{-t lam}) t^{-1-s/2} dt on the truncated interval."""
-    c_s = (s / 2.0) / gamma(1.0 - s / 2.0)
+    c_s = (s / 2.0) / math.gamma(1.0 - s / 2.0)
     lam_max = float(lam.max())
     lam_min = float(lam.min())
     # head below t_min contributes < tol relatively via 1 - e^{-t lam} <= t lam
@@ -215,7 +225,7 @@ def heat_of_one_1d(t, x: np.ndarray, L: float,
 
     Image n adds erf(z_0) - erf(z_+)/2 - erf(z_-)/2 with z_0 = (x - 2nL)/s,
     z_+ = (x - (2n + 1)L)/s, z_- = (x - (2n - 1)L)/s and s = 2 sqrt(t).
-    scipy's erf is exactly +-1 for |z| >= 6, so an image whose arguments all
+    :func:`erf` is exactly +-1 for |z| >= 6, so an image whose arguments all
     lie at or below -6, or all at or above 6, over the whole of ``x`` adds
     exactly +0.0.  Such (image, time) pairs are skipped, and the sum keeps
     every bit of the full image sum.  The bounds z_-(max x) and z_+(min x)
@@ -288,13 +298,16 @@ def short_time_velocity(theta: SpectralField, tau: float) -> VelocityField:
 
     The mode multiplier is c * int_0^tau t^{-1/2} e^{-t lam} dt
     = lam^{-1/2} erf(sqrt(lam tau)) with c = pi^{-1/2}, so u_s recovers the
-    full velocity as tau grows.
+    full velocity as tau grows.  It is formed on theta's support block only.
     """
     if tau <= 0:
         raise DomainError(f"short-time velocity requires tau > 0, got {tau}")
     g = theta.geometry
-    mult = g.inv_sqrt_eigenvalues * erf(np.sqrt(g.eigenvalues * tau))
-    return _stream_velocity(SpectralField(mult * theta.coeffs, g), 1.0)
+    block = (slice(_support(theta.coeffs)),) * 2
+    stream = np.zeros_like(theta.coeffs)
+    stream[block] = (g.inv_sqrt_eigenvalues[block] * erf(np.sqrt(
+        g.eigenvalues[block] * tau)) * theta.coeffs[block])
+    return _stream_velocity(SpectralField(stream, g), 1.0)
 
 
 # ---------------------------------------------------------------------------

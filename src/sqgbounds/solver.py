@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft
 
 from .errors import ConfigurationError, NumericError
 from .geometry import Geometry, build_square_geometry
@@ -180,7 +179,10 @@ def _band_size(M: int) -> int:
     """N' = 2j >= 2M + 2 with j >= 4 and 5-smooth, so that the 3/2 grid's
     Nf' = 3j is a fast transform length (a prime Nf' such as 59 costs three
     times as much per transform)."""
-    return 2 * fft.next_fast_len(max(4, M + 1), real=True)
+    j = max(4, M + 1)
+    while (2 ** 64 * 3 ** 41 * 5 ** 28) % j:   # j < 2^64: 0 iff 5-smooth
+        j += 1
+    return 2 * j
 
 
 def _flux(c: np.ndarray, psi: np.ndarray, g: Geometry,

@@ -26,14 +26,14 @@ spectrum on such a sub-geometry and zero-pads the result (see ``solver``).
 One evaluator, one rule.  Every node evaluation of a spectrum is a call of
 :func:`eval_block` on the leading block that holds its nonzero coefficients
 (:func:`_support`): :func:`inverse`, :func:`gradient` (a cosine factor along
-one axis) and the closed-grid samples of :func:`dealiased_product` (on the
-finer grid's geometry).  A block of at most DENSE_MAX_NF modes per axis is
-two products with the geometry's cached, read-only node tables, at any N; a
-wider block takes the FFT route.  :func:`forward` is the transposed product
-by the same rule, and the midpoint sums of :func:`eval_fine_mixed` and
-:func:`forward_fine` go by theirs, at most DENSE_MAX_NF nodes per axis.
-Every table angle is formed from an integer reduced modulo its period, so
-the routes agree to about one rounding (under 1e-14 relative, tested).
+one axis) and the closed-grid samples of :func:`dealiased_product`.  A block
+of at most DENSE_MAX_NF modes per axis is two products with the geometry's
+cached, read-only node tables, at any N; a wider block takes the FFT route,
+scipy.fft, imported on its first use (:func:`__getattr__`).  :func:`forward`
+is the transposed product by the same rule, and the midpoint sums of
+:func:`eval_fine_mixed` and :func:`forward_fine` go by theirs, at most
+DENSE_MAX_NF nodes per axis.  Every table angle is formed from an integer
+reduced modulo its period, so the routes agree to under 1e-14 (tested).
 """
 from __future__ import annotations
 
@@ -41,10 +41,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft
 
 from .errors import NumericError, ShapeError
-from .geometry import NODE_TABLE_MODES, Geometry
+from .geometry import NODE_TABLE_MODES, Geometry, _read_only
 
 # Transforms of at most DENSE_MAX_NF nodes per axis, and node evaluations of
 # spectrum blocks of at most DENSE_MAX_NF modes per axis, run as two products
@@ -60,6 +59,21 @@ from .geometry import NODE_TABLE_MODES, Geometry
 # time at N = 256 (K = 128 / 192), 0.54 / 0.81 at N = 512 and 0.43 / 0.64 at
 # N = 1024; the cap keeps the node tables at (N-1) x 128 per geometry.
 DENSE_MAX_NF = NODE_TABLE_MODES
+
+
+def __getattr__(name: str):
+    """PEP 562: ``fft`` is scipy.fft, imported on first use and then kept as
+    the module global that :func:`_fft` reads and a tracer may replace."""
+    if name != "fft":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global fft
+    from scipy import fft
+    return fft
+
+
+def _fft():
+    """The module's ``fft`` binding, imported on first use."""
+    return globals().get("fft") or __getattr__("fft")
 
 
 @dataclass
@@ -165,10 +179,10 @@ def _dst2(a: np.ndarray, n: int, out: np.ndarray | None = None
     first[:, hi:] = 0.0
     band = first[:, lo:hi]
     np.copyto(band[:m], a[:, lo:hi])
-    vals = fft.dst(band, type=1, axis=0, overwrite_x=True)
+    vals = _fft().dst(band, type=1, axis=0, overwrite_x=True)
     if not np.may_share_memory(vals, band):    # not done in place
         band[...] = vals
-    return fft.dst(first, type=1, axis=1, overwrite_x=True)
+    return _fft().dst(first, type=1, axis=1, overwrite_x=True)
 
 
 def _leading(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -247,8 +261,8 @@ def _fft_block(coeffs: np.ndarray, geometry: Geometry,
         K, M = coeffs.shape
         inner[:K, :M] = coeffs
         sines = inner[:K] if cos_axis == 0 else inner[:, :M]
-        for transform, part, axis in ((fft.dst, sines, 1 - cos_axis),
-                                      (fft.dct, buf, cos_axis)):
+        for transform, part, axis in ((_fft().dst, sines, 1 - cos_axis),
+                                      (_fft().dct, buf, cos_axis)):
             vals = transform(part, type=1, axis=axis, overwrite_x=True)
             if not np.may_share_memory(vals, part):    # not done in place
                 part[...] = vals
@@ -370,10 +384,10 @@ def eval_fine_mixed(coeffs: np.ndarray, geometry: Geometry, Nf: int,
     lines[:, 0] = 0.0
     lines[:, n + 1:] = 0.0
     np.copyto(lines[:, 1:n + 1], coeffs)
-    cos_vals = fft.dct(lines, type=3, axis=1, overwrite_x=True)
+    cos_vals = _fft().dct(lines, type=3, axis=1, overwrite_x=True)
     if not np.may_share_memory(cos_vals, lines):   # not done in place
         lines[...] = cos_vals
-    values = fft.dst(view, type=3, axis=0, overwrite_x=True)
+    values = _fft().dst(view, type=3, axis=0, overwrite_x=True)
     # each type-III pass doubles the sum; scaling the whole contiguous
     # result in place avoids numpy's buffer for a strided multiply
     values *= 0.5 / geometry.side_length
@@ -397,8 +411,8 @@ def forward_fine(values: np.ndarray, geometry: Geometry) -> np.ndarray:
         sin_t = _midpoint_tables(Nf)[0][:, :n_keep].T
         return _sandwich(sin_t, values, sin_t,
                          2.0 * geometry.side_length / Nf ** 2)
-    rows = fft.dst(values, type=2, axis=0, overwrite_x=True)[:n_keep]
-    coeffs = fft.dst(rows, type=2, axis=1, overwrite_x=True)
+    rows = _fft().dst(values, type=2, axis=0, overwrite_x=True)[:n_keep]
+    coeffs = _fft().dst(rows, type=2, axis=1, overwrite_x=True)
     coeffs *= geometry.side_length / (2.0 * Nf ** 2)
     return coeffs[:, :n_keep].copy()
 
@@ -421,51 +435,37 @@ def eval_closed(spec: SpectralField, Mf: int) -> np.ndarray:
     return out
 
 
-def cos_analyze_closed(values: np.ndarray) -> np.ndarray:
-    """Cosine coefficients A_{q,r} from samples on the closed (Mf+1)^2 grid.
-
-    Inverts values = sum_{q,r} A_{q,r} cos(pi q i/Mf) cos(pi r j/Mf), which
-    is exact when the samples come from a cosine polynomial of degree <= Mf
-    per axis.
-    """
-    Mf = values.shape[0] - 1
-    coeffs = fft.dctn(values, type=1) / Mf ** 2
-    coeffs[0, :] /= 2.0
-    coeffs[-1, :] /= 2.0
-    coeffs[:, 0] /= 2.0
-    coeffs[:, -1] /= 2.0
-    return coeffs
-
-
 @lru_cache(maxsize=8)
-def _sine_projection_matrix(n_keep: int, Mf: int) -> np.ndarray:
-    """Overlap matrix P[p-1, q] = p (1 - (-1)^{p+q}) / (p^2 - q^2).
-
-    Up to the prefactor (L/pi) this is int_0^L cos(q pi x/L) sin(p pi x/L) dx,
-    the exact projection of each cosine mode onto the sine basis.
+def _closed_projection(n_keep: int, Mf: int) -> np.ndarray:
+    """Q = P D C / Mf, read-only: (2L/pi^2) Q V Q^T projects samples V on
+    the closed (Mf+1)^2 grid of a cosine polynomial of degree <= Mf per axis
+    onto the sine modes 1..n_keep.  C is the DCT-I, D halves rows q = 0 and
+    Mf (D C V C^T D / Mf^2 are the cosine coefficients), and P[p-1, q] =
+    2p / (p^2 - q^2) for odd p + q is (pi/L) int cos(q pi x/L) sin(p pi x/L).
     """
     p = np.arange(1, n_keep + 1, dtype=float)[:, None]
-    q = np.arange(0, Mf + 1, dtype=float)[None, :]
+    q = np.arange(0, Mf + 1)
     odd = (p + q) % 2 == 1
-    denom = np.where(odd, p ** 2 - q ** 2, 1.0)
-    return np.where(odd, 2.0 * p / denom, 0.0)
+    P = np.where(odd, 2.0 * p / np.where(odd, p ** 2 - q ** 2, 1.0), 0.0)
+    C = np.cos((np.outer(q, q) % (2 * Mf)) * (np.pi / Mf))
+    C[:, 1:Mf] *= 2.0
+    C[[0, Mf]] *= 0.5
+    return _read_only(P @ C / Mf)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product f*g, exactly projected onto the retained modes.
 
     The product of two degree-(N-1) sine polynomials is a cosine polynomial
-    of degree at most 2N-2 per axis, so sampling on the closed 2N-grid
-    recovers its cosine coefficients exactly and the analytic overlap matrix
-    finishes the L^2 projection.  No aliasing error at any retained mode.
+    of degree at most 2N-2 per axis, so its samples on the closed 2N-grid
+    determine it, and the cached :func:`_closed_projection` Q takes them to
+    the exact L^2 projection.  No aliasing error at any retained mode.
     """
     if f.geometry is not g.geometry and not f.geometry.compatible(g.geometry):
         raise ShapeError("dealiased_product requires fields on the same geometry")
     geom = f.geometry
     Mf = 2 * geom.grid_size
     prod = eval_closed(f, Mf) * eval_closed(g, Mf)
-    A = cos_analyze_closed(prod)
-    P = _sine_projection_matrix(geom.n_interior, Mf)
-    scale = 2.0 * geom.side_length / np.pi ** 2
-    coeffs = scale * (P @ A @ P.T)
+    Q = _closed_projection(geom.n_interior, Mf)
+    coeffs = _sandwich(Q, prod, Q, 2.0 * geom.side_length / np.pi ** 2)
     return SpectralField(coeffs, geom)

@@ -173,6 +173,14 @@ def test_band_advection_matches_the_full_grid_on_smooth_data(N, make):
     assert np.array_equal(sv.advection_coeffs(theta, cfg, work), adv)
 
 
+def test_band_size_is_twice_scipys_next_fast_len():
+    """The pure-Python 5-smooth search gives scipy's sizes, so a band run
+    keeps its bits."""
+    for M in range(4097):
+        assert sv._band_size(M) == 2 * fft.next_fast_len(max(4, M + 1),
+                                                         real=True), M
+
+
 @pytest.mark.parametrize("top", [64, 127])
 def test_full_spectrum_advection_is_the_full_grid_result_bit_for_bit(
         geom, top):

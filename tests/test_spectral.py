@@ -194,6 +194,35 @@ def test_dealiased_product_matches_quadrature_oracle(geom):
     assert np.abs(prod.coeffs - oracle).max() < 1e-10
 
 
+def _dctn_route_product(f, g):
+    """dealiased_product as DCT-I analysis then the overlap projection, the
+    route it folds into one cached matrix."""
+    geom = f.geometry
+    Mf = 2 * geom.grid_size
+    A = fft.dctn(sp.eval_closed(f, Mf) * sp.eval_closed(g, Mf), type=1)
+    A /= Mf ** 2
+    for edge in (0, -1):
+        A[edge, :] /= 2.0
+        A[:, edge] /= 2.0
+    p = np.arange(1, geom.n_interior + 1)[:, None]
+    q = np.arange(Mf + 1)[None, :]
+    odd = (p + q) % 2 == 1
+    P = np.where(odd, 2.0 * p / np.where(odd, p ** 2 - q ** 2, 1), 0.0)
+    return 2.0 * geom.side_length / np.pi ** 2 * (P @ A @ P.T)
+
+
+@pytest.mark.parametrize("N", [16, 128, 256])
+def test_dealiased_product_matches_the_dctn_route(N):
+    """On random full spectra, to 1e-14 of the result's sup (1.5e-15
+    measured at N = 128)."""
+    geom = build_square_geometry(N)
+    f = random_field(geom, geom.n_interior, seed=N)
+    g = random_field(geom, geom.n_interior, seed=N + 1)
+    want = _dctn_route_product(f, g)
+    got = sp.dealiased_product(f, g).coeffs
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_dealiased_product_full_band(geom):
     """Exact projection even when both factors occupy every retained mode."""
     f = random_field(geom, geom.n_interior, seed=6)
