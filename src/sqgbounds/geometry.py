@@ -95,19 +95,21 @@ class Geometry:
         table **= -0.5
         return _read_only(table)
 
-    def _node_angles(self, nodes, modes: int) -> np.ndarray:
-        """m pi i / N at the nodes ``nodes`` of i = 1..N-1 and the modes
-        m = 1..min(N-1, ``modes``), formed from the integer m i mod 2N, so
-        every entry carries the rounding of one angle in [0, 2 pi)."""
+    def _node_angles(self, nodes: slice, modes: slice) -> np.ndarray:
+        """m pi i / N at the nodes i and the modes m that the slices
+        ``nodes`` and ``modes`` pick from 1..N-1, formed from the integer
+        m i mod 2N, so every entry carries the rounding of one angle in
+        [0, 2 pi) and a table's block has the bits of the whole table."""
         N = self.grid_size
-        reduced = np.outer(np.arange(1, N)[nodes],
-                           np.arange(1, min(N - 1, modes) + 1))
+        index = np.arange(1, N)
+        reduced = np.outer(index[nodes], index[modes])
         reduced %= 2 * N
         return reduced * (np.pi / N)
 
-    def sine_rows(self, nodes, modes: int) -> np.ndarray:
-        """sin(m pi i / N) at the nodes ``nodes`` and the modes m = 1..
-        ``modes``, with the bits of ``node_sines`` where both have them."""
+    def sine_rows(self, nodes: slice, modes: slice) -> np.ndarray:
+        """sin(m pi i / N) at the nodes and modes that ``nodes`` and
+        ``modes`` pick from 1..N-1, with the bits of ``node_sines`` where
+        both have them."""
         angles = self._node_angles(nodes, modes)
         return np.sin(angles, out=angles)
 
@@ -115,14 +117,15 @@ class Geometry:
     def node_sines(self) -> np.ndarray:
         """sin(m pi i / N) at node i and mode m = 1..min(N-1,
         NODE_TABLE_MODES), read-only."""
-        return _read_only(self.sine_rows(slice(None), NODE_TABLE_MODES))
+        return _read_only(self.sine_rows(slice(None),
+                                         slice(NODE_TABLE_MODES)))
 
     @cached_property
     def node_cosines(self) -> np.ndarray:
         """cos(m pi i / N) at node i and mode m = 1..min(N-1,
         NODE_TABLE_MODES), read-only."""
         return _read_only(np.cos(self._node_angles(slice(None),
-                                                   NODE_TABLE_MODES)))
+                                                   slice(NODE_TABLE_MODES))))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

@@ -32,7 +32,7 @@ PINNED_CONSTANTS = {
     "lambda_one_lower": {"c0": "0.06343630877056101",
                          "quadrature_residual": "3.2929377430221496e-15",
                          "symmetry_residual": "8.881784197001252e-14"},
-    "commutator_scaling": {"slope": "-1.0969669985586896",
+    "commutator_scaling": {"slope": "-1.0969669985586887",
                            "Gamma0": "1.9525137451702765"},
     "decay_envelope": {"B": "1.9996988196962064"},
 }

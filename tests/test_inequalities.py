@@ -259,27 +259,27 @@ def test_commutator_scaling_ground_state():
                - rep.fitted_constants["Gamma0"]) < 1e-9
 
 
-def test_commutator_scaling_peaks_below_three_and_a_half_grid_arrays(
+def test_commutator_scaling_peaks_below_four_tenths_of_a_grid_array(
         traced_peak):
     """On the 2048 grid no array spans the whole grid, apart from theta's
-    spectrum, which the caller builds: the peak (measured 0.81 of one
-    2047^2 array) is theta and Lambda theta on the band of rows, and the
-    largest box's sine tables and one block of its spectrum."""
+    spectrum, which the caller builds: the peak (measured 0.33 of one
+    2047^2 array) is the column sine table over the chi boxes, the pass's
+    multiplier and spectrum buffers (128 x 2047 each), and theta and
+    Lambda theta on the box of nodes the centers read."""
     g = build_square_geometry(2048)
     n = g.n_interior
     theta = sp.mode_field(g, 1, 1)
     rep, peak = traced_peak(lambda: iq.verify_commutator_scaling(theta))
     assert rep.passed
-    assert peak < 0.85 * n * n * 8
+    assert peak < 0.4 * n * n * 8
 
 
 def test_commutator_scaling_copies_no_whole_spectrum_for_lambda_theta(
         traced_peak, monkeypatch):
-    """Up to the first commutator call nothing spans the 2048 grid: theta
-    and Lambda theta are evaluated from theta's support block, in row
-    blocks for ||b_1|| and on the band of rows (together 0.37 of one
-    2047^2 array, measured), not from a scaled copy of the whole
-    spectrum."""
+    """Up to the commutator pass nothing spans the 2048 grid: theta and
+    Lambda theta are evaluated from theta's support block, in row blocks
+    for ||b_1|| and on the box of nodes the centers read, not from a
+    scaled copy of the whole spectrum."""
     class Reached(Exception):
         pass
 
@@ -299,20 +299,72 @@ def test_commutator_scaling_copies_no_whole_spectrum_for_lambda_theta(
     assert peak < 0.4 * n * n * 8
 
 
-def test_commutator_scaling_calls_the_commutator_once_per_center(monkeypatch):
+def test_commutator_scaling_passes_one_case_per_center_in_order(monkeypatch):
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return op.commutator(*args, **kwargs)
+    def recorded(values, lam_values, cases):
+        calls.append(cases)
+        return op.commutator(values, lam_values, cases)
 
-    monkeypatch.setattr(iq, "commutator", counted)
+    monkeypatch.setattr(iq, "commutator", recorded)
     g = build_square_geometry(256)
     L = g.side_length
     centers = [(L / 4, L / 2), (L / 2, L / 6), (L / 8, L / 2)]
     rep = iq.verify_commutator_scaling(sp.mode_field(g, 1, 1), centers=centers)
-    assert calls == centers
+    assert [[x0 for x0, _, _ in cases] for cases in calls] == [centers]
     assert rep.samples == 3
+
+
+def test_commutator_scaling_forms_lambda_once(monkeypatch):
+    """lam^{1/2} over all modes is formed once per check, in one pass for
+    every center; the only other multiplier is theta's K x K block."""
+    shapes = []
+    blocks = op._lambda_power_blocks
+
+    def counted(geometry, s, shape):
+        shapes.append(tuple(shape))
+        return blocks(geometry, s, shape)
+
+    monkeypatch.setattr(op, "_lambda_power_blocks", counted)
+    g = build_square_geometry(2048)
+    n = g.n_interior
+    rep = iq.verify_commutator_scaling(sp.mode_field(g, 1, 1))
+    assert rep.samples == 4
+    assert shapes == [(1, 1), (n, n)]
+
+
+def test_commutator_scaling_batched_pass_equals_one_case_passes(monkeypatch):
+    """The check's pass over all centers keeps, bit for bit, what each
+    center's case gives alone on the same inputs."""
+    seen = []
+
+    def recorded(values, lam_values, cases):
+        out = op.commutator(values, lam_values, cases)
+        seen.append((values, lam_values, cases, out))
+        return out
+
+    monkeypatch.setattr(iq, "commutator", recorded)
+    g = build_square_geometry(2048)
+    iq.verify_commutator_scaling(sp.mode_field(g, 1, 1))
+    [(values, lam_values, cases, batched)] = seen
+    for case, C in zip(cases, batched):
+        [alone] = op.commutator(values, lam_values, [case])
+        assert alone.box == C.box
+        assert np.array_equal(alone.values, C.values)
+
+
+def test_commutator_scaling_plan_records_each_center():
+    g = build_square_geometry(256)
+    L = g.side_length
+    centers = [(L / 4, L / 2), (L / 2, L / 6), (L / 8, L / 2)]
+    plan = iq.verify_commutator_scaling(sp.mode_field(g, 1, 1),
+                                        centers=centers).sample_plan
+    assert plan["ell"] == [L / 8, L / 12, L / 16]
+    assert plan["h"] == [g.spacing * k for k in (2, 1, 1)]
+    assert len(plan["chi_box"]) == len(plan["phi_box"]) == 3
+    for (chi_rows, chi_cols), (phi_rows, phi_cols) in zip(plan["chi_box"],
+                                                          plan["phi_box"]):
+        assert 0 < phi_rows < chi_rows and 0 < phi_cols < chi_cols
 
 
 def test_commutator_scaling_needs_fine_grid(geom, mix):

@@ -505,31 +505,35 @@ def test_sqrt_of_eigenvalues_is_their_half_power(N):
     assert np.array_equal(lam ** 0.5, np.sqrt(lam))
 
 
-def _grid_pair(theta, rows=None):
-    """theta and Lambda theta on the node rows ``rows`` (default: all).
+def _grid_pair(theta, box=None):
+    """theta and Lambda theta on the node box ``box`` (default: all nodes).
 
-    These are the inputs of the commutator: one band of rows over all
-    columns.
+    These are the inputs of the commutator: one box of nodes.
     """
     g = theta.geometry
     n = g.n_interior
-    rows = slice(0, n) if rows is None else rows
-    box = (rows, slice(0, n))
-    return (sp.BoxField(sp.inverse(theta).values[rows], box, g),
+    box = (slice(0, n), slice(0, n)) if box is None else box
+    return (sp.BoxField(sp.inverse(theta).values[box], box, g),
             sp.BoxField(sp.inverse(op.apply_lambda_power(theta, 1.0))
-                        .values[rows], box, g))
+                        .values[box], box, g))
+
+
+def _one_commutator(theta, x0, ell, h):
+    """The commutator of one case, on theta's values at every node."""
+    [C] = op.commutator(*_grid_pair(theta), [(x0, ell, h)])
+    return C
 
 
 def test_commutator_zero_displacement(geom):
-    C = op.commutator(*_grid_pair(sp.mode_field(geom, 1, 1)),
-                      (np.pi / 2, np.pi / 2), np.pi / 4, (0.0, 0.0))
+    C = _one_commutator(sp.mode_field(geom, 1, 1), (np.pi / 2, np.pi / 2),
+                        np.pi / 4, (0.0, 0.0))
     assert C.sup_norm() == 0.0
 
 
 def test_commutator_precondition(geom):
     with pytest.raises(PreconditionError):
-        op.commutator(*_grid_pair(sp.mode_field(geom, 1, 1)),
-                      (np.pi / 2, np.pi / 2), np.pi / 4, (np.pi / 8, 0.0))
+        _one_commutator(sp.mode_field(geom, 1, 1), (np.pi / 2, np.pi / 2),
+                        np.pi / 4, (np.pi / 8, 0.0))
 
 
 def test_commutator_cancels_for_interior_supported_field(geom):
@@ -540,7 +544,7 @@ def test_commutator_cancels_for_interior_supported_field(geom):
     r2 = (X - x0[0]) ** 2 + (Y - x0[1]) ** 2
     theta = sp.forward(sp.GridField(np.exp(-r2 / (2 * 0.08 ** 2)), geom))
     h = (geom.spacing, 0.0)
-    C = op.commutator(*_grid_pair(theta), x0, ell, h)
+    C = _one_commutator(theta, x0, ell, h)
     uncut = op.finite_difference(
         sp.inverse(op.apply_lambda_power(theta, 1.0)), h)
     assert C.sup_norm() / uncut.sup_norm() < 0.1
@@ -554,13 +558,13 @@ def test_commutator_dyadic_stability(geom):
     w11 = sp.mode_field(geom, 1, 1)
     gammas = []
     for h in (2 * dx, dx):
-        C = op.commutator(*_grid_pair(w11), x0, ell, (h, 0.0))
+        C = _one_commutator(w11, x0, ell, (h, 0.0))
         gammas.append(C.sup_norm() * (np.pi / 2) / h)
     assert abs(gammas[1] - gammas[0]) / gammas[0] < 0.2
 
 
 # error of the sine-table commutator against the DST route, relative to the
-# commutator's sup: measured at most 1.6e-13 over the cases below
+# commutator's sup: measured at most 1.68e-13 over the cases below
 COMMUTATOR_RTOL = 2e-13
 
 
@@ -602,7 +606,8 @@ def _full_grid_commutator(theta, x0, ell, h):
 ])
 def test_commutator_matches_full_grid_formula(N, x0, ell, steps):
     """The box-local commutator, by sine-table products, equals the
-    whole-grid formula by DSTs to round-off relative to its sup.
+    whole-grid formula by DSTs to round-off relative to its sup, and is
+    0.0 outside phi's box.
 
     Both sides read the node values of theta and Lambda theta from the same
     dstn: the commutator's cancellation would amplify a last-bit difference
@@ -615,46 +620,99 @@ def test_commutator_matches_full_grid_formula(N, x0, ell, steps):
     theta.coeffs[0, 0] = 1.0
     h = (steps[0] * g.spacing, steps[1] * g.spacing)
     box = (slice(0, N - 1), slice(0, N - 1))
-    C = op.commutator(
+    [C] = op.commutator(
         sp.BoxField(_dstn_values(theta.coeffs, g).values, box, g),
         sp.BoxField(_dstn_values(op.apply_lambda_power(theta, 1.0).coeffs,
                                  g).values, box, g),
-        x0, ell, h)
+        [(x0, ell, h)])
     vals, valid = _full_grid_commutator(theta, x0, ell, h)
     embedded = np.zeros_like(vals)
     embedded[C.box] = C.values
     assert valid.all()          # the box result needs no validity mask
+    outside = np.ones_like(valid)
+    outside[C.box] = False
+    assert not vals[outside].any()
     sup = sp.GridField(vals, g, valid=valid).sup_norm()
     assert sup > 0
     assert np.abs(embedded - vals).max() <= COMMUTATOR_RTOL * sup
     assert abs(C.sup_norm() - sup) <= COMMUTATOR_RTOL * sup
 
 
+_BOX_CASES = [((1.0, 1.6), 0.45, (2, -1)), ((2.2, 0.9), 0.3, (0, 1)),
+              ((1.3, 1.2), 0.5, (-1, 0))]
+
+
+def _box_cases(g):
+    return [(x0, ell, (p * g.spacing, q * g.spacing))
+            for x0, ell, (p, q) in _BOX_CASES]
+
+
+def _union_box(g, cases):
+    boxes = [op.commutator_box(g, *case) for case in cases]
+    return tuple(slice(min(b[axis].start for b in boxes),
+                       max(b[axis].stop for b in boxes)) for axis in (0, 1))
+
+
 def test_commutator_on_a_row_band_equals_all_rows():
+    """Values on a row band over all columns, or on just the box the cases
+    read, give the bits of values at every node."""
     g = build_square_geometry(256)
     theta = sp.mode_field(g, 1, 1)
     theta.coeffs[2, 1] = 0.3
-    x0, ell, h = (1.0, 1.6), 0.45, (2 * g.spacing, -g.spacing)
-    rows = op.commutator_rows(g, x0, ell, h)
-    assert 0 < rows.start and rows.stop < g.n_interior
-    whole = op.commutator(*_grid_pair(theta), x0, ell, h)
-    band = op.commutator(*_grid_pair(theta, rows), x0, ell, h)
-    assert band.box == whole.box
-    assert np.array_equal(band.values, whole.values)
+    cases = _box_cases(g)
+    box = _union_box(g, cases)
+    assert all(0 < s.start and s.stop < g.n_interior for s in box)
+    whole = op.commutator(*_grid_pair(theta), cases)
+    for part in (box, (box[0], slice(0, g.n_interior))):
+        for a, b in zip(whole, op.commutator(*_grid_pair(theta, part), cases)):
+            assert a.box == b.box
+            assert np.array_equal(a.values, b.values)
+
+
+def test_batched_commutator_equals_one_case_passes():
+    """Cases that share one pass keep the bits each has alone."""
+    g = build_square_geometry(256)
+    theta = sp.mode_field(g, 1, 1)
+    theta.coeffs[1, 2] = -0.2
+    cases = _box_cases(g)
+    values, lam_values = _grid_pair(theta, _union_box(g, cases))
+    batched = op.commutator(values, lam_values, cases)
+    assert len(batched) == len(cases)
+    for case, C in zip(cases, batched):
+        [alone] = op.commutator(values, lam_values, [case])
+        assert alone.box == C.box
+        assert np.array_equal(alone.values, C.values)
+
+
+@pytest.mark.parametrize("axis, side", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                         ids=["first-row", "last-row", "first-column",
+                              "last-column"])
+def test_commutator_box_one_node_short_raises(axis, side):
+    """A box one row or column short on either side is refused, so no
+    shifted index can fall below the box and wrap silently."""
+    g = build_square_geometry(256)
+    theta = sp.mode_field(g, 1, 1)
+    x0, ell, h = (1.0, 1.6), 0.45, (-2 * g.spacing, g.spacing)
+    need = list(op.commutator_box(g, x0, ell, h))
+    s = need[axis]
+    need[axis] = slice(s.start + 1, s.stop) if side == 0 else \
+        slice(s.start, s.stop - 1)
+    with pytest.raises(ShapeError):
+        op.commutator(*_grid_pair(theta, tuple(need)), [(x0, ell, h)])
 
 
 def test_commutator_needs_its_rows_in_one_band():
     g = build_square_geometry(256)
     theta = sp.mode_field(g, 1, 1)
     x0, ell, h = (1.0, 1.6), 0.45, (2 * g.spacing, 0.0)
-    rows = op.commutator_rows(g, x0, ell, h)
-    short = slice(rows.start, rows.stop - 1)
+    rows, cols = op.commutator_box(g, x0, ell, h)
+    short = (slice(rows.start, rows.stop - 1), cols)
     with pytest.raises(ShapeError):
-        op.commutator(*_grid_pair(theta, short), x0, ell, h)
-    values, _ = _grid_pair(theta, rows)
+        op.commutator(*_grid_pair(theta, short), [(x0, ell, h)])
+    values, _ = _grid_pair(theta, (rows, cols))
     _, lam_values = _grid_pair(theta)
     with pytest.raises(ShapeError):
-        op.commutator(values, lam_values, x0, ell, h)
+        op.commutator(values, lam_values, [(x0, ell, h)])
 
 
 @pytest.mark.parametrize("x0, ell", [((np.pi / 2, np.pi / 2), np.pi / 4),
