@@ -262,7 +262,7 @@ def test_commutator_scaling_ground_state():
 def test_commutator_scaling_peaks_below_four_tenths_of_a_grid_array(
         traced_peak):
     """On the 2048 grid no array spans the whole grid, apart from theta's
-    spectrum, which the caller builds: the peak (measured 0.33 of one
+    spectrum, which the caller builds: the peak (measured 0.32 of one
     2047^2 array) is the column sine table over the chi boxes, the pass's
     multiplier and spectrum buffers (128 x 2047 each), and theta and
     Lambda theta on the box of nodes the centers read."""
@@ -278,8 +278,9 @@ def test_commutator_scaling_copies_no_whole_spectrum_for_lambda_theta(
         traced_peak, monkeypatch):
     """Up to the commutator pass nothing spans the 2048 grid: theta and
     Lambda theta are evaluated from theta's support block, in row blocks
-    for ||b_1|| and on the box of nodes the centers read, not from a
-    scaled copy of the whole spectrum."""
+    for ||b_1|| and on the box of nodes the centers read (together 0.13
+    of one 2047^2 array, measured), not from a scaled copy of the whole
+    spectrum."""
     class Reached(Exception):
         pass
 
