@@ -201,7 +201,7 @@ def _verify_dispatch(cfg: RunConfig, names) -> list:
             theta0, p=p, alpha=cfg.alphas[0]),
         "commutator_scaling": lambda: iq.verify_commutator_scaling(
             mode_field(build_square_geometry(max(cfg.grid_size, 2048), L),
-                       1, 1)),
+                       1, 1, tag="mode-1-1")),
         "kernel_bounds": lambda: iq.verify_kernel_bounds(
             g, n_samples=cfg.sample_count, seed=cfg.seed, horizon=cfg.t_end),
     }

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Geometry
-from .spectral import (GridField, SpectralField, _leading, _support,
-                       _times_k, eval_block, gradient, inverse)
+from .spectral import (GridField, SpectralField, _leading, _max_abs,
+                       _support, _times_k, eval_block, gradient, inverse)
 from .solver import SolverState
 
 SPACE_DIMENSION = 2    # d in the d/p exponents
@@ -24,6 +24,10 @@ DEFAULT_PS = (2.0, 4.0)
 DEFAULT_MS = (2,)
 DEFAULT_ALPHAS = (0.4,)
 _SUP_ROWS = 128        # rows per block of ratio_sup
+_LIP_ROWS = 32         # rows per block of _lipschitz's dy^2
+# smallest max s = max d^2 |grad theta|^2 that _lipschitz takes from its
+# candidates: above it no square that reaches the candidates is subnormal
+_LIP_S_MIN = 2.0 ** -900
 
 
 def boundary_ratio(theta: SpectralField) -> GridField:
@@ -72,37 +76,51 @@ def ratio_lp_norm(b1: GridField, p: float) -> float:
     """||b_1||_{L^p} by boundary-extended grid quadrature (p = inf: sup)."""
     if np.isinf(p):
         return b1.sup_norm()
-    return _lp_of_abs(b1.geometry, np.abs(b1.values), p)
-
-
-def _lp_of_abs(geometry: Geometry, abs_b1: np.ndarray, p: float) -> float:
-    """:func:`ratio_lp_norm` from |b_1|, which it overwrites."""
-    if np.isinf(p):
-        return float(np.max(abs_b1, initial=0.0))
-    if p < 1:
-        raise ConfigurationError(f"Lebesgue exponent must be >= 1, got {p}")
-    abs_b1 **= p
-    return float(ratio_quad(geometry, abs_b1) ** (1.0 / p))
+    return _ratio_norms(b1.geometry, np.abs(b1.values), ps=(p,))[0][p]
 
 
 def weighted_ratio_norm(theta: SpectralField, m: int) -> float:
     """(int w_1 b_1^{2m})^{1/2m} by boundary-extended grid quadrature."""
-    return _weighted_norm(boundary_ratio(theta), m)
+    b1 = boundary_ratio(theta)
+    return _ratio_norms(b1.geometry, np.abs(b1.values), ms=(m,))[1][m]
 
 
-def _weighted_norm(b1: GridField, m: int) -> float:
-    return _weighted_of_abs(b1.geometry, np.abs(b1.values), m)
+def _ratio_norms(geometry: Geometry, abs_b1: np.ndarray, ps=(), ms=(),
+                 scratch: np.ndarray | None = None
+                 ) -> tuple[dict[float, float], dict[int, float]]:
+    """||b_1||_p for each p in ``ps`` and (int w_1 b_1^{2m})^{1/2m} for each
+    m in ``ms``, from |b_1|.
 
-
-def _weighted_of_abs(geometry: Geometry, abs_b1: np.ndarray, m: int) -> float:
-    """:func:`_weighted_norm` from |b_1|, which it overwrites."""
-    if m < 1:
-        raise ConfigurationError(f"moment index must be >= 1, got {m}")
-    # |b_1| ** 2m, not b_1 ** 2m: the power of a negative base takes
-    # numpy's slow scalar path
-    abs_b1 **= 2 * m
-    abs_b1 *= geometry.ground_state
-    return float(ratio_quad(geometry, abs_b1) ** (1.0 / (2 * m)))
+    Each distinct exponent e of ``ps`` and of the 2m is raised once,
+    |b_1|^e in ``scratch`` (in |b_1| itself when None, which then takes a
+    single exponent): the L^p quadrature of p = e reads it first, then the
+    weighted norm of the m with 2m = e multiplies it by w_1 in place.
+    p = inf is max |b_1|.
+    """
+    for p in ps:
+        if p < 1:
+            raise ConfigurationError(f"Lebesgue exponent must be >= 1, got {p}")
+    for m in ms:
+        if m < 1:
+            raise ConfigurationError(f"moment index must be >= 1, got {m}")
+    lp, weighted = dict.fromkeys(ps), dict.fromkeys(ms)
+    power = abs_b1 if scratch is None else scratch
+    for e in dict.fromkeys([*ps, *(2 * m for m in ms)]):
+        if np.isinf(e):
+            lp[e] = float(np.max(abs_b1, initial=0.0))
+            continue
+        np.copyto(power, abs_b1)
+        # |b_1| ** e, not b_1 ** e: the power of a negative base takes
+        # numpy's slow scalar path
+        power **= e
+        if e in lp:
+            lp[e] = float(ratio_quad(geometry, power) ** (1.0 / e))
+        for m in weighted:
+            if 2 * m == e:
+                power *= geometry.ground_state
+                weighted[m] = float(ratio_quad(geometry, power)
+                                    ** (1.0 / (2 * m)))
+    return lp, weighted
 
 
 def interior_lipschitz(theta: SpectralField) -> float:
@@ -111,10 +129,41 @@ def interior_lipschitz(theta: SpectralField) -> float:
     return _lipschitz(dx.values, dy.values, theta.geometry)
 
 
-def _lipschitz(dx: np.ndarray, dy: np.ndarray, geometry: Geometry) -> float:
-    """max d(x) |(dx, dy)| from the gradient's node values; overwrites dx."""
+def _lipschitz(dx: np.ndarray, dy: np.ndarray, geometry: Geometry,
+               scratch: np.ndarray | None = None) -> float:
+    """max d(x) |(dx, dy)| from the gradient's node values, with the bits of
+    ``max(distance * hypot(dx, dy))`` over the whole grid.
+
+    With ``scratch``, an (N-1) x (N-1) array, s = d^2 (dx^2 + dy^2) goes
+    there, dy^2 added _LIP_ROWS rows at a time.  Candidates: each s is
+    within a few ulp of (d |grad theta|)^2 and each d hypot within a few
+    ulp of d |grad theta|, so the node where the whole-grid formula peaks
+    has s >= (1 - 1e-12) max s, a margin over a hundred times their
+    round-off; d hypot runs on those nodes only.  Without ``scratch``, or
+    when max s is below _LIP_S_MIN or not finite (a square may have under-
+    or overflowed, or a gradient is not finite), d hypot runs on the whole
+    grid, in dx.
+    """
+    d = geometry.distance
+    if scratch is not None:
+        with np.errstate(over="ignore"):    # an overflow sends it to the grid
+            s = np.multiply(dx, dx, out=scratch)
+            block = np.empty((min(_LIP_ROWS, len(s)), s.shape[1]))
+            for r in range(0, len(s), _LIP_ROWS):
+                rows = slice(r, r + _LIP_ROWS)
+                part = s[rows]
+                part += np.multiply(dy[rows], dy[rows],
+                                    out=block[:len(part)])
+                part *= d[rows]
+                part *= d[rows]
+        top = s.max()
+        if _LIP_S_MIN <= top < np.inf:
+            nodes = np.flatnonzero(s.reshape(-1) >= (1.0 - 1e-12) * top)
+            mag = np.hypot(dx.reshape(-1)[nodes], dy.reshape(-1)[nodes])
+            mag *= d.reshape(-1)[nodes]
+            return float(mag.max())
     mag = np.hypot(dx, dy, out=dx)
-    mag *= geometry.distance
+    mag *= d
     return float(mag.max())
 
 
@@ -168,20 +217,20 @@ def _holder(values: GridField, alpha: float, h_budget: float = 1.0 / 32.0,
             j0, j1 = max(inside[0], -q), min(inside[-1] + 1, n - q)
             if i0 >= i1 or j0 >= j1:
                 continue
-            # |delta_h theta| over whole rows i0..i1 of the flattened grid,
+            # delta_h theta over whole rows i0..i1 of the flattened grid,
             # where the displacement is the one offset p n + q; the columns
-            # outside j0..j1, where it wraps into the next row, are zeroed.
-            # Every operand is contiguous: numpy needs no iterator buffer
+            # outside j0..j1, where it wraps into the next row, are zeroed
+            # before its max |.|.  Every operand is contiguous: numpy needs
+            # no iterator buffer
             r, lo = i1 - i0, i0 * n
             length = r * n - max(q, 0)
             diff = buf[:r * n]
             np.subtract(flat[lo + p * n + q:lo + p * n + q + length],
                         flat[lo:lo + length], out=diff[:length])
-            np.abs(diff[:length], out=diff[:length])
             block = diff.reshape(r, n)
             block[:, :j0] = 0.0
             block[:, j1:] = 0.0
-            best = max(best, float(diff.max()) / hlen ** alpha)
+            best = max(best, _max_abs(diff) / hlen ** alpha)
             admissible[i0:i1, j0:j1] = True
         steps *= 2
     return HolderSeminorm(best, admissible.size - np.count_nonzero(admissible))
@@ -295,16 +344,23 @@ def record(state: SolverState,
     the half norm are sums over the whole spectrum.
 
     Every grid array lives in the three slots of ``work`` (a new
-    :func:`record_workspace` when None): the squared coefficients, then
-    the gradient, then the grid values, |b_1|, formed once, and a copy of
-    it for each of its powers, then |u_x|, |u_y| and |u . n|, each
-    overwriting what is no longer read.  The K x K blocks and
-    the dense route's (N-1) x K intermediate products go into the leading
-    memory of slots that are free at the time, so on the dense route a
-    record allocates no array of either size.  Each elementwise operation
-    runs on C-contiguous arrays, for which numpy allocates no iterator
-    buffer.  u_sup is sqrt(max(u_x^2 + u_y^2)), equal to max |u| because
-    the square root is monotone and correctly rounded.
+    :func:`record_workspace` when None): the squared coefficients, then the
+    gradient and s = d^2 |grad theta|^2, from which :func:`_lipschitz` picks
+    the nodes where d |grad theta| can peak (s within 1e-12 of its maximum,
+    over a hundred times the round-off of either form) and takes hypot there
+    only, then the grid values, |b_1|, formed once, and a copy of it raised
+    to each distinct exponent of ``ps`` and of the 2m once
+    (:func:`_ratio_norms`: the L^p quadrature reads the power before the
+    weighted norm multiplies it by w_1), then |u_x|, |u_y| and |u . n|,
+    each overwriting what is no longer read.  The K x K blocks and the dense
+    route's (N-1) x K intermediate products go into the leading memory of
+    slots that are free at the time, so on the dense route a record
+    allocates no array of either size.  Each elementwise operation runs on
+    C-contiguous arrays, for which numpy allocates no iterator buffer, and
+    the sup norm and each Hölder displacement take max |v| as
+    max(v.max(), -v.min()), with no |v| array.  u_sup is
+    sqrt(max(u_x^2 + u_y^2)), equal to max |u| because the square root is
+    monotone and correctly rounded.
     """
     theta = state.theta
     g = theta.geometry
@@ -324,20 +380,14 @@ def record(state: SolverState,
                     out=work[0], scratch=work[2])
     dy = eval_block(_times_k(c, k, 1, out=_leading(work[1], K, K)), g, 1,
                     out=work[1], scratch=work[2])
-    lipschitz = _lipschitz(dx, dy, g)
+    lipschitz = _lipschitz(dx, dy, g, scratch=work[2])
     values = eval_block(c, g, out=work[0], scratch=work[1])
     scratch = work[1]
-    sup_norm = float(np.max(np.abs(values, out=scratch), initial=0.0))
-    # |b_1| = |theta / w_1| once; each norm takes its powers in a copy
+    sup_norm = _max_abs(values)
+    # |b_1| = |theta / w_1| once; each distinct power of it once, in a copy
     abs_b1 = np.abs(np.divide(values, g.ground_state, out=work[2]),
                     out=work[2])
-    b1_lp, weighted_norm = {}, {}
-    for p in ps:
-        np.copyto(scratch, abs_b1)
-        b1_lp[p] = _lp_of_abs(g, scratch, p)
-    for m in ms:
-        np.copyto(scratch, abs_b1)
-        weighted_norm[m] = _weighted_of_abs(g, scratch, m)
+    b1_lp, weighted_norm = _ratio_norms(g, abs_b1, ps, ms, scratch)
     holder = {a: _holder(GridField(values, g), a, scratch=scratch).value
               for a in alphas}
     # u = (-psi_y, psi_x), and only |u| enters the record; psi's block is

@@ -299,7 +299,9 @@ def step(state: SolverState, dt: float, config: SolverConfig,
         raise NumericError(
             f"non-finite state at t={state.t + dt:.6g}, step {state.step + 1}: "
             f"max |coeff| before blowup {np.abs(a).max(initial=0.0):.3e}")
-    new = np.zeros_like(theta.coeffs)
+    # np.zeros takes zeroed pages from the system as the block touches them,
+    # where zeros_like writes every byte
+    new = np.zeros(theta.coeffs.shape)
     new[:K2, :K2] = block
     return SolverState(t=state.t + dt,
                        theta=SpectralField(new, g, tag=theta.tag),
@@ -321,9 +323,16 @@ def _live_sup(state: SolverState, out: np.ndarray | None = None) -> float:
     return GridField(values, theta.geometry).sup_norm()
 
 
-def half_norm_sq(theta: SpectralField) -> float:
-    """||Lambda^{1/2} theta||^2 = sum sqrt(lam) a^2."""
-    return float((theta.geometry.sqrt_eigenvalues * theta.coeffs ** 2).sum())
+def half_norm_sq(theta: SpectralField, out: np.ndarray | None = None
+                 ) -> float:
+    """||Lambda^{1/2} theta||^2 = sum sqrt(lam) a^2.
+
+    The squares, then their products with sqrt(lam), go into ``out`` (an
+    array of theta's shape; a new one when None) and are summed there.
+    """
+    sq = np.square(theta.coeffs, out=out)
+    sq *= theta.geometry.sqrt_eigenvalues
+    return float(sq.sum())
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -373,8 +382,10 @@ def run(theta0: SpectralField, config: SolverConfig,
     only when the bound fails it; since the bound is never below the sup,
     each step is accepted or rejected exactly as the sup alone decides.
     All steps share one :func:`advection_workspace`, released on return,
-    and the midpoint tables of the dense transforms are dropped on return,
-    so every run builds the ones its band sizes need and holds none after.
+    and one node-grid buffer, where :func:`half_norm_sq` forms its terms
+    before the overshoot monitor writes the node values.  The midpoint
+    tables of the dense transforms are dropped on return, so every run
+    builds the ones its band sizes need and holds none after.
     """
     config.validate()
     if not np.isfinite(theta0.coeffs).all():
@@ -387,9 +398,11 @@ def run(theta0: SpectralField, config: SolverConfig,
     rejected = 0
     work = advection_workspace(g)
 
-    times = [0.0]
-    halves = [half_norm_sq(state.theta)]
+    # node values of the overshoot monitor, and before them the terms of
+    # each half_norm_sq
     grid = np.empty((g.n_interior, g.n_interior))
+    times = [0.0]
+    halves = [half_norm_sq(state.theta, out=grid)]
     sup0 = _live_sup(state, grid)
     live_modes = state.extent
     sup_history = [sup0]
@@ -418,7 +431,7 @@ def run(theta0: SpectralField, config: SolverConfig,
                     continue
             state = step(state, dt_step, config, work)
             times.append(state.t)
-            halves.append(half_norm_sq(state.theta))
+            halves.append(half_norm_sq(state.theta, out=grid))
             sup = _live_sup(state, grid)
             live_modes = max(live_modes, state.extent)
             sup_history.append(sup)

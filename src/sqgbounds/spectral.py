@@ -100,8 +100,10 @@ class GridField:
     valid: np.ndarray | None = None   # optional bool mask (finite differences)
 
     def sup_norm(self) -> float:
-        where = True if self.valid is None else self.valid
-        return float(np.max(np.abs(self.values), where=where, initial=0.0))
+        if self.valid is None:
+            return _max_abs(self.values)
+        return float(np.max(np.abs(self.values), where=self.valid,
+                            initial=0.0))
 
 
 @dataclass
@@ -117,15 +119,23 @@ class BoxField:
     geometry: Geometry
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values), initial=0.0))
+        return _max_abs(self.values)
 
 
-def mode_field(geometry: Geometry, m: int, n: int,
-               amp: float = 1.0) -> SpectralField:
+def _max_abs(v: np.ndarray) -> float:
+    """max |v|, 0.0 when ``v`` is empty and NaN when it holds a NaN: the
+    bits of ``np.max(np.abs(v), initial=0.0)`` from two reductions, with no
+    |v| temporary.  Each reduction returns NaN when it reads one; the
+    final + 0.0 turns a -0.0 into 0.0."""
+    return max(float(v.max(initial=0.0)), -float(v.min(initial=0.0))) + 0.0
+
+
+def mode_field(geometry: Geometry, m: int, n: int, amp: float = 1.0,
+               tag: str = "") -> SpectralField:
     """The single eigenmode amp * w_{m,n} as a SpectralField."""
     c = np.zeros((geometry.n_interior, geometry.n_interior))
     c[m - 1, n - 1] = amp
-    return SpectralField(c, geometry)
+    return SpectralField(c, geometry, tag)
 
 
 # ---------------------------------------------------------------------------

@@ -151,19 +151,121 @@ def test_csv_round_trip(tmp_path, geom):
 
 def test_record_matches_single_functionals(geom, monkeypatch):
     """On the FFT route the record has the bits of the single functionals
-    (the dense route is held to it by the route-agreement test)."""
+    (the dense route is held to it by the route-agreement test), with
+    powers of |b_1| that the L^p and weighted norms share (p = 2m = 2, 4)
+    and one that they do not (2m = 6), and its Lipschitz candidates give
+    the whole-grid max of interior_lipschitz."""
     monkeypatch.setattr(sp, "DENSE_MAX_NF", 0)
     theta = sp.mode_field(geom, 2, 1, amp=0.3)
     theta.coeffs[0, 0] = 1.0
-    rec = dg.record(sv.SolverState(0.0, theta), ps=(2.0, np.inf), ms=(1, 2),
-                    alphas=(0.3, 0.6))
+    ps, ms = (2.0, 4.0, np.inf), (1, 2, 3)
+    state = sv.SolverState(0.0, theta)
+    rec = dg.record(state, ps=ps, ms=ms, alphas=(0.3, 0.6))
     assert rec.sup_norm == sp.inverse(theta).sup_norm()
+    assert rec.lipschitz == dg.interior_lipschitz(theta)
     b1 = dg.boundary_ratio(theta)
-    assert rec.b1_lp == {p: dg.ratio_lp_norm(b1, p) for p in (2.0, np.inf)}
+    assert rec.b1_lp == {p: dg.ratio_lp_norm(b1, p) for p in ps}
     assert rec.weighted_norm == {m: dg.weighted_ratio_norm(theta, m)
-                                 for m in (1, 2)}
+                                 for m in ms}
+    assert list(rec.b1_lp) == list(ps) and list(rec.weighted_norm) == list(ms)
     assert rec.holder == {a: dg.holder_seminorm(theta, a).value
                           for a in (0.3, 0.6)}
+    for bad in ({"ps": (2.0, 0.5)}, {"ms": (2, 0)}):
+        with pytest.raises(ConfigurationError):
+            dg.record(state, **bad)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _whole_grid_lipschitz(dx, dy, geometry):
+    return float(np.max(geometry.distance * np.hypot(dx, dy)))
+
+
+def _gradient_values(theta):
+    dx, dy = sp.gradient(theta)
+    return dx.values, dy.values
+
+
+@pytest.mark.parametrize("N", [64, 257, 512])
+def test_lipschitz_candidates_keep_the_whole_grid_bits(N):
+    """The max over the candidates of s = d^2 |grad|^2 is the whole-grid
+    max of d |grad|, bit for bit, on seeded spectra and on seeded node
+    values."""
+    g = build_square_geometry(N)
+    rng = np.random.default_rng(N)
+    shape = (g.n_interior,) * 2
+    pairs = [_gradient_values(_random_field(g, N + k, modes=m))
+             for k, m in enumerate((3, 12, 40))]
+    pairs += [(rng.standard_normal(shape), rng.standard_normal(shape))
+              for _ in range(3)]
+    for dx, dy in pairs:
+        want = _whole_grid_lipschitz(dx, dy, g)
+        got = dg._lipschitz(dx.copy(), dy.copy(), g, np.empty(shape))
+        assert _bits(got) == _bits(want)
+
+
+def test_lipschitz_near_ties_need_the_margin():
+    """d |grad| within a few ulp of 1 at every node, or of 3e-158, where
+    s is subnormal: the largest s is not always at the whole-grid peak,
+    and _lipschitz still has the whole-grid bits (through the 1e-12
+    margin, or on the whole grid below its floor)."""
+    g = build_square_geometry(64)
+    d = g.distance
+    for scale, rel in ((1.0, 1e-15), (3e-158, 1e-10)):
+        missed = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            dx, dy = (scale / d * (1.0 + rel * rng.standard_normal(d.shape))
+                      for _ in range(2))
+            want = _whole_grid_lipschitz(dx, dy, g)
+            s = (dx * dx + dy * dy) * d * d
+            at_top = np.max(d * np.hypot(dx, dy), where=s == s.max(),
+                            initial=0.0)
+            missed += _bits(at_top) != _bits(want)
+            got = dg._lipschitz(dx.copy(), dy.copy(), g, np.empty(d.shape))
+            assert _bits(got) == _bits(want)
+        assert missed
+
+
+def test_lipschitz_with_tied_maxima_zero_and_extreme_gradients():
+    """Many nodes tied at the maximum, the zero field, gradients whose
+    squares over- or underflow, and non-finite gradients all give the
+    whole-grid value (NaN where it is NaN)."""
+    g = build_square_geometry(64)
+    shape = (g.n_interior,) * 2
+    ones, zeros = np.ones(shape), np.zeros(shape)
+    cases = [(ones, zeros), (ones, -ones), (zeros, zeros), (-zeros, zeros),
+             (1e200 * ones, ones), (1e-170 * ones, 1e-170 * ones),
+             (1e-300 * ones, zeros)]
+    for value in (np.nan, np.inf, -np.inf):
+        dx = np.random.default_rng(1).standard_normal(shape)
+        dx[10, 20] = value
+        cases += [(dx, ones), (ones, dx)]
+    both = np.random.default_rng(2).standard_normal(shape)
+    both[3, 4] = np.inf
+    nan = both.copy()
+    nan[3, 4] = np.nan
+    cases.append((both, nan))
+    for dx, dy in cases:
+        want = _whole_grid_lipschitz(dx, dy, g)
+        got = dg._lipschitz(dx.copy(), dy.copy(), g, np.empty(shape))
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert _bits(got) == _bits(want)
+    # d |grad| = d / d on every node, equal to 1 within an ulp or two, and
+    # exactly tied along the first row, where d is the same on every node
+    d = g.distance
+    row = zeros.copy()
+    row[0] = 1.0
+    for dx, dy in ((1.0 / d, zeros), (zeros, 1.0 / d), (row, zeros)):
+        want = _whole_grid_lipschitz(dx, dy, g)
+        got = dg._lipschitz(dx.copy(), dy.copy(), g, np.empty(shape))
+        assert _bits(got) == _bits(want)
+    assert dg._lipschitz(row.copy(), zeros, g, np.empty(shape)) == \
+        float(d[0, 0])
 
 
 def _random_field(geom, seed, modes=12):
@@ -344,4 +446,8 @@ def test_record_peak_memory_at_n512(traced_peak):
     assert vars(g).keys() == tables.keys()
     assert all(vars(g)[name] is table for name, table in tables.items())
     assert rec == warm == dg.record(state)
+    assert peak < 0.5 * array_bytes
+    ps, ms = (2.0, 4.0, np.inf), (1, 2, 3)
+    rec, peak = traced_peak(lambda: dg.record(state, ps, ms, work=work))
+    assert rec == dg.record(state, ps, ms)
     assert peak < 0.5 * array_bytes

@@ -263,6 +263,31 @@ def test_overshoot_monitor_reads_the_live_columns(geom):
     assert sv.run(theta_c, cfg).live_modes == res.live_modes
 
 
+def test_live_sup_of_a_non_finite_state_is_nan(geom):
+    """The overshoot monitor's sup propagates a NaN node value."""
+    c = np.zeros((geom.n_interior,) * 2)
+    c[0, 0], c[1, 2] = 1.0, np.nan
+    state = sv.SolverState(0.0, sp.SpectralField(c, geom), support=3,
+                           extent=3)
+    assert np.isnan(sv._live_sup(state))
+
+
+def test_half_norm_sq_in_a_buffer_keeps_its_bits_and_allocates_nothing(
+        traced_peak):
+    """half_norm_sq with ``out`` has the bits of the whole-array formula
+    and, at N = 512, allocates under 1 % of one 511^2 array."""
+    g = build_square_geometry(512)
+    n = g.n_interior
+    c = np.zeros((n, n))
+    c[:40, :40] = np.random.default_rng(5).standard_normal((40, 40))
+    theta = sp.SpectralField(c, g)
+    buf = np.empty((n, n))
+    want = float((g.sqrt_eigenvalues * c ** 2).sum())
+    got, peak = traced_peak(lambda: sv.half_norm_sq(theta, out=buf))
+    assert got == sv.half_norm_sq(theta) == want
+    assert peak < 0.01 * buf.nbytes
+
+
 def test_run_with_callback_matches_retained_run(geom):
     """Streaming snapshots to a callback changes no snapshot and no monitor."""
     theta0 = sp.mode_field(geom, 1, 1)

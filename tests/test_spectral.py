@@ -284,6 +284,70 @@ def test_sup_norm_respects_valid_mask(geom):
     assert sp.GridField(vals, geom, valid=mask).sup_norm() == 1.0
 
 
+def _max_of_abs(v):
+    return float(np.max(np.abs(v), initial=0.0))
+
+
+def test_max_abs_has_the_bits_of_the_max_of_abs():
+    """max(v.max(), -v.min()) is max |v| bit for bit: on all-negative
+    values, signed zeros (0.0, never -0.0), infinities and empty arrays;
+    a NaN anywhere makes it NaN, as it makes max |v|."""
+    rng = np.random.default_rng(7)
+    signed = rng.standard_normal((9, 11))
+    cases = [signed, -np.abs(signed) - 1.0, np.abs(signed),
+             np.array([-0.0]), np.array([0.0, -0.0]), np.array([-0.0, 0.0]),
+             -np.zeros((4, 5)), np.array([-np.inf, 1.0]),
+             np.array([np.inf, -2.0]), np.zeros((0, 3))]
+    for v in cases:
+        got = sp._max_abs(v)
+        assert np.float64(got).tobytes() == \
+            np.float64(_max_of_abs(v)).tobytes(), v
+    for where in ((0, 0), (4, 7), (8, 10)):
+        for base in (signed, -np.abs(signed)):
+            v = base.copy()
+            v[where] = np.nan
+            assert np.isnan(sp._max_abs(v)) and np.isnan(_max_of_abs(v))
+
+
+def test_sup_norms_propagate_nan_and_keep_the_valid_mask(geom):
+    """GridField and BoxField sup norms see a NaN anywhere, so the
+    overshoot monitor cannot miss a non-finite grid; with a ``valid`` mask
+    the sup is the masked max |v| as before, a NaN outside the mask left
+    out."""
+    n = geom.n_interior
+    vals = -np.abs(np.random.default_rng(3).standard_normal((n, n)))
+    mask = np.ones((n, n), dtype=bool)
+    mask[2, 5] = False
+    assert sp.GridField(vals, geom).sup_norm() == _max_of_abs(vals)
+    box = (slice(3, 20), slice(4, 9))
+    assert sp.BoxField(vals[box], box, geom).sup_norm() == \
+        _max_of_abs(vals[box])
+    vals[2, 5] = np.nan
+    assert np.isnan(sp.GridField(vals, geom).sup_norm())
+    assert np.isnan(sp.BoxField(vals[1:4], (slice(1, 4), slice(0, n)),
+                                geom).sup_norm())
+    masked = sp.GridField(vals, geom, valid=mask).sup_norm()
+    assert masked == float(np.max(np.abs(vals), where=mask, initial=0.0))
+    assert masked == _max_of_abs(np.where(mask, vals, 0.0))
+
+
+def test_sup_norms_allocate_no_grid_at_n512(traced_peak):
+    """GridField.sup_norm without a mask and BoxField.sup_norm, on a whole
+    511^2 array, a row band of it or a box's own array, allocate under 1 %
+    of one array."""
+    g = build_square_geometry(512)
+    n = g.n_interior
+    vals = np.random.default_rng(512).standard_normal((n, n))
+    band = (slice(10, 400), slice(0, n))
+    box = (slice(10, 400), slice(3, 500))
+    budget = 0.01 * vals.nbytes
+    for field in (sp.GridField(vals, g), sp.BoxField(vals[band], band, g),
+                  sp.BoxField(vals[box].copy(), box, g)):
+        sup, peak = traced_peak(field.sup_norm)
+        assert sup == _max_of_abs(field.values)
+        assert peak < budget
+
+
 @pytest.mark.parametrize("n", [31, 47])
 def test_restricted_dst_passes_match_dstn(n):
     a = np.zeros((31, 31))
