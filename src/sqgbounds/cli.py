@@ -1,12 +1,10 @@
 """Command-line entry points: run, verify, diag.
 
-``run`` hands each snapshot to one writer thread, which computes its
-diagnostics row and writes the row and the checkpoint while the solver steps
-on; the solver never modifies a state it has handed on.  At most one write
-is in flight: the next snapshot waits for it, so rows and checkpoints land
-in snapshot order.  No state array is kept per snapshot, only the four
-scalars the Hölder monitor reads.  ``final.sqgb`` and ``run_summary.txt``
-are written last, after the pending write, and mark a finished run.
+``run`` writes each snapshot as the solver takes it, on the solver's
+thread: its diagnostics row and its checkpoint, in snapshot order.  No state
+array is kept per snapshot, only the four scalars the Hölder monitor reads.
+``final.sqgb`` and ``run_summary.txt`` are written last and mark a finished
+run.
 
 ``verify`` runs its families in two lanes, which take about equally long:
 ``commutator_scaling``, the largest, on the calling thread, and every other
@@ -24,8 +22,7 @@ Exit codes: 0 clean, 1 when ``verify`` finds a failing family, 2 on
 configuration/numeric failure, 3 when a run finishes but a monitor
 (overshoot or Hölder persistence) flagged it; the outputs are fully written
 before a code-1 or code-3 exit.  After a code-2 numeric failure the rows
-and checkpoints up to the last snapshot remain, and neither marker exists;
-an exception in the writer reaches the caller of ``cmd_run``.
+and checkpoints up to the last snapshot remain, and neither marker exists.
 """
 from __future__ import annotations
 
@@ -33,8 +30,7 @@ import argparse
 import glob
 import os
 import sys
-from array import array
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 from . import inequalities as iq
@@ -103,37 +99,21 @@ def cmd_run(cfg: RunConfig) -> int:
         if os.path.exists(path):
             os.remove(path)
     config_hash = cfg.config_hash()
-    # the _HolderSample of each snapshot as four doubles, 32 bytes a snapshot
-    samples = array("d")
+    samples: list[_HolderSample] = []
+    work = record_workspace(g)          # every record's grid arrays
 
-    # every record's grid arrays, and the geometry tables both threads read
-    work = record_workspace(g)
-
-    def write_snapshot(state: SolverState) -> None:     # on the writer thread
+    def write_snapshot(state: SolverState) -> None:
         rec = record(state, ps=cfg.ps, ms=cfg.ms, alphas=cfg.alphas,
                      work=work)
-        samples.extend(_holder_sample(rec, cfg))
+        samples.append(_holder_sample(rec, cfg))
         append_csv(csv_path, rec)
         ck = os.path.join(cfg.output_dir, f"checkpoint_{state.step:06d}.sqgb")
         save_checkpoint(ck, state.theta, state.t, state.step, config_hash)
 
-    pending: list[Future] = []
-
-    def hand_on(state: SolverState) -> None:
-        if pending:
-            pending.pop().result()
-        pending.append(writer.submit(write_snapshot, state))
-
-    # leaving the block waits for the pending write, also on an exception
-    with ThreadPoolExecutor(max_workers=1) as writer:
-        result = run(theta0, cfg.solver_config(), on_snapshot=hand_on)
-    pending.pop().result()
+    result = run(theta0, cfg.solver_config(), on_snapshot=write_snapshot)
     final = result.snapshots[-1]
     save_checkpoint(final_path, final.theta, final.t, final.step, config_hash)
-    width = len(_HolderSample._fields)
-    holder_flag, k_fit = _holder_monitor(
-        [_HolderSample(*samples[i:i + width])
-         for i in range(0, len(samples), width)], cfg)
+    holder_flag, k_fit = _holder_monitor(samples, cfg)
     with open(summary, "w") as fh:
         fh.write(f"t_end: {final.t!r}\n"
                  f"steps: {final.step}\n"

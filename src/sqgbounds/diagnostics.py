@@ -312,19 +312,13 @@ class DiagnosticsRecord:
 
 def record_workspace(geometry: Geometry) -> np.ndarray:
     """Three (N-1) x (N-1) node-grid slots for :func:`record`, one
-    (3, N-1, N-1) array, with every geometry table that a record reads
-    built here.
+    (3, N-1, N-1) array.
 
     Records that share it allocate no grid-sized array on the dense route,
     only a few boolean masks: their memory stays flat from one snapshot to
-    the next.
+    the next.  The geometry tables a record reads are built by the first
+    record and kept by the geometry.
     """
-    # each built on first read (cached_property); read them all here, so no
-    # record, on whichever thread, builds one
-    (geometry.wavenumbers, geometry.sqrt_eigenvalues,
-     geometry.inv_sqrt_eigenvalues, geometry.node_sines,
-     geometry.node_cosines, geometry.ground_state, geometry.distance,
-     geometry.x_side_nearest)
     n = geometry.n_interior
     return np.empty((3, n, n))
 

@@ -369,10 +369,10 @@ def run(theta0: SpectralField, config: SolverConfig,
     ``on_snapshot`` as soon as it is taken and is not retained, so the
     caller can write it out while the run goes on; ``snapshots`` then holds
     only the final state.  A snapshot is the live state.  Each step builds a
-    new state and never modifies an older one, so ``on_snapshot`` may hand
-    the state to another thread and read it there while the run steps on;
-    no reader may modify it.  When a step raises ``NumericError``, the
-    snapshots already handed on are all the run leaves.
+    new state and never modifies an older one, so every snapshot, kept or
+    handed on, stays as it was taken; no reader may modify it.  When a step
+    raises ``NumericError``, the snapshots already handed on are all the run
+    leaves.
 
     The energy ledger integrates the half-norm history with Simpson's rule
     (the trapezoid rule for a single step) and reports

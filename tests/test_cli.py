@@ -6,7 +6,6 @@ import sys
 import threading
 import tracemalloc
 import types
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -130,11 +129,10 @@ def test_numeric_failure_leaves_outputs_up_to_last_snapshot(tmp_path,
         assert (cut / name).read_bytes() == (ref / name).read_bytes()
 
 
-def test_writer_failure_reaches_the_caller_and_leaves_no_thread(
-        tmp_path, monkeypatch, capsys):
-    """A record that fails on the writer thread at the third snapshot ends
-    the run with code 2; the two snapshots before it are fully written, no
-    finish marker exists and the writer thread is gone."""
+def test_record_failure_reaches_the_caller(tmp_path, monkeypatch, capsys):
+    """A record that fails at the third snapshot ends the run with code 2;
+    the two snapshots before it are fully written, no finish marker exists
+    and no thread is left behind."""
     whole = _write_run_cfg(tmp_path / "whole.cfg", tmp_path / "whole",
                            32, 5e-3, 1.0, 0.1)
     assert main(["run", str(whole)]) == 0
@@ -162,10 +160,10 @@ def test_writer_failure_reaches_the_caller_and_leaves_no_thread(
         "checkpoint_000000.sqgb", "checkpoint_000020.sqgb"]
 
 
-def test_writer_failure_at_the_last_snapshot_reaches_the_caller(
+def test_record_failure_at_the_last_snapshot_reaches_the_caller(
         tmp_path, monkeypatch):
-    """The last write is only drained after the solver returns; its
-    exception still ends the run with code 2 and no finish marker."""
+    """A record that fails at the final snapshot, the one the solver takes
+    at t_end, ends the run with code 2 and no finish marker."""
     path = _write_run_cfg(tmp_path / "run.cfg", tmp_path / "out",
                           32, 1e-2, 0.2, 0.1)
 
@@ -183,8 +181,10 @@ def test_writer_failure_at_the_last_snapshot_reaches_the_caller(
 
 
 def test_run_outputs_equal_a_serial_replay(tmp_path):
-    """Rows and checkpoints written on the writer thread equal, byte for
-    byte, those of the same run written inline in the snapshot callback."""
+    """The rows and checkpoints that ``cmd_run`` writes, and no other
+    snapshot file, equal byte for byte those of the same run replayed with
+    a plain record-and-save snapshot callback and a fresh workspace per
+    record."""
     path = _write_run_cfg(tmp_path / "run.cfg", tmp_path / "out",
                           64, 1e-2, 1.0, 0.1)
     cfg = load_config(path)
@@ -212,33 +212,40 @@ def test_run_outputs_equal_a_serial_replay(tmp_path):
         assert (out / name).read_bytes() == (replay / name).read_bytes()
 
 
-class _InlineExecutor:
-    """An executor that runs each submitted call at once, on the caller."""
+def test_run_writes_each_snapshot_on_the_calling_thread(tmp_path,
+                                                        monkeypatch):
+    """While ``cmd_run`` runs, every record, row and checkpoint is made on
+    the thread that called it, and no thread is started."""
+    caller = threading.get_ident()
+    threads = threading.active_count()
+    seen = {"record": 0, "append_csv": 0, "save_checkpoint": 0}
 
-    def __init__(self, max_workers):
-        pass
+    def on_caller(name, fn):
+        def wrapped(*args, **kwargs):
+            assert threading.get_ident() == caller
+            assert threading.active_count() == threads
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    for name in seen:
+        monkeypatch.setattr(cli, name, on_caller(name, getattr(cli, name)))
+    path = _write_run_cfg(tmp_path / "run.cfg", tmp_path / "out",
+                          32, 1e-2, 0.3, 0.1)
+    assert cmd_run(load_config(path)) == 0
+    assert threading.active_count() == threads
+    # 4 snapshots: 4 records and rows, 4 checkpoints and final.sqgb
+    assert seen == {"record": 4, "append_csv": 4, "save_checkpoint": 5}
 
 
 def test_run_memory_does_not_grow_with_snapshot_count(tmp_path, monkeypatch):
     """The traced memory held when the last of 11 or of 101 snapshots of
     one N = 64 run is taken differs by less than one state array.
 
-    Each write runs inline and garbage is collected before the reading, so
-    at the last snapshot every earlier one is written and gone, and the
-    reading does not depend on timing; what a run keeps per snapshot (the
-    four Hölder doubles) is all that may differ."""
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", _InlineExecutor)
+    Each snapshot is written before the next step and garbage is collected
+    before the reading, so at the last snapshot every earlier one is
+    written and gone; what a run keeps per snapshot (one Hölder sample of
+    four floats) is all that may differ."""
     taken = {"count": 0}
 
     def traced_run(theta0, config, on_snapshot):
