@@ -9,12 +9,11 @@ from .errors import (ConfigurationError, DomainError, NumericError,
 from .geometry import Geometry, build_square_geometry, fit_ground_state_equivalence
 from .spectral import (GridField, SpectralField, forward, gradient, inverse,
                        mode_field)
-from .operators import (ConvexFn, CutoffPair, HeatKernelSample, VelocityField,
+from .operators import (ConvexFn, CutoffPair, VelocityField,
                         apply_lambda_power, commutator, finite_difference,
-                        heat_kernel, heat_semigroup, lambda_via_heat,
-                        nonlinear_dissipation, riesz_velocity,
-                        short_time_velocity, softplus_hinge, standard_cutoff,
-                        weighted_convexity_terms)
+                        heat_semigroup, lambda_via_heat, nonlinear_dissipation,
+                        riesz_velocity, short_time_velocity, softplus_hinge,
+                        standard_cutoff, weighted_convexity_terms)
 from .solver import RunResult, SolverConfig, SolverState, run, step
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .diagnostics import (DiagnosticsRecord, boundary_ratio, holder_seminorm,

@@ -37,8 +37,7 @@ from . import inequalities as iq
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import VERIFY_NAMES, RunConfig, load_config
 from .diagnostics import (DiagnosticsRecord, append_csv, boundary_ratio,
-                          csv_columns, csv_row, ratio_sup, record,
-                          record_workspace)
+                          csv_columns, csv_row, record, record_workspace)
 from .errors import ConfigurationError, NumericError, SqgError
 from .geometry import build_square_geometry
 from .operators import PHI_SQUARE, ConvexFn, riesz_velocity, softplus_hinge
@@ -162,7 +161,7 @@ def _verify_dispatch(cfg: RunConfig, names) -> list:
             mode_field(g, 1, 1), [phi]),
         "lambda_one_lower": lambda: iq.verify_lambda_one_lower(g),
         "decay_envelope": lambda: iq.verify_decay_envelope(
-            decay_run(), decay_config, ratio_sup(inverse(theta0)) + 1e-9),
+            decay_run(), decay_config, boundary_ratio(theta0).sup_norm() + 1e-9),
         "weighted_lp_control": lambda: iq.verify_weighted_lp_control(
             decay_run(), m=cfg.ms[0]),
         "weight_norm_bridge": lambda: iq.verify_weight_norm_bridge(

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,12 +17,11 @@ from .spectral import (GridField, SpectralField, _leading, _max_abs,
                        _support, _times_k, eval_block, gradient, inverse)
 from .solver import SolverState
 
-SPACE_DIMENSION = 2    # d in the d/p exponents
-
 DEFAULT_PS = (2.0, 4.0)
 DEFAULT_MS = (2,)
 DEFAULT_ALPHAS = (0.4,)
-_SUP_ROWS = 128        # rows per block of ratio_sup
+_SUP_ROWS = 128        # rows per block of ratio_sup_by_rows
+_HOLDER_BUDGET = 1.0 / 32.0    # Hölder displacements keep |h| <= d(x) / 32
 _LIP_ROWS = 32         # rows per block of _lipschitz's dy^2
 # smallest max s = max d^2 |grad theta|^2 that _lipschitz takes from its
 # candidates: above it no square that reaches the candidates is subnormal
@@ -32,25 +30,15 @@ _LIP_S_MIN = 2.0 ** -900
 
 def boundary_ratio(theta: SpectralField) -> GridField:
     """b_1 = theta / w_1 at the interior nodes (w_1 > 0 there)."""
-    return ratio_from_values(inverse(theta))
-
-
-def ratio_from_values(values: GridField) -> GridField:
-    """b_1 = theta / w_1 from the node values of theta."""
-    g = values.geometry
-    return GridField(values.values / g.ground_state, g)
-
-
-def ratio_sup(values: GridField) -> float:
-    """||b_1||_inf = max |theta / w_1| from the node values of theta."""
-    return ratio_sup_by_rows(values.geometry, lambda rows: values.values[rows])
+    g = theta.geometry
+    return GridField(inverse(theta).values / g.ground_state, g)
 
 
 def ratio_sup_by_rows(geometry: Geometry, theta_rows) -> float:
     """||b_1||_inf from theta's node rows ``theta_rows(rows)``, taken over
     ``_SUP_ROWS`` rows at a time with w_1's rows from
     ``Geometry.ground_state_rows``: equal to
-    ``ratio_lp_norm(ratio_from_values(values), inf)`` without its two
+    ``ratio_lp_norm(boundary_ratio(theta), inf)`` without its two
     whole-grid temporaries."""
     sups = []
     for r in range(0, geometry.n_interior, _SUP_ROWS):
@@ -167,26 +155,21 @@ def _lipschitz(dx: np.ndarray, dy: np.ndarray, geometry: Geometry,
     return float(mag.max())
 
 
-class HolderSeminorm(NamedTuple):
-    value: float
-    skipped_nodes: int
-
-
 _DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
-def holder_seminorm(theta: SpectralField, alpha: float) -> HolderSeminorm:
+def holder_seminorm(theta: SpectralField, alpha: float) -> float:
     """sup |delta_h theta| / |h|^alpha over dyadic grid displacements.
 
     Displacements run along both axes and diagonals with dyadic magnitudes
     from one grid spacing up, restricted to |h| <= d(x) / 32.  Nodes too
-    close to the boundary to admit any displacement are skipped and counted.
+    close to the boundary to admit any displacement do not enter.
     """
     return _holder(inverse(theta), alpha)
 
 
-def _holder(values: GridField, alpha: float, h_budget: float = 1.0 / 32.0,
-            scratch: np.ndarray | None = None) -> HolderSeminorm:
+def _holder(values: GridField, alpha: float,
+            scratch: np.ndarray | None = None) -> float:
     """:func:`holder_seminorm` from node values.
 
     The differences of each displacement go into ``scratch``, a
@@ -202,15 +185,14 @@ def _holder(values: GridField, alpha: float, h_budget: float = 1.0 / 32.0,
     flat = vals.ravel()
     buf = np.empty(n * n) if scratch is None else scratch.reshape(-1)
     best = 0.0
-    admissible = np.zeros((n, n), dtype=bool)
     steps = 1
-    while steps * dx <= h_budget * g.distance.max():
+    while steps * dx <= _HOLDER_BUDGET * g.distance.max():
         for ex, ey in _DIRECTIONS:
             p, q = steps * ex, steps * ey
             hlen = np.hypot(p * dx, q * dx)
-            # d * h_budget >= |h| holds on the box where both e_i and e_j
-            # reach |h| / h_budget; e is unimodal, so each side is one run
-            inside = np.flatnonzero(e * h_budget >= hlen)
+            # d / 32 >= |h| holds on the box where both e_i and e_j reach
+            # 32 |h|; e is unimodal, so each side is one run
+            inside = np.flatnonzero(e * _HOLDER_BUDGET >= hlen)
             if not inside.size:
                 continue
             i0, i1 = max(inside[0], -p), min(inside[-1] + 1, n - p)
@@ -231,9 +213,8 @@ def _holder(values: GridField, alpha: float, h_budget: float = 1.0 / 32.0,
             block[:, :j0] = 0.0
             block[:, j1:] = 0.0
             best = max(best, _max_abs(diff) / hlen ** alpha)
-            admissible[i0:i1, j0:j1] = True
         steps *= 2
-    return HolderSeminorm(best, admissible.size - np.count_nonzero(admissible))
+    return best
 
 
 def _shell_sup(values: np.ndarray, geometry: Geometry,
@@ -382,7 +363,7 @@ def record(state: SolverState,
     abs_b1 = np.abs(np.divide(values, g.ground_state, out=work[2]),
                     out=work[2])
     b1_lp, weighted_norm = _ratio_norms(g, abs_b1, ps, ms, scratch)
-    holder = {a: _holder(GridField(values, g), a, scratch=scratch).value
+    holder = {a: _holder(GridField(values, g), a, scratch=scratch)
               for a in alphas}
     # u = (-psi_y, psi_x), and only |u| enters the record; psi's block is
     # formed once for each component, each time in a slot free until then

@@ -186,10 +186,6 @@ class Geometry:
         """Node coordinates X[i,j] = x_i, Y[i,j] = y_j."""
         return np.meshgrid(self.x, self.x, indexing="ij")
 
-    def quad(self, values: np.ndarray) -> float:
-        """Rectangle-rule integral over the domain (exact for the sine basis)."""
-        return float(self.spacing ** 2 * values.sum())
-
     def unmasked(self, min_distance: float = 0.0) -> np.ndarray:
         """Boolean node selector: away from corners and at least min_distance inside."""
         keep = ~self.corner_mask

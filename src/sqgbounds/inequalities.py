@@ -515,7 +515,7 @@ def verify_normal_velocity_rate(theta: SpectralField, p: float,
         passed=slope >= target,
         fitted_constants={"slope": slope, "target": target,
                           "b1_p": ratio_lp_norm(boundary_ratio(theta), p),
-                          "holder": holder_seminorm(theta, alpha).value},
+                          "holder": holder_seminorm(theta, alpha)},
         regression=(slope, intercept, r2),
         margins=list(np.log(sups)),
         sample_plan={"p": p, "alpha": alpha, "smoothing": smoothing,

@@ -2,7 +2,8 @@
 
 Everything is built on the eigenfunction expansion: fractional powers and the
 heat semigroup are mode multipliers, the Riesz velocity is a rotated gradient
-of the inverse square root, and the heat kernel is a factorized eigensum.
+of the inverse square root, and the heat kernel is a product of two 1-d
+eigensums, ``eigensum_1d``.
 The quadrature route to Lambda^s integrates the heat representation
 
     Lambda^s f = c_s * int_0^inf [f - e^{t Delta} f] t^{-1-s/2} dt
@@ -22,8 +23,7 @@ from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
 from .geometry import Geometry
 from .spectral import (BoxField, GridField, SpectralField, _support,
-                       dealiased_product, forward, grad_l2_norm_sq, gradient,
-                       inverse)
+                       dealiased_product, forward, gradient, inverse)
 
 MAX_CUTOFF_SCALE_FRAC = 0.25    # ell0 = L/4
 ERF_SATURATION = 6.0            # erf(z) rounds to sign(z) for |z| >= 6
@@ -154,19 +154,6 @@ def lambda_via_heat(f: SpectralField, s: float,
 # Heat kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeatKernelSample:
-    """One evaluation of the Dirichlet heat kernel H_D(t, x, y)."""
-
-    x: tuple[float, float]
-    y: tuple[float, float]
-    t: float
-    value: float
-    modes: int
-    tail_bound: float
-    truncation_warning: bool
-
-
 def eigensum_1d(t, a, b, L: float, modes: int, da: int = 0,
                 db: int = 0) -> np.ndarray:
     """(2/L) sum_m e^{-t k_m^2} d_a^da sin(k_m a) d_b^db sin(k_m b), k_m = m pi/L.
@@ -174,6 +161,8 @@ def eigensum_1d(t, a, b, L: float, modes: int, da: int = 0,
     The 1-d Dirichlet heat-kernel eigensum over m = 1..modes and its
     derivatives of order 0, 1 or 2 in either point.  ``t``, ``a`` and ``b``
     broadcast against each other; the result has their broadcast shape.
+    The square's kernel H_D(t, x, y) over modes m, n = 1..modes is the
+    product of the sums in (x_1, y_1) and in (x_2, y_2).
     """
     k = np.arange(1, modes + 1) * np.pi / L
     t, a, b = (np.asarray(v, dtype=float)[..., None] for v in (t, a, b))
@@ -187,34 +176,6 @@ def eigensum_1d(t, a, b, L: float, modes: int, da: int = 0,
         return -k * k * np.sin(k * z)
 
     return (2.0 / L) * np.sum(decay * fac(a, da) * fac(b, db), axis=-1)
-
-
-def heat_kernel(geometry: Geometry, x, y, t: float,
-                modes: int | None = None) -> HeatKernelSample:
-    """Factorized eigensum for the Dirichlet heat kernel on the square.
-
-    The 2d sum over a square mode truncation is the product of two 1d sums.
-    A geometric bound on the omitted modes is attached; if it exceeds
-    1e-10 the sample carries a warning flag.
-    """
-    if t <= 0:
-        raise DomainError(f"heat kernel requires t > 0, got {t}")
-    M = geometry.n_interior if modes is None else int(modes)
-    if not 1 <= M <= geometry.n_interior:
-        raise ConfigurationError(
-            f"modes must lie in [1, {geometry.n_interior}], got {M}")
-    L = geometry.side_length
-    h1 = float(eigensum_1d(t, x[0], y[0], L, M))
-    h2 = float(eigensum_1d(t, x[1], y[1], L, M))
-    # 1d tail: sum_{m>M} e^{-t k_m^2} <= e^{-t k_{M+1}^2} / (1 - ratio)
-    kk = (np.pi / L) ** 2
-    ratio = np.exp(-t * kk * (2 * M + 3))
-    tail1 = (2.0 / L) * np.exp(-t * kk * (M + 1) ** 2) / max(1.0 - ratio, 1e-300)
-    tail = tail1 * (abs(h1) + abs(h2)) + tail1 ** 2
-    return HeatKernelSample(
-        x=(float(x[0]), float(x[1])), y=(float(y[0]), float(y[1])),
-        t=float(t), value=h1 * h2, modes=M, tail_bound=float(tail),
-        truncation_warning=bool(tail > 1e-10))
 
 
 def heat_of_one_1d(t, x: np.ndarray, L: float,
@@ -262,18 +223,9 @@ class VelocityField:
 
     u_x: GridField
     u_y: GridField
-    stream: SpectralField
-
-    @property
-    def geometry(self) -> Geometry:
-        return self.stream.geometry
 
     def sup_norm(self) -> float:
         return float(np.sqrt(self.u_x.values ** 2 + self.u_y.values ** 2).max())
-
-    def l2_norm(self) -> float:
-        """||u||_{L^2} = ||grad psi||_{L^2}, exact via Parseval on the stream."""
-        return float(np.sqrt(grad_l2_norm_sq(self.stream)))
 
 
 def _stream_velocity(stream: SpectralField, j_sign: float) -> VelocityField:
@@ -282,7 +234,7 @@ def _stream_velocity(stream: SpectralField, j_sign: float) -> VelocityField:
     psi_x, psi_y = gradient(stream)
     psi_y.values *= -j_sign
     psi_x.values *= j_sign
-    return VelocityField(psi_y, psi_x, stream)
+    return VelocityField(psi_y, psi_x)
 
 
 def riesz_velocity(theta: SpectralField,
@@ -422,8 +374,6 @@ def smoothstep_profile(z: np.ndarray) -> np.ndarray:
 class CutoffPair:
     """Nested bump pair: phi at scale ell inside chi at scale 2 ell."""
 
-    center: tuple[float, float]
-    scale: float
     phi: GridField
     chi: GridField
 
@@ -478,8 +428,7 @@ def standard_cutoff(geometry: Geometry, x0, ell: float) -> CutoffPair:
         field[box] = values
         fields.append(GridField(field, geometry))
     chi, phi = fields
-    return CutoffPair(center=(float(x0[0]), float(x0[1])), scale=float(ell),
-                      phi=phi, chi=chi)
+    return CutoffPair(phi=phi, chi=chi)
 
 
 def _commensurate_steps(h, geometry: Geometry) -> tuple[int, int]:

@@ -334,11 +334,6 @@ def gradient(spec: SpectralField) -> tuple[GridField, GridField]:
     return GridField(grads[0], g), GridField(grads[1], g)
 
 
-def grad_l2_norm_sq(spec: SpectralField) -> float:
-    """||grad f||^2_{L^2} via Parseval on the eigenbasis (= sum lam a^2)."""
-    return float((spec.geometry.eigenvalues * spec.coeffs ** 2).sum())
-
-
 # ---------------------------------------------------------------------------
 # Fine-grid evaluation and dealiased products
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_10_holder_persistence_monitor(geom128, sqg_run):
         [_holder_sample(r, cfg) for r in records], cfg)
     B = max(r.b1_lp[4.0] for r in records)
     M = max(r.lipschitz for r in records)
-    h0 = holder_seminorm(theta0, 0.4).value
+    h0 = holder_seminorm(theta0, 0.4)
     bound = 2.0 * h0 + k_fit * B * (M + 1.0)
     peak = max(r.holder[0.4] for r in records)
     verdict("holder persistence monitor", not violated,

@@ -36,7 +36,7 @@ def test_ground_state_samples_and_orthonormality():
     w1 = (2.0 / np.pi) * np.sin(X) * np.sin(Y)
     assert np.allclose(g.ground_state, w1)
     # discrete quadrature is exact: ||w_1||_{L^2} = 1
-    assert abs(g.quad(g.ground_state ** 2) - 1.0) < 1e-12
+    assert abs(g.spacing ** 2 * (g.ground_state ** 2).sum() - 1.0) < 1e-12
 
 
 def test_distance_function():
