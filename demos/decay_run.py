@@ -6,8 +6,10 @@ B * w_1(x) * exp(-sqrt(2) t) at every output time.
 """
 import numpy as np
 
-from sqgbounds import SolverConfig, build_square_geometry, inverse, run
-from sqgbounds.spectral import mode_field
+from sqgbounds.config import SolverConfig
+from sqgbounds.geometry import build_square_geometry
+from sqgbounds.solver import run
+from sqgbounds.spectral import inverse, mode_field
 
 g = build_square_geometry(128)
 

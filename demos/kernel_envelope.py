@@ -6,7 +6,7 @@ rate K should sit near the free-space value 4.
 """
 import numpy as np
 
-from sqgbounds import build_square_geometry
+from sqgbounds.geometry import build_square_geometry
 from sqgbounds.inequalities import verify_kernel_bounds
 from sqgbounds.operators import eigensum_1d
 

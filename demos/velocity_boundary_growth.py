@@ -6,8 +6,9 @@ state w_1 (zero trace) they stay bounded.  Both regressions are printed.
 """
 import numpy as np
 
-from sqgbounds import build_square_geometry, riesz_velocity
+from sqgbounds.geometry import build_square_geometry
 from sqgbounds.inequalities import constant_field, verify_velocity_log_bound
+from sqgbounds.operators import riesz_velocity
 from sqgbounds.spectral import mode_field
 
 g = build_square_geometry(128)

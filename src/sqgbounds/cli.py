@@ -20,9 +20,10 @@ finished.
 
 Exit codes: 0 clean, 1 when ``verify`` finds a failing family, 2 on
 configuration/numeric failure, 3 when a run finishes but a monitor
-(overshoot or Hölder persistence) flagged it; the outputs are fully written
-before a code-1 or code-3 exit.  After a code-2 numeric failure the rows
-and checkpoints up to the last snapshot remain, and neither marker exists.
+(overshoot, energy ledger or Hölder persistence) flagged it; the outputs
+are fully written before a code-1 or code-3 exit.  After a code-2 numeric
+failure the rows and checkpoints up to the last snapshot remain, and
+neither marker exists.
 """
 from __future__ import annotations
 
@@ -43,6 +44,11 @@ from .geometry import build_square_geometry
 from .operators import PHI_SQUARE, ConvexFn, riesz_velocity, softplus_hinge
 from .solver import SolverState, run
 from .spectral import inverse, mode_field
+
+# the energy ledger's largest relative residual on a run that exits 0; a
+# constant, not a config key, so that config_hash and checkpoints keep their
+# bytes
+LEDGER_TOL = 1e-6
 
 
 def _phi(cfg: RunConfig) -> ConvexFn:
@@ -113,10 +119,12 @@ def cmd_run(cfg: RunConfig) -> int:
     final = result.snapshots[-1]
     save_checkpoint(final_path, final.theta, final.t, final.step, config_hash)
     holder_flag, k_fit = _holder_monitor(samples, cfg)
+    ledger_flag = not result.ledger_residual <= LEDGER_TOL
     with open(summary, "w") as fh:
         fh.write(f"t_end: {final.t!r}\n"
                  f"steps: {final.step}\n"
                  f"ledger_residual: {result.ledger_residual!r}\n"
+                 f"ledger_flag: {ledger_flag}\n"
                  f"max_overshoot: {result.max_overshoot!r}\n"
                  f"overshoot_flag: {result.overshoot_flag}\n"
                  f"holder_flag: {holder_flag}\n"
@@ -124,7 +132,7 @@ def cmd_run(cfg: RunConfig) -> int:
                  f"rejected_steps: {result.rejected_steps}\n"
                  f"live_modes: {result.live_modes}\n"
                  f"seed: {cfg.seed}\n")
-    if result.overshoot_flag or holder_flag:
+    if result.overshoot_flag or ledger_flag or holder_flag:
         print("monitor violation; outputs written", file=sys.stderr)
         return 3
     return 0

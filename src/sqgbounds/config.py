@@ -1,5 +1,8 @@
 """INI run configuration: parsing, validation, and canonical hashing.
 
+``RunConfig`` holds every setting of a run, and ``SolverConfig`` the
+integration parameters of :func:`solver.run`.
+
 A config file has sections [meta], [geometry], [solver], [initial],
 [diagnostics], [verify], [output]; every key is optional and defaults are
 filled in.  Each key is declared once, in ``_SCHEMA``, with the field it
@@ -20,7 +23,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Geometry, build_square_geometry
-from .solver import SolverConfig
 from .spectral import SpectralField
 
 SCHEMA_VERSION = 1
@@ -34,6 +36,25 @@ VERIFY_NAMES = (
     "finite_difference_velocity", "normal_velocity_rate",
     "commutator_scaling", "kernel_bounds",
 )
+
+
+@dataclass
+class SolverConfig:
+    """Integration parameters; drift_mode is "sqg" or "none"."""
+
+    dt: float = 5e-4
+    t_end: float = 1.0
+    cfl: float = 0.5
+    drift_mode: str = "sqg"
+    j_sign: float = 1.0
+    output_interval: float = 0.1
+    max_overshoot: float = 0.01
+
+    def validate(self) -> None:
+        if self.dt <= 0 or self.t_end < 0:
+            raise ConfigurationError("dt must be positive and t_end nonnegative")
+        if self.drift_mode not in ("sqg", "none"):
+            raise ConfigurationError(f"unknown drift mode {self.drift_mode!r}")
 
 
 @dataclass

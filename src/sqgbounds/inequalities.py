@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
+from .config import SolverConfig
 from .errors import ConfigurationError, PreconditionError
 from .geometry import Geometry, fit_ground_state_equivalence
 from .diagnostics import (_shell_sup, boundary_ratio, fit_line,
@@ -27,7 +28,7 @@ from .operators import (ConvexFn, _box_slice, _lambda_power_rows,
                         nonlinear_dissipation, riesz_velocity,
                         short_time_velocity, standard_cutoff,
                         weighted_convexity_terms)
-from .solver import RunResult, SolverConfig
+from .solver import RunResult
 from .spectral import (BoxField, GridField, SpectralField, _support, forward,
                        gradient, inverse, mode_field)
 

@@ -10,12 +10,13 @@ of the mixed-parity factors (velocity components against gradient
 components) are sine polynomials, so the fine-grid projection is alias-free
 and the discrete advection term is skew-symmetric to round-off.
 
-The drift is ``sqg`` (u = J grad psi with psi = lam^{-1/2} theta) or
-``none``.  N' is sized to the live band of the spectrum.  A coefficient is
-live when it exceeds CHOP_RTOL = 1e-16 times the largest coefficient of its
-field, and the extent M is theta's largest live mode index along either
-axis.  psi's tail beyond M is at most sqrt(2) CHOP_RTOL max|psi|: for p > M
-and q <= M, lam_q / lam_p <= 2M^2 / ((M + 1)^2 + 1) < 2.  The M x M blocks
+The drift, ``drift_mode`` of the run's :class:`config.SolverConfig`, is
+``sqg`` (u = J grad psi with psi = lam^{-1/2} theta) or ``none``.  N' is
+sized to the live band of the spectrum.  A coefficient is live when it
+exceeds CHOP_RTOL = 1e-16 times the largest coefficient of its field, and
+the extent M is theta's largest live mode index along either axis.  psi's
+tail beyond M is at most sqrt(2) CHOP_RTOL max|psi|: for p > M and q <= M,
+lam_q / lam_p <= 2M^2 / ((M + 1)^2 + 1) < 2.  The M x M blocks
 are advected on the sub-geometry with N' = 2j >= 2M + 2, j 5-smooth: a
 product of modes <= M has modes <= 2M <= N' - 1 only, so the 3/2 rule on N'
 is alias-free on every mode the product reaches, and the result is
@@ -49,7 +50,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .config import SolverConfig
+from .errors import NumericError
 from .geometry import Geometry, build_square_geometry
 from .operators import riesz_velocity
 from .spectral import (GridField, SpectralField, _midpoint_tables, _support,
@@ -57,25 +59,6 @@ from .spectral import (GridField, SpectralField, _midpoint_tables, _support,
                        forward_fine)
 
 CHOP_RTOL = 1e-16    # a coefficient at or below CHOP_RTOL * max|c| is not live
-
-
-@dataclass
-class SolverConfig:
-    """Integration parameters; drift_mode is "sqg" or "none"."""
-
-    dt: float = 5e-4
-    t_end: float = 1.0
-    cfl: float = 0.5
-    drift_mode: str = "sqg"
-    j_sign: float = 1.0
-    output_interval: float = 0.1
-    max_overshoot: float = 0.01
-
-    def validate(self) -> None:
-        if self.dt <= 0 or self.t_end < 0:
-            raise ConfigurationError("dt must be positive and t_end nonnegative")
-        if self.drift_mode not in ("sqg", "none"):
-            raise ConfigurationError(f"unknown drift mode {self.drift_mode!r}")
 
 
 @dataclass

@@ -92,6 +92,34 @@ def test_run_summary_reports_the_live_extent(run_cfg, import_perfbench):
     assert fields["overshoot_flag"] == fields["holder_flag"] == "False"
 
 
+def _summary(out):
+    lines = (out / "run_summary.txt").read_text().splitlines()
+    return dict(line.split(": ", 1) for line in lines)
+
+
+def test_run_gates_its_energy_ledger(tmp_path, monkeypatch):
+    """Twice the dissipation breaks the energy balance: ``run`` writes
+    every output, reports ``ledger_flag: True`` and exits 3.  The default
+    run passes the gate."""
+    cfg = load_config(DEFAULT_CFG)
+    cfg.output_dir = str(tmp_path / "clean")
+    assert cmd_run(cfg) == 0
+    summary = _summary(tmp_path / "clean")
+    assert summary["ledger_flag"] == "False"
+    assert float(summary["ledger_residual"]) <= cli.LEDGER_TOL
+
+    monkeypatch.setattr(solver, "_decay", lambda geometry, dt: np.exp(
+        -2.0 * dt * geometry.sqrt_eigenvalues))
+    cfg.output_dir = str(tmp_path / "doubled")
+    assert cmd_run(cfg) == 3
+    summary = _summary(tmp_path / "doubled")
+    assert summary["ledger_flag"] == "True"
+    assert float(summary["ledger_residual"]) == pytest.approx(0.4986,
+                                                              abs=1e-4)
+    assert summary["overshoot_flag"] == summary["holder_flag"] == "False"
+    assert os.path.exists(tmp_path / "doubled" / "final.sqgb")
+
+
 def test_numeric_failure_leaves_outputs_up_to_last_snapshot(tmp_path,
                                                             monkeypatch):
     """Rows and checkpoints are written as snapshots are taken; a run that
@@ -385,6 +413,31 @@ def test_import_run_and_verify_load_no_scipy(tmp_path):
         "print(loaded())\n")
     printed = _fresh_interpreter(script).splitlines()
     assert printed[0] == printed[1] == printed[-1] == "[]"
+
+
+def test_import_and_config_path_load_only_what_they_read():
+    """``import sqgbounds`` loads no submodule, and loading a config and
+    building its geometry and initial field loads ``config``, ``errors``,
+    ``geometry`` and ``spectral`` only: none of the solver, operator or
+    check modules, nor the libraries only they use."""
+    script = (
+        "import sys\n"
+        "import sqgbounds\n"
+        "mine = lambda: sorted(m for m in sys.modules"
+        " if m.startswith('sqgbounds.'))\n"
+        "print(mine())\n"
+        "from sqgbounds.config import load_config\n"
+        f"cfg = load_config({str(DEFAULT_CFG)!r})\n"
+        "cfg.initial_field(cfg.geometry())\n"
+        "print(mine())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in"
+        " ('statistics', 'scipy') or m.startswith(('numpy.random',"
+        " 'numpy.polynomial'))))\n")
+    printed = _fresh_interpreter(script).splitlines()
+    assert printed[-3] == "[]"
+    assert printed[-2] == str([f"sqgbounds.{name}" for name in
+                               ("config", "errors", "geometry", "spectral")])
+    assert printed[-1] == "[]"
 
 
 def test_verify_makes_no_fft_call_at_n128(tmp_path, monkeypatch):

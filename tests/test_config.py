@@ -5,9 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqgbounds.config import _SCHEMA, RunConfig, load_config
+from sqgbounds.config import _SCHEMA, RunConfig, SolverConfig, load_config
 from sqgbounds.errors import ConfigurationError
-from sqgbounds.solver import SolverConfig
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -2,8 +2,7 @@
 and every top-level definition is read by the program.
 
 No linter ships with the project, so these are the checks for imports and
-definitions that a change left behind.  ``__init__.py`` imports to
-re-export and is skipped by the import check.
+definitions that a change left behind.
 """
 import ast
 from pathlib import Path
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sqgbounds"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(path):
@@ -61,8 +60,7 @@ def _reads(node):
 
 def test_every_definition_has_a_reader():
     """Each module-level function, class and constant of ``sqgbounds`` is
-    read somewhere in ``src/`` outside its own definition: a re-export from
-    ``__init__.py`` is no reader.  Methods and fields are out of reach,
+    read somewhere in ``src/`` outside its own definition.  Methods and fields are out of reach,
     because their names collide with attributes of other objects (a method
     ``l2_norm`` would count as read wherever any ``.l2_norm`` is)."""
     defined, readers = [], {}
