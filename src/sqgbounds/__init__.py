@@ -4,10 +4,7 @@ Spectral library plus CLI for simulating the equation and numerically
 checking the boundary-regularity bound families (convexity identities,
 decay envelopes, velocity/commutator scalings, heat-kernel envelopes).
 
-The submodules are the API: ``config``, ``geometry``, ``spectral``,
-``operators``, ``solver``, ``diagnostics``, ``checkpoint``,
-``inequalities`` and ``cli``.  Importing the package loads none of them,
-so a caller pays only for the modules it imports.
+The submodules are the API; importing the package loads none of them.
 """
 
 __version__ = "0.1.0"

@@ -92,19 +92,16 @@ def test_run_summary_reports_the_live_extent(run_cfg, import_perfbench):
     assert fields["overshoot_flag"] == fields["holder_flag"] == "False"
 
 
-def _summary(out):
-    lines = (out / "run_summary.txt").read_text().splitlines()
-    return dict(line.split(": ", 1) for line in lines)
-
-
-def test_run_gates_its_energy_ledger(tmp_path, monkeypatch):
+def test_run_gates_its_energy_ledger(tmp_path, monkeypatch,
+                                     import_perfbench):
     """Twice the dissipation breaks the energy balance: ``run`` writes
     every output, reports ``ledger_flag: True`` and exits 3.  The default
     run passes the gate."""
+    read_fields = import_perfbench("workloads").read_fields
     cfg = load_config(DEFAULT_CFG)
     cfg.output_dir = str(tmp_path / "clean")
     assert cmd_run(cfg) == 0
-    summary = _summary(tmp_path / "clean")
+    summary = read_fields(tmp_path / "clean" / "run_summary.txt")
     assert summary["ledger_flag"] == "False"
     assert float(summary["ledger_residual"]) <= cli.LEDGER_TOL
 
@@ -112,7 +109,7 @@ def test_run_gates_its_energy_ledger(tmp_path, monkeypatch):
         -2.0 * dt * geometry.sqrt_eigenvalues))
     cfg.output_dir = str(tmp_path / "doubled")
     assert cmd_run(cfg) == 3
-    summary = _summary(tmp_path / "doubled")
+    summary = read_fields(tmp_path / "doubled" / "run_summary.txt")
     assert summary["ledger_flag"] == "True"
     assert float(summary["ledger_residual"]) == pytest.approx(0.4986,
                                                               abs=1e-4)

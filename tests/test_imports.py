@@ -60,9 +60,10 @@ def _reads(node):
 
 def test_every_definition_has_a_reader():
     """Each module-level function, class and constant of ``sqgbounds`` is
-    read somewhere in ``src/`` outside its own definition.  Methods and fields are out of reach,
-    because their names collide with attributes of other objects (a method
-    ``l2_norm`` would count as read wherever any ``.l2_norm`` is)."""
+    read somewhere in ``src/`` outside its own definition.  Methods and
+    fields are out of reach, because their names collide with attributes of
+    other objects (a method ``l2_norm`` would count as read wherever any
+    ``.l2_norm`` is)."""
     defined, readers = [], {}
     for path in sorted(SRC.glob("*.py")):
         for i, node in enumerate(ast.parse(path.read_text()).body):
