@@ -15,7 +15,7 @@ from .errors import ConfigurationError
 from .geometry import Geometry
 from .spectral import (GridField, SpectralField, _leading, _max_abs,
                        _support, _times_k, eval_block, gradient, inverse)
-from .solver import SolverState
+from .solver import SolverState, _inv_sqrt
 
 DEFAULT_PS = (2.0, 4.0)
 DEFAULT_MS = (2,)
@@ -367,7 +367,7 @@ def record(state: SolverState,
               for a in alphas}
     # u = (-psi_y, psi_x), and only |u| enters the record; psi's block is
     # formed once for each component, each time in a slot free until then
-    inv = g.inv_sqrt_eigenvalues[:K, :K]
+    inv = _inv_sqrt(g, K)
     psi = np.einsum("ij,ij->ij", c, inv, out=_leading(work[2], K, K))
     abs_ux = eval_block(_times_k(psi, k, 1, out=_leading(work[1], K, K)), g,
                         1, out=work[1], scratch=work[0])

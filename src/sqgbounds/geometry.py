@@ -43,8 +43,8 @@ class Geometry:
     read and then kept: a geometry that never reads a table (the fine
     commutator grid) never allocates it.  ``eigenvalues`` and
     ``ground_state`` are the whole-grid cases of :meth:`eigenvalue_rows` and
-    :meth:`ground_state_rows`, so a row block taken from those methods
-    carries the bits of the table's rows.
+    :meth:`ground_state_rows`, so a block taken from those methods carries
+    the bits of the table's block.
 
     The mode multipliers ``wavenumbers`` (k_m = m pi / L),
     ``sqrt_eigenvalues`` and ``inv_sqrt_eigenvalues`` (lam^{+-1/2}) and the
@@ -66,10 +66,10 @@ class Geometry:
         """(N-1,) mode indices 1..N-1."""
         return np.arange(1, self.grid_size)
 
-    def eigenvalue_rows(self, rows=slice(None)) -> np.ndarray:
-        """Rows ``rows`` of lam_{m,n} = k_m^2 + k_n^2, k_m = m pi / L."""
+    def eigenvalue_rows(self, rows=slice(None), cols=slice(None)):
+        """Block ``rows`` x ``cols`` of lam_{m,n} = k_m^2 + k_n^2."""
         k = self.wavenumbers
-        return k[rows, None] ** 2 + k[None, :] ** 2
+        return k[rows, None] ** 2 + k[None, cols] ** 2
 
     def ground_state_rows(self, rows=slice(None)) -> np.ndarray:
         """Rows ``rows`` of the node samples of w_1 (the ground state)."""

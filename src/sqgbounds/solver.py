@@ -2,27 +2,24 @@
 
 The equation is critical SQG: the dissipation is Lambda = (-Delta_D)^{1/2},
 the case s = 1 of Lambda^s, where it has the order of the advection.  It is
-handled exactly per mode by the multiplier e^{-dt lam^{1/2}}, built from the
-geometry's ``sqrt_eigenvalues`` (k_m and lam^{-1/2} are geometry tables
-too).  The advective flux -u . grad(theta) is
-evaluated at the midpoints of a grid with ceil(3N'/2) nodes per axis; products
-of the mixed-parity factors (velocity components against gradient
+handled exactly per mode by the multiplier e^{-dt lam^{1/2}}.  The
+advective flux -u . grad(theta) is evaluated at the midpoints of a fine grid;
+products of the mixed-parity factors (velocity components against gradient
 components) are sine polynomials, so the fine-grid projection is alias-free
 and the discrete advection term is skew-symmetric to round-off.
 
 The drift, ``drift_mode`` of the run's :class:`config.SolverConfig`, is
-``sqg`` (u = J grad psi with psi = lam^{-1/2} theta) or ``none``.  N' is
-sized to the live band of the spectrum.  A coefficient is live when it
-exceeds CHOP_RTOL = 1e-16 times the largest coefficient of its field, and
-the extent M is theta's largest live mode index along either axis.  psi's
-tail beyond M is at most sqrt(2) CHOP_RTOL max|psi|: for p > M and q <= M,
-lam_q / lam_p <= 2M^2 / ((M + 1)^2 + 1) < 2.  The M x M blocks
-are advected on the sub-geometry with N' = 2j >= 2M + 2, j 5-smooth: a
-product of modes <= M has modes <= 2M <= N' - 1 only, so the 3/2 rule on N'
-is alias-free on every mode the product reaches, and the result is
-zero-padded from 2M x 2M back to N - 1.  Only the dropped coefficients
-change the sum.  When N' >= N, the flux runs on the full 3/2 grid as
-without a band.
+``sqg`` (u = J grad psi with psi = lam^{-1/2} theta) or ``none``.  The
+fine grid is sized to the live band of the spectrum.  A coefficient is
+live when it exceeds CHOP_RTOL = 1e-16 times the largest coefficient of its
+field, and the extent M is theta's largest live mode index along either
+axis.  psi's tail beyond M is at most sqrt(2) CHOP_RTOL max|psi|: for p > M
+and q <= M, lam_q / lam_p <= 2M^2 / ((M + 1)^2 + 1) < 2.  The product of
+the M x M blocks has degree <= 2M, so its projection onto the modes <= 2M
+is exact on Nf > 2M midpoints (``spectral``; Orszag, J. Atmos. Sci. 28,
+1971): the band flux takes :func:`_band_grid_size`, and its 2M x 2M modes
+are zero-padded back to N - 1.  Only the dropped coefficients change the
+sum.  When 2M > N - 1, the flux runs on ceil(3N/2) midpoints, unbanded.
 
 A step works on the state's nonzero block.  Every coefficient outside the
 leading K x K block of a state is exactly 0.0; K starts as the initial
@@ -30,8 +27,9 @@ data's support and after each stage becomes max(K, 2M), since the band flux
 is zero beyond 2M (N - 1 once a stage takes the full grid).  The stream
 function, built on the block the product reads, the extent scans, the Heun
 update, its finiteness check and :func:`velocity_bound` read only that
-block; outside it the update is exactly 0.0, so the state's bits are those
-of the whole-array update.  Each state carries its support and live extent,
+block, and e^{-dt lam^{1/2}} and lam^{-1/2} are built on it, with the bits
+of the whole tables; outside it the update is exactly 0.0, so the state's
+bits are those of the whole-array update.  Each state carries its support and live extent,
 so its extent is scanned once, and the overshoot monitor evaluates the live
 block (rows to K, columns to M) at the nodes by :func:`spectral.eval_block`.
 ``half_norm_sq`` and the ledger stay on whole arrays: their sums keep their
@@ -52,13 +50,14 @@ import numpy as np
 
 from .config import SolverConfig
 from .errors import NumericError
-from .geometry import Geometry, build_square_geometry
+from .geometry import Geometry, _read_only
 from .operators import riesz_velocity
-from .spectral import (GridField, SpectralField, _midpoint_tables, _support,
-                       _times_k, eval_block, eval_fine_mixed, fine_grid_size,
-                       forward_fine)
+from .spectral import (DENSE_MAX_NF, GridField, SpectralField,
+                       _midpoint_tables, _support, _times_k, eval_block,
+                       eval_fine_mixed, fine_grid_size, forward_fine)
 
 CHOP_RTOL = 1e-16    # a coefficient at or below CHOP_RTOL * max|c| is not live
+_SMOOTH_5 = 2 ** 64 * 3 ** 41 * 5 ** 28   # n < 2^64 divides it iff 5-smooth
 
 
 @dataclass
@@ -96,19 +95,24 @@ class RunResult:
     live_modes: int
 
 
-@lru_cache(maxsize=8)
-def _decay(geometry: Geometry, dt: float) -> np.ndarray:
-    """Integrating factor e^{-dt lam^{1/2}} of one step of length dt."""
-    decay = np.exp(-dt * geometry.sqrt_eigenvalues)
-    decay.setflags(write=False)
-    return decay
+@lru_cache(maxsize=16)
+def _decay(geometry: Geometry, dt: float, K: int) -> np.ndarray:
+    """Integrating factor e^{-dt lam^{1/2}} of one step of length dt on the
+    leading K x K modes, read-only; lam^{1/2} as ``sqrt_eigenvalues``."""
+    lam = geometry.eigenvalue_rows(slice(K), slice(K))
+    return _read_only(np.exp(-dt * lam ** 0.5))
+
+
+@lru_cache(maxsize=16)
+def _inv_sqrt(geometry: Geometry, K: int) -> np.ndarray:
+    """lam^{-1/2} on the leading K x K modes, as ``inv_sqrt_eigenvalues``."""
+    return _read_only(geometry.eigenvalue_rows(slice(K), slice(K)) ** -0.5)
 
 
 def _stream_coeffs(c: np.ndarray, geometry: Geometry,
                    j_sign: float) -> np.ndarray:
     """j_sign psi = j_sign lam^{-1/2} c on the leading K x K block ``c``."""
-    K = c.shape[0]
-    return j_sign * c * geometry.inv_sqrt_eigenvalues[:K, :K]
+    return j_sign * c * _inv_sqrt(geometry, c.shape[0])
 
 
 def advection_workspace(geometry: Geometry) -> np.ndarray:
@@ -152,35 +156,32 @@ def _lead(c: np.ndarray, side: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _band_geometry(N: int, side_length: float) -> Geometry:
-    """The sub-geometry on which :func:`advection_coeffs` advects a band."""
-    return build_square_geometry(N, side_length)
+def _band_grid_size(M: int) -> int:
+    """Midpoints Nf > 2M per axis for the flux of a band of extent M:
+    max(9, 2M + 1), or above DENSE_MAX_NF the next 5-smooth length (scipy's
+    ``next_fast_len(2M + 1, real=True)``), fast for the transforms."""
+    Nf = max(9, 2 * M + 1)
+    if Nf > DENSE_MAX_NF:
+        while _SMOOTH_5 % Nf:
+            Nf += 1
+    return Nf
 
 
-def _band_size(M: int) -> int:
-    """N' = 2j >= 2M + 2 with j >= 4 and 5-smooth, so that the 3/2 grid's
-    Nf' = 3j is a fast transform length (a prime Nf' such as 59 costs three
-    times as much per transform)."""
-    j = max(4, M + 1)
-    while (2 ** 64 * 3 ** 41 * 5 ** 28) % j:   # j < 2^64: 0 iff 5-smooth
-        j += 1
-    return 2 * j
-
-
-def _flux(c: np.ndarray, psi: np.ndarray, g: Geometry,
+def _flux(c: np.ndarray, psi: np.ndarray, g: Geometry, Nf: int,
           work: np.ndarray) -> np.ndarray:
-    """-u . grad(theta) for the leading modes ``c`` of theta and ``psi`` of
-    the stream function, on the 3/2 grid of ``g``, in the slots ``work``."""
-    Nf = fine_grid_size(g.grid_size)
-    k = g.wavenumbers[:c.shape[0]]
+    """-u . grad(theta) for the leading M x M modes ``c`` of theta and
+    ``psi`` of the stream function, sampled at Nf x Nf midpoints in the
+    slots ``work`` and projected onto the min(2M, N - 1) leading modes per
+    axis of ``g``, all that the product reaches."""
+    M = c.shape[0]
+    k, L = g.wavenumbers[:M], g.side_length
     # u = (-psi_y, psi_x), so -u . grad(theta) = psi_y theta_x - psi_x theta_y
-    flux = eval_fine_mixed(_times_k(psi, k, 1), g, Nf, 1, out=work[0])
-    flux *= eval_fine_mixed(_times_k(c, k, 0), g, Nf, 0, out=work[1])
-    part = eval_fine_mixed(_times_k(psi, k, 0), g, Nf, 0, out=work[1])
-    part *= eval_fine_mixed(_times_k(c, k, 1), g, Nf, 1, out=work[2])
+    flux = eval_fine_mixed(_times_k(psi, k, 1), L, Nf, 1, out=work[0])
+    flux *= eval_fine_mixed(_times_k(c, k, 0), L, Nf, 0, out=work[1])
+    part = eval_fine_mixed(_times_k(psi, k, 0), L, Nf, 0, out=work[1])
+    part *= eval_fine_mixed(_times_k(c, k, 1), L, Nf, 1, out=work[2])
     flux -= part
-    return forward_fine(flux, g)
+    return forward_fine(flux, L, min(2 * M, g.n_interior))
 
 
 def advection_coeffs(theta: SpectralField, config: SolverConfig,
@@ -193,14 +194,14 @@ def advection_coeffs(theta: SpectralField, config: SolverConfig,
     ``none``.  The product runs on the live band: M is theta's
     :func:`_live_extent` (``extent``, when the caller knows it), and psi's
     tail beyond M is at most sqrt(2) CHOP_RTOL max|psi| (see the module
-    docstring).  The M x M blocks of theta and psi are advected on the 3/2
-    grid of the sub-geometry of :func:`_band_size` (N' >= 2M + 2).  Modes
-    <= M multiply into modes <= 2M only, so the result is the flux's leading
-    block of side max(K, 2M), zero outside 2M x 2M.  When N' >= N, the full
-    geometry is used and the result is the whole spectrum, as it is for a
-    whole theta.  ``work`` is an :func:`advection_workspace` of theta's
-    geometry, which the call overwrites (the band path uses its leading
-    memory); without it the call allocates its own.
+    docstring).  The M x M blocks of theta and psi are advected on the
+    Nf > 2M midpoints of :func:`_band_grid_size`.  Modes <= M multiply into
+    modes <= 2M only, so the result is the flux's leading block of side
+    max(K, 2M), zero outside 2M x 2M.  When 2M > N - 1, the flux runs on the
+    full grid's ceil(3N/2) midpoints and the result is the whole spectrum,
+    as it is for a whole theta.  ``work`` is an :func:`advection_workspace`
+    of theta's geometry, which the call overwrites (the band path uses its
+    leading memory); without it the call allocates its own.
     """
     g = theta.geometry
     c = theta.coeffs
@@ -208,23 +209,21 @@ def advection_coeffs(theta: SpectralField, config: SolverConfig,
          else _live_extent(c) if extent is None else extent)
     if M == 0:      # no drift, or theta is zero
         return np.zeros_like(c)
-    n_band = _band_size(M)
-    if n_band >= g.grid_size:
+    if 2 * M > g.n_interior:
         n = g.n_interior
         psi = _stream_coeffs(c, g, config.j_sign)
         return _flux(_lead(c, n), _lead(psi, n), g,
+                     fine_grid_size(g.grid_size),
                      advection_workspace(g) if work is None else work)
-    sub = _band_geometry(n_band, g.side_length)
+    Nf = _band_grid_size(M)
     if work is None:
-        work = advection_workspace(sub)
+        work = np.empty((3, Nf, Nf))
     else:   # the leading memory of the full workspace, reshaped
-        Nf = fine_grid_size(n_band)
         work = work.reshape(-1)[:3 * Nf * Nf].reshape(3, Nf, Nf)
     block = c[:M, :M]
-    band = _flux(block, _stream_coeffs(block, g, config.j_sign), sub, work)
-    side = max(c.shape[0], 2 * M)
-    out = np.zeros((side, side))
-    out[:2 * M, :2 * M] = band[:2 * M, :2 * M]
+    band = _flux(block, _stream_coeffs(block, g, config.j_sign), g, Nf, work)
+    out = np.zeros((max(c.shape[0], 2 * M),) * 2)
+    out[:2 * M, :2 * M] = band
     return out
 
 
@@ -267,16 +266,15 @@ def step(state: SolverState, dt: float, config: SolverConfig,
     """
     theta = state.theta
     g = theta.geometry
-    decay = _decay(g, dt)
     K = _support(theta.coeffs) if state.support is None else state.support
     a = theta.coeffs[:K, :K]
     k1 = advection_coeffs(SpectralField(a, g, theta.tag), config, work,
                           state.extent)
     K1 = len(k1)
-    mid = decay[:K1, :K1] * (_lead(a, K1) + dt * k1)
+    mid = _decay(g, dt, K1) * (_lead(a, K1) + dt * k1)
     k2 = advection_coeffs(SpectralField(mid, g, theta.tag), config, work)
     K2 = len(k2)
-    d2 = decay[:K2, :K2]
+    d2 = _decay(g, dt, K2)
     block = d2 * _lead(a, K2) + 0.5 * dt * (d2 * _lead(k1, K2) + k2)
     if not np.isfinite(block).all():
         raise NumericError(

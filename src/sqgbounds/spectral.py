@@ -18,10 +18,11 @@ x_i = (i + 1/2) L/Nf, i = 0..Nf-1, of the grid with Nf = ceil(3N/2) nodes
 sum_i cos(r pi (i + 1/2)/Nf) = 0 for 0 < r < 2 Nf, that projection is exact
 whenever the degree plus the kept mode count stays below 2 Nf, and here
 (2N-2) + (N-1) < 3N <= 2 Nf.  No aliasing of retained-mode products survives.
-The argument holds on any sub-geometry: factors with modes <= M on the
-N'-geometry with N' >= 2M + 1 multiply into modes <= 2M <= N' - 1, which
-its own 3/2 grid keeps exactly, so the solver advects the live band of a
-spectrum on such a sub-geometry and zero-pads the result (see ``solver``).
+The argument holds for any band: factors with modes <= M multiply into a
+sine polynomial of degree <= 2M, whose projection onto the modes <= 2M is
+exact on any midpoint grid with 2M + 2M < 2 Nf, that is Nf > 2M, so the
+solver advects the live band of a spectrum on such a grid and zero-pads the
+result (see ``solver``).
 
 One evaluator, one rule.  Every node evaluation of a spectrum is a call of
 :func:`eval_block` on the leading block that holds its nonzero coefficients
@@ -360,13 +361,13 @@ def _midpoint_tables(Nf: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def eval_fine_mixed(coeffs: np.ndarray, geometry: Geometry, Nf: int,
+def eval_fine_mixed(coeffs: np.ndarray, side_length: float, Nf: int,
                     cos_axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """(2/L) sum c_{m,n} (sine factor)(cosine factor) at the Nf x Nf midpoints.
 
     The cosine factor cos(k x) runs along ``cos_axis`` and the sine factor
-    sin(k x) along the other axis; the nodes are x_i = (i + 1/2) L/Nf,
-    i = 0..Nf-1, and Nf must exceed the mode count.  Up to DENSE_MAX_NF
+    sin(k x) along the other axis; the nodes are x_i = (i + 1/2) L/Nf, with
+    L = ``side_length``, and Nf must exceed the mode count.  Up to DENSE_MAX_NF
     nodes the sum is two products with the cached tables of
     :func:`_midpoint_tables`, written into ``out`` (else a new array).
     Above it the coefficients go into an Nf x Nf buffer (``out`` if given)
@@ -381,7 +382,7 @@ def eval_fine_mixed(coeffs: np.ndarray, geometry: Geometry, Nf: int,
         sin, cos = _midpoint_tables(Nf)
         left, right = (sin, cos) if cos_axis == 1 else (cos, sin)
         return _sandwich(left[:, :n], coeffs, right[:, :n],
-                         2.0 / geometry.side_length, buf)
+                         2.0 / side_length, buf)
     # cosine axis last: each of the first n lines holds one sine mode
     view, coeffs = (buf, coeffs) if cos_axis == 1 else (buf.T, coeffs.T)
     view[n:] = 0.0
@@ -395,30 +396,30 @@ def eval_fine_mixed(coeffs: np.ndarray, geometry: Geometry, Nf: int,
     values = _fft().dst(view, type=3, axis=0, overwrite_x=True)
     # each type-III pass doubles the sum; scaling the whole contiguous
     # result in place avoids numpy's buffer for a strided multiply
-    values *= 0.5 / geometry.side_length
+    values *= 0.5 / side_length
     return values if cos_axis == 1 else values.T
 
 
-def forward_fine(values: np.ndarray, geometry: Geometry) -> np.ndarray:
-    """Project midpoint samples back onto the geometry's N-1 modes per axis.
+def forward_fine(values: np.ndarray, side_length: float,
+                 n_keep: int) -> np.ndarray:
+    """Project midpoint samples back onto the modes 1..n_keep < Nf per axis.
 
     ``values`` holds samples at the Nf x Nf nodes of :func:`eval_fine_mixed`
     and may be overwritten.  The projection, (2L/Nf^2) S^T values S with
     S the midpoint sine table, is exact for a sine polynomial of degree
-    < 2*Nf - (N-1) per axis, which covers quadratic products of
+    < 2*Nf - n_keep per axis, which covers quadratic products of
     opposite-parity factors (the advective flux).  Same-parity products
     carry cosine content and go through :func:`dealiased_product` instead.
     Up to DENSE_MAX_NF nodes it is two products with the table; above it a
     DST-II pair in place.
     """
-    Nf, n_keep = values.shape[0], geometry.n_interior
+    Nf = values.shape[0]
     if Nf <= DENSE_MAX_NF:
         sin_t = _midpoint_tables(Nf)[0][:, :n_keep].T
-        return _sandwich(sin_t, values, sin_t,
-                         2.0 * geometry.side_length / Nf ** 2)
+        return _sandwich(sin_t, values, sin_t, 2.0 * side_length / Nf ** 2)
     rows = _fft().dst(values, type=2, axis=0, overwrite_x=True)[:n_keep]
     coeffs = _fft().dst(rows, type=2, axis=1, overwrite_x=True)
-    coeffs *= geometry.side_length / (2.0 * Nf ** 2)
+    coeffs *= side_length / (2.0 * Nf ** 2)
     return coeffs[:, :n_keep].copy()
 
 

@@ -105,8 +105,8 @@ def test_run_gates_its_energy_ledger(tmp_path, monkeypatch,
     assert summary["ledger_flag"] == "False"
     assert float(summary["ledger_residual"]) <= cli.LEDGER_TOL
 
-    monkeypatch.setattr(solver, "_decay", lambda geometry, dt: np.exp(
-        -2.0 * dt * geometry.sqrt_eigenvalues))
+    monkeypatch.setattr(solver, "_decay", lambda geometry, dt, K: np.exp(
+        -2.0 * dt * geometry.sqrt_eigenvalues[:K, :K]))
     cfg.output_dir = str(tmp_path / "doubled")
     assert cmd_run(cfg) == 3
     summary = read_fields(tmp_path / "doubled" / "run_summary.txt")

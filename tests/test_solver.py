@@ -99,13 +99,13 @@ def full_grid_advection(theta, psi):
     """The flux on theta's own 3/2 grid: the four mixed evaluations and the
     DST-II projection, with no band."""
     g = theta.geometry
-    Nf = sp.fine_grid_size(g.grid_size)
+    Nf, L = sp.fine_grid_size(g.grid_size), g.side_length
     k, c = g.wavenumbers, theta.coeffs
-    flux = (sp.eval_fine_mixed(sp._times_k(psi, k, 1), g, Nf, 1)
-            * sp.eval_fine_mixed(sp._times_k(c, k, 0), g, Nf, 0)
-            - sp.eval_fine_mixed(sp._times_k(psi, k, 0), g, Nf, 0)
-            * sp.eval_fine_mixed(sp._times_k(c, k, 1), g, Nf, 1))
-    return sp.forward_fine(flux, g)
+    flux = (sp.eval_fine_mixed(sp._times_k(psi, k, 1), L, Nf, 1)
+            * sp.eval_fine_mixed(sp._times_k(c, k, 0), L, Nf, 0)
+            - sp.eval_fine_mixed(sp._times_k(psi, k, 0), L, Nf, 0)
+            * sp.eval_fine_mixed(sp._times_k(c, k, 1), L, Nf, 1))
+    return sp.forward_fine(flux, L, g.n_interior)
 
 
 def smooth_field(g, seed, rate=1.5):
@@ -146,17 +146,25 @@ def psi_beyond_theta(g):
     return sp.SpectralField(c, g)
 
 
-@pytest.mark.parametrize("N, make", [
-    pytest.param(64, lambda g: smooth_field(g, 64), id="64"),
-    pytest.param(128, lambda g: smooth_field(g, 128), id="128"),
-    pytest.param(64, psi_beyond_theta, id="psi_beyond_theta")])
-def test_band_advection_matches_the_full_grid_on_smooth_data(N, make):
+@pytest.mark.parametrize("N, make, extents", [
+    pytest.param(64, lambda g: smooth_field(g, 64), range(1, 32), id="64"),
+    pytest.param(128, lambda g: smooth_field(g, 128), range(1, 64),
+                 id="128"),
+    # extents whose 3/2 grid of twice a 5-smooth j >= M + 1 reached N
+    pytest.param(128, lambda g: smooth_field(g, 128, rate=0.62),
+                 range(60, 64), id="128-wide"),
+    # a band wider than DENSE_MAX_NF / 2: its grid takes the FFT route
+    pytest.param(256, lambda g: smooth_field(g, 256, rate=0.5),
+                 range(sp.DENSE_MAX_NF // 2, 128), id="256-fft"),
+    pytest.param(64, psi_beyond_theta, range(1, 32), id="psi_beyond_theta")])
+def test_band_advection_matches_the_full_grid_on_smooth_data(N, make,
+                                                             extents):
     """The band is theta's extent M; every psi coefficient it drops is at
     most sqrt(2) CHOP_RTOL max|psi|, and the flux keeps to 1e-13."""
     g = build_square_geometry(N)
     theta = make(g)
     M = sv._live_extent(theta.coeffs)
-    assert sv._band_size(M) < N
+    assert M in extents and 2 * M <= g.n_interior
     cfg = sv.SolverConfig(drift_mode="sqg")
     psi = sv._stream_coeffs(theta.coeffs, g, 1.0)
     dropped = psi.copy()
@@ -173,12 +181,16 @@ def test_band_advection_matches_the_full_grid_on_smooth_data(N, make):
     assert np.array_equal(sv.advection_coeffs(theta, cfg, work), adv)
 
 
-def test_band_size_is_twice_scipys_next_fast_len():
-    """The pure-Python 5-smooth search gives scipy's sizes, so a band run
-    keeps its bits."""
+def test_band_grid_size_exceeds_twice_the_extent():
+    """Nf > 2M: max(9, 2M + 1) on the dense route, and above it the
+    pure-Python 5-smooth search gives scipy's fast lengths."""
     for M in range(4097):
-        assert sv._band_size(M) == 2 * fft.next_fast_len(max(4, M + 1),
-                                                         real=True), M
+        Nf = sv._band_grid_size(M)
+        assert Nf > 2 * M, M
+        if max(9, 2 * M + 1) <= sp.DENSE_MAX_NF:
+            assert Nf == max(9, 2 * M + 1), M
+        else:
+            assert Nf == fft.next_fast_len(2 * M + 1, real=True), M
 
 
 @pytest.mark.parametrize("top", [64, 127])
@@ -189,7 +201,7 @@ def test_full_spectrum_advection_is_the_full_grid_result_bit_for_bit(
     c[:top, :top] = np.random.default_rng(top).standard_normal((top, top))
     theta = sp.SpectralField(c, geom)
     cfg = sv.SolverConfig(drift_mode="sqg")
-    assert sv._band_size(sv._live_extent(c)) >= geom.grid_size
+    assert 2 * sv._live_extent(c) > geom.n_interior
     ref = full_grid_advection(theta, sv._stream_coeffs(c, geom, 1.0))
     work = sv.advection_workspace(geom)
     assert np.array_equal(sv.advection_coeffs(theta, cfg, work), ref)
@@ -401,11 +413,14 @@ def test_geometry_mode_tables_keep_their_bits(geom):
     assert np.array_equal(k, geom.modes * np.pi / geom.side_length)
     assert np.array_equal(geom.sqrt_eigenvalues, lam ** 0.5)
     assert np.array_equal(geom.inv_sqrt_eigenvalues, lam ** -0.5)
-    assert np.array_equal(sv._decay(geom, 2e-3), np.exp(-2e-3 * lam ** 0.5))
-    assert sv._decay(geom, 2e-3) is sv._decay(geom, 2e-3)
+    n = geom.n_interior
+    assert np.array_equal(sv._decay(geom, 2e-3, n),
+                          np.exp(-2e-3 * lam ** 0.5))
+    assert sv._decay(geom, 2e-3, n) is sv._decay(geom, 2e-3, n)
+    assert np.array_equal(sv._inv_sqrt(geom, n), lam ** -0.5)
     assert geom != build_square_geometry(128)     # compared by identity
     for table in (k, geom.sqrt_eigenvalues, geom.inv_sqrt_eigenvalues,
-                  sv._decay(geom, 2e-3)):
+                  sv._decay(geom, 2e-3, n), sv._inv_sqrt(geom, n)):
         with pytest.raises(ValueError):
             table[0] = 1.0
     # the 2048 grid of the commutator check builds no whole-grid multiplier
@@ -413,6 +428,42 @@ def test_geometry_mode_tables_keep_their_bits(geom):
     assert iq.verify_commutator_scaling(sp.mode_field(fine, 1, 1)).passed
     assert not {"eigenvalues", "sqrt_eigenvalues",
                 "inv_sqrt_eigenvalues"} & set(vars(fine))
+
+
+@pytest.mark.parametrize("N", [64, 128, 512])
+def test_block_mode_tables_have_the_bits_of_the_whole_tables(N):
+    """e^{-dt lam^{1/2}} and lam^{-1/2} on a leading K x K block are the
+    whole tables' blocks bit for bit, at every K a step can read."""
+    g = build_square_geometry(N)
+    for K in (1, 12, 34, N - 1):
+        for dt in (2e-3, 0.06 - 29 * 2e-3):    # a clipped last step too
+            assert (sv._decay(g, dt, K).tobytes()
+                    == np.exp(-dt * g.sqrt_eigenvalues)[:K, :K].tobytes())
+        assert (sv._inv_sqrt(g, K).tobytes()
+                == g.inv_sqrt_eigenvalues[:K, :K].tobytes())
+
+
+def test_smooth_large_run_builds_no_whole_mode_table(tmp_path, monkeypatch):
+    """The N = 512 run of 30 steps with a record every 2 (the benchmark's
+    large run) builds no lam^{-1/2} table of its grid, and every decay
+    table it reads is a block of at most twice its live extent."""
+    from pathlib import Path
+    from sqgbounds.cli import cmd_run
+    from sqgbounds.config import load_config
+
+    tables, decay = [], sv._decay
+    monkeypatch.setattr(sv, "_decay", lambda g, dt, K: (
+        tables.append((g, K)) or decay(g, dt, K)))
+    cfg = load_config(Path(__file__).resolve().parents[1]
+                      / "configs" / "default.cfg")
+    cfg.grid_size, cfg.t_end, cfg.output_interval = 512, 0.06, 0.004
+    cfg.output_dir = str(tmp_path)
+    assert cmd_run(cfg) == 0
+    (g,) = {geometry for geometry, _ in tables}
+    assert "inv_sqrt_eigenvalues" not in vars(g)
+    summary = (tmp_path / "run_summary.txt").read_text()
+    live = int(summary.split("live_modes: ")[1].split()[0])
+    assert max(K for _, K in tables) <= 2 * live < g.n_interior // 4
 
 
 def test_nan_raises_numeric_error(geom):
@@ -434,7 +485,7 @@ def full_array_step(state, dt, config, advect=sv.advection_coeffs):
     """The Heun step on whole arrays: every stage and the update over all
     (N - 1)^2 coefficients."""
     g = state.theta.geometry
-    decay = sv._decay(g, dt)
+    decay = np.exp(-dt * g.sqrt_eigenvalues)
     a = state.theta.coeffs
     k1 = advect(state.theta, config)
     mid = sp.SpectralField(decay * (a + dt * k1), g)
@@ -514,7 +565,7 @@ def test_band_advection_allocates_less_than_one_fine_grid(
     theta and for a leading 30 x 30 block as a step passes it."""
     theta = smooth_field(geom, 128)
     cfg = sv.SolverConfig(drift_mode=mode)
-    assert sv._band_size(sv._live_extent(theta.coeffs)) < geom.grid_size
+    assert 2 * sv._live_extent(theta.coeffs) <= geom.n_interior
     work = sv.advection_workspace(geom)
     block = sp.SpectralField(theta.coeffs[:30, :30].copy(), geom)
     grid_bytes = sp.fine_grid_size(geom.grid_size) ** 2 * 8

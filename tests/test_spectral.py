@@ -91,7 +91,7 @@ def test_sin_cos_eval_matches_dense_double_sum(monkeypatch, n_nodes,
                            lambda: sp.eval_block(c, g, cos_axis))
     else:
         nodes = np.arange(n_nodes) + 0.5
-        got = [sp.eval_fine_mixed(c, g, n_nodes, cos_axis)]
+        got = [sp.eval_fine_mixed(c, g.side_length, n_nodes, cos_axis)]
     modes = np.arange(1, 12)
     S = np.sin(np.pi * np.outer(nodes, modes) / n_nodes)
     C = np.cos(np.pi * np.outer(nodes, modes) / n_nodes)
@@ -111,7 +111,7 @@ def test_forward_fine_matches_full_transform_then_slice(geom):
     S = np.sin(np.pi * np.outer(np.arange(1, Nf + 1), np.arange(Nf) + 0.5) / Nf)
     full = (L / Nf) ** 2 * (2.0 / L) * S @ vals @ S.T
     kept = full[:geom.n_interior, :geom.n_interior]
-    got = sp.forward_fine(vals.copy(), geom)
+    got = sp.forward_fine(vals.copy(), geom.side_length, geom.n_interior)
     assert got.shape == kept.shape
     assert np.abs(got - kept).max() < 1e-13 * np.abs(full).max()
 
@@ -121,9 +121,9 @@ def test_eval_fine_mixed_out_matches_fresh_result(geom, cos_axis):
     """A reused buffer full of stale values gives the fresh result exactly."""
     Nf = sp.fine_grid_size(geom.grid_size)
     c = random_field(geom, geom.n_interior, seed=9 + cos_axis).coeffs
-    fresh = sp.eval_fine_mixed(c, geom, Nf, cos_axis)
+    fresh = sp.eval_fine_mixed(c, geom.side_length, Nf, cos_axis)
     buf = np.full((Nf, Nf), np.nan)
-    got = sp.eval_fine_mixed(c, geom, Nf, cos_axis, out=buf)
+    got = sp.eval_fine_mixed(c, geom.side_length, Nf, cos_axis, out=buf)
     assert np.array_equal(got, fresh)
     assert np.shares_memory(got, buf)
 
@@ -136,8 +136,9 @@ def test_fine_transforms_do_not_rely_on_in_place_fft(geom, cos_axis,
     monkeypatch.setattr(sp, "DENSE_MAX_NF", 0)
     Nf = sp.fine_grid_size(geom.grid_size)
     c = random_field(geom, geom.n_interior, seed=11 + cos_axis).coeffs
-    values = sp.eval_fine_mixed(c, geom, Nf, cos_axis)
-    coeffs = sp.forward_fine(values.copy(), geom)
+    L = geom.side_length
+    values = sp.eval_fine_mixed(c, L, Nf, cos_axis)
+    coeffs = sp.forward_fine(values.copy(), L, geom.n_interior)
     nodes = {axis: sp.eval_block(c, geom, axis) for axis in (None, cos_axis)}
     spec = sp.forward(sp.GridField(nodes[None], geom)).coeffs
 
@@ -147,9 +148,10 @@ def test_fine_transforms_do_not_rely_on_in_place_fft(geom, cos_axis,
 
     monkeypatch.setattr(sp, "fft", types.SimpleNamespace(
         dct=copying(fft.dct), dst=copying(fft.dst)))
-    got = sp.eval_fine_mixed(c, geom, Nf, cos_axis, out=np.full((Nf, Nf), np.nan))
+    got = sp.eval_fine_mixed(c, L, Nf, cos_axis,
+                             out=np.full((Nf, Nf), np.nan))
     assert np.array_equal(got, values)
-    assert np.array_equal(sp.forward_fine(got, geom), coeffs)
+    assert np.array_equal(sp.forward_fine(got, L, geom.n_interior), coeffs)
     for axis, ref in nodes.items():
         out = np.full_like(ref, np.nan)
         assert sp.eval_block(c, geom, axis, out=out) is out
@@ -241,9 +243,9 @@ def test_mixed_parity_product_alias_free(geom):
     a1[:8, :8] = rng.standard_normal((8, 8))
     a2[:8, :8] = rng.standard_normal((8, 8))
     Nf = sp.fine_grid_size(geom.grid_size)
-    v1 = sp.eval_fine_mixed(a1, geom, Nf, cos_axis=0)
-    v2 = sp.eval_fine_mixed(a2, geom, Nf, cos_axis=1)
-    got = sp.forward_fine(v1 * v2, geom)
+    v1 = sp.eval_fine_mixed(a1, geom.side_length, Nf, cos_axis=0)
+    v2 = sp.eval_fine_mixed(a2, geom.side_length, Nf, cos_axis=1)
+    got = sp.forward_fine(v1 * v2, geom.side_length, geom.n_interior)
 
     L = geom.side_length
     xg, wg = leggauss(200)
@@ -472,7 +474,7 @@ def test_wide_gradient_keeps_the_whole_array_transform_bits(N):
                                                         cos_axis).tobytes()
 
 
-# band sub-geometries (Nf = 3j) and whole 3/2 grids, below and above the
+# 3/2 grids of band-sized and whole spectra, below and above the
 # crossover
 @pytest.mark.parametrize("N, modes", [(36, 17), (64, 63), (72, 32),
                                       (86, 85), (100, 48), (128, 127)])
@@ -483,11 +485,13 @@ def test_dense_route_matches_the_fft_route(monkeypatch, N, modes):
     c = rng.standard_normal((modes, modes))
     for cos_axis in (0, 1):
         dense, fast = _both_routes(
-            monkeypatch, lambda: sp.eval_fine_mixed(c, g, Nf, cos_axis).copy())
+            monkeypatch,
+            lambda: sp.eval_fine_mixed(c, g.side_length, Nf, cos_axis).copy())
         assert np.abs(dense - fast).max() <= 1e-14 * np.abs(fast).max()
     values = rng.standard_normal((Nf, Nf))
-    dense, fast = _both_routes(monkeypatch,
-                               lambda: sp.forward_fine(values.copy(), g))
+    dense, fast = _both_routes(
+        monkeypatch,
+        lambda: sp.forward_fine(values.copy(), g.side_length, g.n_interior))
     assert dense.shape == fast.shape == (N - 1, N - 1)
     assert np.abs(dense - fast).max() <= 1e-14 * np.abs(fast).max()
 
@@ -507,7 +511,8 @@ def test_dense_route_runs_up_to_the_crossover(monkeypatch):
         Nf = sp.fine_grid_size(N)
         assert Nf <= sp.DENSE_MAX_NF
         c = np.ones((N - 1, N - 1))
-        sp.forward_fine(sp.eval_fine_mixed(c, g, Nf, 0), g)
+        sp.forward_fine(sp.eval_fine_mixed(c, g.side_length, Nf, 0),
+                        g.side_length, g.n_interior)
         sp.eval_block(c, g)
         spec = sp.forward(sp.GridField(c, g))
         sp.inverse(spec), sp.gradient(spec)
@@ -520,7 +525,8 @@ def test_dense_route_runs_up_to_the_crossover(monkeypatch):
     sp._midpoint_tables.cache_clear()
     g = build_square_geometry(2 * sp.DENSE_MAX_NF // 3 + 1)
     Nf = sp.fine_grid_size(g.grid_size)
-    sp.forward_fine(sp.eval_fine_mixed(np.ones((3, 3)), g, Nf, 1), g)
+    sp.forward_fine(sp.eval_fine_mixed(np.ones((3, 3)), g.side_length, Nf, 1),
+                    g.side_length, g.n_interior)
     assert len(calls) == 4
     assert sp._midpoint_tables.cache_info().currsize == 0
     wide = build_square_geometry(512)
