@@ -15,14 +15,15 @@ from .errors import ConfigurationError
 from .geometry import Geometry
 from .spectral import (GridField, SpectralField, _leading, _max_abs,
                        _support, _times_k, eval_block, gradient, inverse)
-from .solver import SolverState, _inv_sqrt
+from .solver import SolverState, _prefix_squares, half_norm_sq
+from .operators import _inv_sqrt
 
 DEFAULT_PS = (2.0, 4.0)
 DEFAULT_MS = (2,)
 DEFAULT_ALPHAS = (0.4,)
-_SUP_ROWS = 128        # rows per block of ratio_sup_by_rows
+_SUP_ROWS = 128        # rows per block of ratio_sup_by_rows and of _holder
 _HOLDER_BUDGET = 1.0 / 32.0    # Hölder displacements keep |h| <= d(x) / 32
-_LIP_ROWS = 32         # rows per block of _lipschitz's dy^2
+_LIP_ROWS = 32         # rows per block of _lipschitz's dy^2 and d
 # smallest max s = max d^2 |grad theta|^2 that _lipschitz takes from its
 # candidates: above it no square that reaches the candidates is subnormal
 _LIP_S_MIN = 2.0 ** -900
@@ -97,10 +98,9 @@ def _ratio_norms(geometry: Geometry, abs_b1: np.ndarray, ps=(), ms=(),
         if np.isinf(e):
             lp[e] = float(np.max(abs_b1, initial=0.0))
             continue
-        np.copyto(power, abs_b1)
         # |b_1| ** e, not b_1 ** e: the power of a negative base takes
         # numpy's slow scalar path
-        power **= e
+        np.power(abs_b1, e, out=power)
         if e in lp:
             lp[e] = float(ratio_quad(geometry, power) ** (1.0 / e))
         for m in weighted:
@@ -123,8 +123,9 @@ def _lipschitz(dx: np.ndarray, dy: np.ndarray, geometry: Geometry,
     ``max(distance * hypot(dx, dy))`` over the whole grid.
 
     With ``scratch``, an (N-1) x (N-1) array, s = d^2 (dx^2 + dy^2) goes
-    there, dy^2 added _LIP_ROWS rows at a time.  Candidates: each s is
-    within a few ulp of (d |grad theta|)^2 and each d hypot within a few
+    there, dy^2 and d = min(e_i, e_j) formed _LIP_ROWS rows at a time from
+    ``side_distance``, with no whole ``distance`` table.  Candidates: each s
+    is within a few ulp of (d |grad theta|)^2 and each d hypot within a few
     ulp of d |grad theta|, so the node where the whole-grid formula peaks
     has s >= (1 - 1e-12) max s, a margin over a hundred times their
     round-off; d hypot runs on those nodes only.  Without ``scratch``, or
@@ -132,26 +133,26 @@ def _lipschitz(dx: np.ndarray, dy: np.ndarray, geometry: Geometry,
     or overflowed, or a gradient is not finite), d hypot runs on the whole
     grid, in dx.
     """
-    d = geometry.distance
+    e, n = geometry.side_distance, geometry.n_interior
     if scratch is not None:
         with np.errstate(over="ignore"):    # an overflow sends it to the grid
             s = np.multiply(dx, dx, out=scratch)
-            block = np.empty((min(_LIP_ROWS, len(s)), s.shape[1]))
-            for r in range(0, len(s), _LIP_ROWS):
+            band = np.empty((min(_LIP_ROWS, n), n))
+            for r in range(0, n, _LIP_ROWS):
                 rows = slice(r, r + _LIP_ROWS)
                 part = s[rows]
-                part += np.multiply(dy[rows], dy[rows],
-                                    out=block[:len(part)])
-                part *= d[rows]
-                part *= d[rows]
+                part += np.multiply(dy[rows], dy[rows], out=band[:len(part)])
+                d = np.minimum.outer(e[rows], e, out=band[:len(part)])
+                part *= d
+                part *= d
         top = s.max()
         if _LIP_S_MIN <= top < np.inf:
             nodes = np.flatnonzero(s.reshape(-1) >= (1.0 - 1e-12) * top)
             mag = np.hypot(dx.reshape(-1)[nodes], dy.reshape(-1)[nodes])
-            mag *= d.reshape(-1)[nodes]
+            mag *= np.minimum(e[nodes // n], e[nodes % n])
             return float(mag.max())
     mag = np.hypot(dx, dy, out=dx)
-    mag *= d
+    mag *= geometry.distance
     return float(mag.max())
 
 
@@ -172,8 +173,9 @@ def _holder(values: GridField, alpha: float,
             scratch: np.ndarray | None = None) -> float:
     """:func:`holder_seminorm` from node values.
 
-    The differences of each displacement go into ``scratch``, a
-    C-contiguous (N-1) x (N-1) array (a new one when None).
+    Each displacement is differenced on its own node box only, _SUP_ROWS
+    rows at a time in the leading memory of ``scratch``, an (N-1) x (N-1)
+    array (a new one when None); a NaN in any band makes its max |.| NaN.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"Hölder exponent must be in (0, 1), got {alpha}")
@@ -182,11 +184,10 @@ def _holder(values: GridField, alpha: float,
     dx = g.spacing
     n = g.n_interior
     e = g.side_distance
-    flat = vals.ravel()
     buf = np.empty(n * n) if scratch is None else scratch.reshape(-1)
     best = 0.0
     steps = 1
-    while steps * dx <= _HOLDER_BUDGET * g.distance.max():
+    while steps * dx <= _HOLDER_BUDGET * e.max():
         for ex, ey in _DIRECTIONS:
             p, q = steps * ex, steps * ey
             hlen = np.hypot(p * dx, q * dx)
@@ -199,47 +200,46 @@ def _holder(values: GridField, alpha: float,
             j0, j1 = max(inside[0], -q), min(inside[-1] + 1, n - q)
             if i0 >= i1 or j0 >= j1:
                 continue
-            # delta_h theta over whole rows i0..i1 of the flattened grid,
-            # where the displacement is the one offset p n + q; the columns
-            # outside j0..j1, where it wraps into the next row, are zeroed
-            # before its max |.|.  Every operand is contiguous: numpy needs
-            # no iterator buffer
-            r, lo = i1 - i0, i0 * n
-            length = r * n - max(q, 0)
-            diff = buf[:r * n]
-            np.subtract(flat[lo + p * n + q:lo + p * n + q + length],
-                        flat[lo:lo + length], out=diff[:length])
-            block = diff.reshape(r, n)
-            block[:, :j0] = 0.0
-            block[:, j1:] = 0.0
-            best = max(best, _max_abs(diff) / hlen ** alpha)
+            tops = []
+            for r in range(i0, i1, _SUP_ROWS):
+                r1 = min(r + _SUP_ROWS, i1)
+                diff = buf[:(r1 - r) * (j1 - j0)].reshape(r1 - r, j1 - j0)
+                np.subtract(vals[r + p:r1 + p, j0 + q:j1 + q],
+                            vals[r:r1, j0:j1], out=diff)
+                tops.append(_max_abs(diff))
+            best = max(best, float(np.max(tops)) / hlen ** alpha)
         steps *= 2
     return best
 
 
-def _shell_sup(values: np.ndarray, geometry: Geometry,
-               shells: int) -> tuple[list[float], list[float]]:
-    """log top, sup of values on each nonempty shell top/2 < d <= top = L/2^(k+3).
+def _ring(e: np.ndarray, lo: float, hi: float):
+    """Four (rows, cols) strips tiling the nodes with lo < d <= hi, or ().
 
     d = min(e_i, e_j) and the side distance e is unimodal, so {e > s} is
-    one run of nodes and the shell is the square of runs at s = top/2 less
-    the square at s = top: the maxima of four strips give its sup, bits
-    and all, with no whole-grid mask.
-    """
-    tops = (geometry.side_length / 8.0) * 0.5 ** np.arange(shells)
+    one run of nodes and the ring is the square of runs at s = lo less the
+    square at s = hi: no whole-grid mask."""
+    outer, inner = np.flatnonzero(e > lo), np.flatnonzero(e > hi)
+    if outer.size == inner.size:        # inner is a subset: empty ring
+        return ()
+    a, b = outer[0], outer[-1] + 1
+    c, d = (inner[0], inner[-1] + 1) if inner.size else (a, a)
+    return ((slice(a, c), slice(a, b)), (slice(d, b), slice(a, b)),
+            (slice(c, d), slice(a, c)), (slice(c, d), slice(d, b)))
+
+
+def _shell_sup(values: np.ndarray, geometry: Geometry,
+               shells: int) -> tuple[list[float], list[float]]:
+    """log top, sup of values on each nonempty shell top/2 < d <= top =
+    L/2^(k+3), the maxima of its :func:`_ring` strips, bits and all."""
     e = geometry.side_distance
     logs_d, sups = [], []
-    for t in tops:
-        outer, inner = np.flatnonzero(e > 0.5 * t), np.flatnonzero(e > t)
-        if outer.size == inner.size:        # inner is a subset: empty shell
+    for t in (geometry.side_length / 8.0) * 0.5 ** np.arange(shells):
+        strips = _ring(e, 0.5 * t, t)
+        if not strips:
             continue
-        a, b = outer[0], outer[-1] + 1
-        c, d = (inner[0], inner[-1] + 1) if inner.size else (a, a)
-        strips = (values[a:c, a:b], values[d:b, a:b],
-                  values[c:d, a:c], values[c:d, d:b])
         logs_d.append(float(np.log(t)))
-        sups.append(float(np.max([np.max(v, initial=-np.inf)
-                                  for v in strips])))
+        sups.append(float(np.max([np.max(values[s], initial=-np.inf)
+                                  for s in strips])))
     return logs_d, sups
 
 
@@ -254,18 +254,22 @@ def fit_line(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _normal_slope(abs_ux: np.ndarray, abs_uy: np.ndarray, geometry: Geometry,
+def _normal_slope(ux: np.ndarray, uy: np.ndarray, geometry: Geometry,
                   shells: int = 4, out: np.ndarray | None = None
                   ) -> tuple[float, float]:
     """Slope (and r^2) of log sup-shell |u . n| against log shell distance.
 
-    n is the inward normal of the nearest side, so |u . n| is |u_x| or |u_y|;
-    it is assembled in ``out`` (N-1 x N-1) when given.  Shells are dyadic in
-    the boundary distance below L/8 and left out where u . n vanishes.
+    n is the inward normal of the nearest side, so |u . n| is |u_x| where
+    e_i <= e_j, else |u_y| (``ux``, ``uy``: u or |u|), assembled in ``out``
+    (N-1 x N-1) when given, on the shells' :func:`_ring` strips only.
+    Shells are dyadic in d below L/8 and left out where u . n vanishes.
     """
-    un = np.empty_like(abs_uy) if out is None else out
-    np.copyto(un, abs_uy)
-    np.copyto(un, abs_ux, where=geometry.x_side_nearest)
+    un = np.empty_like(uy) if out is None else out
+    e, top = geometry.side_distance, geometry.side_length / 8.0
+    for rows, cols in _ring(e, top * 0.5 ** shells, top):
+        np.abs(uy[rows, cols], out=un[rows, cols])
+        np.abs(ux[rows, cols], out=un[rows, cols],
+               where=e[rows, None] <= e[cols])
     kept = [(ld, s) for ld, s in zip(*_shell_sup(un, geometry, shells))
             if s > 0]
     if len(kept) < 2:
@@ -316,39 +320,35 @@ def record(state: SolverState,
     evaluates theta, grad theta and u = grad-perp psi at the nodes from
     them, as :func:`inverse`, :func:`gradient` and
     :func:`operators.riesz_velocity` do, with their bits.  The energy and
-    the half norm are sums over the whole spectrum.
+    the half norm are the whole-spectrum sums, bit for bit, formed on the
+    rows of :func:`solver._prefix_squares` for K.
 
     Every grid array lives in the three slots of ``work`` (a new
-    :func:`record_workspace` when None): the squared coefficients, then the
+    :func:`record_workspace` when None): the ledger terms, then the
     gradient and s = d^2 |grad theta|^2, from which :func:`_lipschitz` picks
     the nodes where d |grad theta| can peak (s within 1e-12 of its maximum,
     over a hundred times the round-off of either form) and takes hypot there
-    only, then the grid values, |b_1|, formed once, and a copy of it raised
-    to each distinct exponent of ``ps`` and of the 2m once
-    (:func:`_ratio_norms`: the L^p quadrature reads the power before the
-    weighted norm multiplies it by w_1), then |u_x|, |u_y| and |u . n|,
-    each overwriting what is no longer read.  The K x K blocks and the dense
-    route's (N-1) x K intermediate products go into the leading memory of
-    slots that are free at the time, so on the dense route a record
-    allocates no array of either size.  Each elementwise operation runs on
-    C-contiguous arrays, for which numpy allocates no iterator buffer, and
-    the sup norm and each Hölder displacement take max |v| as
-    max(v.max(), -v.min()), with no |v| array.  u_sup is
-    sqrt(max(u_x^2 + u_y^2)), equal to max |u| because the square root is
-    monotone and correctly rounded.
+    only, then the grid values, |b_1|, formed once, and each distinct power
+    of it once (:func:`_ratio_norms`), then the differences of each Hölder
+    displacement on its own node box, a band at a time, then u_x, u_y and
+    |u . n| on the shells' ring, each overwriting what is no longer read.
+    The K x K blocks and the dense route's (N-1) x K intermediate products
+    go into the leading memory of slots that are free at the time, so on
+    the dense route a record allocates no array of either size, and while
+    K < N/4 it reads no whole ``distance`` or lam^{1/2} table.  The sup
+    norm and each Hölder band take max |v| as max(v.max(), -v.min()), with
+    no |v| array.  u_sup is sqrt(max(u_x^2 + u_y^2)), equal to max |u|
+    because the square root is monotone and correctly rounded.
     """
     theta = state.theta
     g = theta.geometry
     work = record_workspace(g) if work is None else work
-    # one square of the coefficients serves theta.l2_norm() ** 2 and
-    # half_norm_sq(theta), operation for operation
-    sq = np.square(theta.coeffs, out=work[0])
-    energy = float(np.sqrt(sq.sum())) ** 2
-    sq *= g.sqrt_eigenvalues
-    half_norm = float(sq.sum())
+    K = _support(theta.coeffs)
+    energy = float(np.sqrt(_prefix_squares(theta.coeffs, K, work[0])[1]
+                           .sum())) ** 2
+    half_norm = half_norm_sq(theta, out=work[0], support=K)
     # each K x K block goes into the leading memory of the slot its values
     # go to, or of a free one; eval_block's intermediate into a free slot
-    K = _support(theta.coeffs)
     c = theta.coeffs[:K, :K]
     k = g.wavenumbers[:K]
     dx = eval_block(_times_k(c, k, 0, out=_leading(work[0], K, K)), g, 0,
@@ -359,7 +359,7 @@ def record(state: SolverState,
     values = eval_block(c, g, out=work[0], scratch=work[1])
     scratch = work[1]
     sup_norm = _max_abs(values)
-    # |b_1| = |theta / w_1| once; each distinct power of it once, in a copy
+    # |b_1| = |theta / w_1| once; each distinct power of it once, in a slot
     abs_b1 = np.abs(np.divide(values, g.ground_state, out=work[2]),
                     out=work[2])
     b1_lp, weighted_norm = _ratio_norms(g, abs_b1, ps, ms, scratch)
@@ -369,19 +369,17 @@ def record(state: SolverState,
     # formed once for each component, each time in a slot free until then
     inv = _inv_sqrt(g, K)
     psi = np.einsum("ij,ij->ij", c, inv, out=_leading(work[2], K, K))
-    abs_ux = eval_block(_times_k(psi, k, 1, out=_leading(work[1], K, K)), g,
-                        1, out=work[1], scratch=work[0])
+    ux = eval_block(_times_k(psi, k, 1, out=_leading(work[1], K, K)), g, 1,
+                    out=work[1], scratch=work[0])
     psi = np.einsum("ij,ij->ij", c, inv, out=_leading(work[0], K, K))
-    abs_uy = eval_block(_times_k(psi, k, 0, out=_leading(work[2], K, K)), g,
-                        0, out=work[2], scratch=work[0])
-    np.abs(abs_ux, out=abs_ux)
-    np.abs(abs_uy, out=abs_uy)
-    # u . n goes where theta's values were: they are not read again
-    slope, _ = _normal_slope(abs_ux, abs_uy, g, out=work[0])
-    abs_ux **= 2
-    abs_uy **= 2
-    abs_ux += abs_uy
-    u_sup = float(np.sqrt(abs_ux.max()))
+    uy = eval_block(_times_k(psi, k, 0, out=_leading(work[2], K, K)), g, 0,
+                    out=work[2], scratch=work[0])
+    # |u . n| goes where theta's values were: they are not read again
+    slope, _ = _normal_slope(ux, uy, g, out=work[0])
+    ux **= 2
+    uy **= 2
+    ux += uy
+    u_sup = float(np.sqrt(ux.max()))
     return DiagnosticsRecord(
         t=state.t,
         sup_norm=sup_norm,

@@ -46,10 +46,10 @@ class Geometry:
     :meth:`ground_state_rows`, so a block taken from those methods carries
     the bits of the table's block.
 
-    The mode multipliers ``wavenumbers`` (k_m = m pi / L),
-    ``sqrt_eigenvalues`` and ``inv_sqrt_eigenvalues`` (lam^{+-1/2}) and the
-    node tables ``node_sines`` and ``node_cosines`` are kept the same way,
-    read-only.  A geometry hashes by identity, so it can key a cache.
+    The mode multipliers ``wavenumbers`` (k_m = m pi / L) and
+    ``sqrt_eigenvalues`` (lam^{1/2}) and the node tables ``node_sines`` and
+    ``node_cosines`` are kept the same way, read-only.  A geometry hashes by
+    identity, so it can key a cache.
     """
 
     side_length: float
@@ -86,13 +86,6 @@ class Geometry:
         """(N-1, N-1) lam^{1/2}, read-only."""
         table = self.eigenvalue_rows()
         table **= 0.5
-        return _read_only(table)
-
-    @cached_property
-    def inv_sqrt_eigenvalues(self) -> np.ndarray:
-        """(N-1, N-1) lam^{-1/2}, read-only."""
-        table = self.eigenvalue_rows()
-        table **= -0.5
         return _read_only(table)
 
     def _node_angles(self, nodes: slice, modes: slice) -> np.ndarray:
@@ -142,12 +135,6 @@ class Geometry:
         """(N-1, N-1) d(x) = min distance to the sides."""
         e = self.side_distance
         return np.minimum.outer(e, e)
-
-    @cached_property
-    def x_side_nearest(self) -> np.ndarray:
-        """(N-1, N-1) bool, True where a side x = const is nearest (e_i <= e_j)."""
-        e = self.side_distance
-        return e[:, None] <= e[None, :]
 
     @cached_property
     def corner_mask(self) -> np.ndarray:

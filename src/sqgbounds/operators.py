@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (ConfigurationError, DomainError, NumericError,
                      PreconditionError, ShapeError)
-from .geometry import Geometry
+from .geometry import Geometry, _read_only
 from .spectral import (BoxField, GridField, SpectralField, _support,
                        dealiased_product, forward, gradient, inverse)
 
@@ -67,6 +68,12 @@ def _lambda_power_rows(coeffs: np.ndarray, geometry: Geometry,
     for rows, mult in _lambda_power_blocks(geometry, s, coeffs.shape):
         coeffs[rows] *= mult
     return coeffs
+
+
+@lru_cache(maxsize=16)
+def _inv_sqrt(geometry: Geometry, K: int) -> np.ndarray:
+    """lam^{-1/2} on the leading K x K modes, read-only (one cache of it)."""
+    return _read_only(geometry.eigenvalue_rows(slice(K), slice(K)) ** -0.5)
 
 
 def apply_lambda_power(f: SpectralField, s: float) -> SpectralField:
@@ -241,9 +248,10 @@ def riesz_velocity(theta: SpectralField,
                    j_sign: float = 1.0) -> VelocityField:
     """u = J grad Lambda^{-1} theta with J = rotation by +pi/2 (sign flippable)."""
     g = theta.geometry
-    stream = SpectralField(theta.coeffs * g.inv_sqrt_eigenvalues, g,
-                           theta.tag)
-    return _stream_velocity(stream, j_sign)
+    K = _support(theta.coeffs)
+    stream = np.zeros_like(theta.coeffs)
+    stream[:K, :K] = theta.coeffs[:K, :K] * _inv_sqrt(g, K)
+    return _stream_velocity(SpectralField(stream, g, theta.tag), j_sign)
 
 
 def short_time_velocity(theta: SpectralField, tau: float) -> VelocityField:
@@ -256,10 +264,10 @@ def short_time_velocity(theta: SpectralField, tau: float) -> VelocityField:
     if tau <= 0:
         raise DomainError(f"short-time velocity requires tau > 0, got {tau}")
     g = theta.geometry
-    block = (slice(_support(theta.coeffs)),) * 2
+    K = _support(theta.coeffs)
     stream = np.zeros_like(theta.coeffs)
-    stream[block] = (g.inv_sqrt_eigenvalues[block] * erf(np.sqrt(
-        g.eigenvalues[block] * tau)) * theta.coeffs[block])
+    stream[:K, :K] = (_inv_sqrt(g, K) * erf(np.sqrt(
+        g.eigenvalue_rows(slice(K), slice(K)) * tau)) * theta.coeffs[:K, :K])
     return _stream_velocity(SpectralField(stream, g), 1.0)
 
 

@@ -32,8 +32,8 @@ of the whole tables; outside it the update is exactly 0.0, so the state's
 bits are those of the whole-array update.  Each state carries its support and live extent,
 so its extent is scanned once, and the overshoot monitor evaluates the live
 block (rows to K, columns to M) at the nodes by :func:`spectral.eval_block`.
-``half_norm_sq`` and the ledger stay on whole arrays: their sums keep their
-bits.
+``half_norm_sq`` sums the leading run of numpy's pairwise sum that holds
+the support's rows (:func:`_prefix_squares`), with the whole sum's bits.
 
 A run reuses one fine-grid workspace for every advection evaluation (the
 band uses its leading memory); the energy ledger integrates over the step
@@ -51,7 +51,7 @@ import numpy as np
 from .config import SolverConfig
 from .errors import NumericError
 from .geometry import Geometry, _read_only
-from .operators import riesz_velocity
+from .operators import _inv_sqrt, riesz_velocity
 from .spectral import (DENSE_MAX_NF, GridField, SpectralField,
                        _midpoint_tables, _support, _times_k, eval_block,
                        eval_fine_mixed, fine_grid_size, forward_fine)
@@ -101,12 +101,6 @@ def _decay(geometry: Geometry, dt: float, K: int) -> np.ndarray:
     leading K x K modes, read-only; lam^{1/2} as ``sqrt_eigenvalues``."""
     lam = geometry.eigenvalue_rows(slice(K), slice(K))
     return _read_only(np.exp(-dt * lam ** 0.5))
-
-
-@lru_cache(maxsize=16)
-def _inv_sqrt(geometry: Geometry, K: int) -> np.ndarray:
-    """lam^{-1/2} on the leading K x K modes, as ``inv_sqrt_eigenvalues``."""
-    return _read_only(geometry.eigenvalue_rows(slice(K), slice(K)) ** -0.5)
 
 
 def _stream_coeffs(c: np.ndarray, geometry: Geometry,
@@ -304,16 +298,40 @@ def _live_sup(state: SolverState, out: np.ndarray | None = None) -> float:
     return GridField(values, theta.geometry).sup_norm()
 
 
-def half_norm_sq(theta: SpectralField, out: np.ndarray | None = None
-                 ) -> float:
-    """||Lambda^{1/2} theta||^2 = sum sqrt(lam) a^2.
+def _prefix_squares(c: np.ndarray, K: int, out: np.ndarray):
+    """a^2 of the whole spectrum ``c`` of support K on its leading rows, in
+    ``out`` (C-contiguous): those rows, and their flat prefix that numpy's
+    pairwise sum of all of ``c`` adds up first (it halves runs over 128,
+    rounded down to a multiple of 8), the shortest that holds the K rows.
+    Every term past it is +0.0, so its sum has the whole sum's bits."""
+    n, size = c.shape[1], c.size
+    while size > 128 and size // 2 - size // 2 % 8 >= K * n:
+        size = size // 2 - size // 2 % 8
+    rows = np.square(c[:-(-size // n)], out=out[:-(-size // n)])
+    return rows, rows.reshape(-1)[:size]
 
-    The squares, then their products with sqrt(lam), go into ``out`` (an
-    array of theta's shape; a new one when None) and are summed there.
+
+def half_norm_sq(theta: SpectralField, out: np.ndarray | None = None,
+                 support: int | None = None) -> float:
+    """||Lambda^{1/2} theta||^2 = sum sqrt(lam) a^2, the whole sum's bits.
+
+    ``support`` K: theta is 0.0 outside its leading K x K block (None: the
+    whole spectrum).  The terms go on the rows of :func:`_prefix_squares`
+    in ``out`` (a new array when None), lam^{1/2} in its trailing rows when
+    they are free, with the bits of ``sqrt_eigenvalues``.
     """
-    sq = np.square(theta.coeffs, out=out)
-    sq *= theta.geometry.sqrt_eigenvalues
-    return float(sq.sum())
+    c, g = theta.coeffs, theta.geometry
+    out = np.empty_like(c) if out is None else out
+    rows, terms = _prefix_squares(c, len(c) if support is None else support,
+                                  out)
+    R = len(rows)
+    if 2 * R > len(out):
+        rows *= g.sqrt_eigenvalues[:R]
+    else:
+        k2 = g.wavenumbers ** 2
+        lam = np.add(k2[:R, None], k2, out=out[len(out) - R:])
+        rows *= np.sqrt(lam, out=lam)
+    return float(terms.sum())
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -383,7 +401,7 @@ def run(theta0: SpectralField, config: SolverConfig,
     # each half_norm_sq
     grid = np.empty((g.n_interior, g.n_interior))
     times = [0.0]
-    halves = [half_norm_sq(state.theta, out=grid)]
+    halves = [half_norm_sq(state.theta, grid, K)]
     sup0 = _live_sup(state, grid)
     live_modes = state.extent
     sup_history = [sup0]
@@ -412,7 +430,7 @@ def run(theta0: SpectralField, config: SolverConfig,
                     continue
             state = step(state, dt_step, config, work)
             times.append(state.t)
-            halves.append(half_norm_sq(state.theta, out=grid))
+            halves.append(half_norm_sq(state.theta, grid, state.support))
             sup = _live_sup(state, grid)
             live_modes = max(live_modes, state.extent)
             sup_history.append(sup)

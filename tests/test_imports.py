@@ -1,10 +1,12 @@
 """Every top-level import of a ``sqgbounds`` module is used in that module,
-and every top-level definition is read by the program.
+and every top-level definition and every cached ``Geometry`` table is read
+by the program.
 
 No linter ships with the project, so these are the checks for imports and
 definitions that a change left behind.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,4 +78,31 @@ def test_every_definition_has_a_reader():
     unread = sorted(f"{key[0]}: {name}" for key, name in defined
                     if name not in READER_ALLOWLIST
                     and not readers.get(name, set()) - {key})
+    assert unread == []
+
+
+def _attribute_reads(node):
+    """Attribute names that ``node`` reads, once per read."""
+    return [n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+
+def test_every_geometry_table_has_a_reader():
+    """Each ``cached_property`` table of ``Geometry`` is read as an
+    attribute in ``src/`` outside its own definition, so a table whose last
+    reader is gone fails here.  A name that other objects also carry (the
+    coordinates ``x``) can only pass."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    geometry = next(node for node in trees["geometry.py"].body
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == "Geometry")
+    tables = [node for node in geometry.body
+              if isinstance(node, ast.FunctionDef)
+              and any(isinstance(d, ast.Name) and d.id == "cached_property"
+                      for d in node.decorator_list)]
+    assert len(tables) >= 9
+    reads = Counter(name for tree in trees.values()
+                    for name in _attribute_reads(tree))
+    unread = [table.name for table in tables
+              if reads[table.name] == _attribute_reads(table).count(table.name)]
     assert unread == []

@@ -127,6 +127,33 @@ def test_decay_envelope_perturbed(short_run):
     assert rep.passed
 
 
+def test_decay_envelope_anchors_the_drift_free_run(monkeypatch, short_run):
+    """A drift-free run meets its closed form a_mn(0) e^{-t lam_mn^{1/2}}
+    to round-off.  Twice the dissipation, which the one-sided envelope
+    passes, fails on the anchor, as does half of it; a run with drift has
+    no closed form and no anchor."""
+    g = build_square_geometry(32)
+    theta0 = sp.mode_field(g, 1, 1)
+    theta0.coeffs[1, 0] = 0.5
+    cfg = sv.SolverConfig(dt=2e-3, t_end=1.0, drift_mode="none",
+                          output_interval=0.5)
+    B = float(np.abs(sp.inverse(theta0).values / g.ground_state).max()) + 1e-9
+    rep = iq.verify_decay_envelope(sv.run(theta0, cfg), cfg, B)
+    assert rep.passed
+    assert rep.fitted_constants["anchor_residual"] < 1e-13
+    for factor, residual in ((2.0, 0.7637), (0.5, 1.0971)):
+        monkeypatch.setattr(sv, "_decay", lambda g, dt, K, f=factor: np.exp(
+            -f * dt * g.sqrt_eigenvalues[:K, :K]))
+        rep = iq.verify_decay_envelope(sv.run(theta0, cfg), cfg, B)
+        assert not rep.passed
+        assert rep.fitted_constants["anchor_residual"] == pytest.approx(
+            residual, abs=1e-4)
+        assert (rep.min_margin >= -rep.tolerance) == (factor > 1.0)
+    res, cfg, theta0 = short_run
+    assert "anchor_residual" not in iq.verify_decay_envelope(
+        res, cfg, 10.0).fitted_constants
+
+
 def test_decay_envelope_rejects_small_B(short_run):
     res, cfg, theta0 = short_run
     with pytest.raises(PreconditionError):

@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 from sqgbounds.errors import ConfigurationError, NumericError
 from sqgbounds.geometry import build_square_geometry
 from sqgbounds import inequalities as iq
+from sqgbounds import operators as op
 from sqgbounds import solver as sv
 from sqgbounds import spectral as sp
 
@@ -300,6 +301,41 @@ def test_half_norm_sq_in_a_buffer_keeps_its_bits_and_allocates_nothing(
     assert peak < 0.01 * buf.nbytes
 
 
+@pytest.mark.parametrize("N", [64, 128, 512, 1024])
+def test_prefix_sum_keeps_the_whole_sum_bits(N):
+    """The squares' prefix that numpy's pairwise sum adds up first, and the
+    ledger term formed on it, have the bits of the whole-array sums, on
+    random supports and on a full spectrum.  A numpy whose pairwise sum
+    splits differently fails here."""
+    g = build_square_geometry(N)
+    n = g.n_interior
+    rng = np.random.default_rng(N)
+    out = np.empty((n, n))
+    for K in [*rng.integers(1, n + 1, 25), n]:
+        c = np.zeros((n, n))
+        c[:K, :K] = rng.standard_normal((K, K)) * 10.0 ** rng.uniform(-8, 8)
+        _, terms = sv._prefix_squares(c, K, out)
+        assert float(terms.sum()) == float((c * c).sum())
+        assert (sv.half_norm_sq(sp.SpectralField(c, g), out, K)
+                == float((g.sqrt_eigenvalues * c ** 2).sum()))
+
+
+def test_rough_run_holds_one_inv_sqrt_table(monkeypatch):
+    """A full-spectrum SQG run (the truncated constant at N = 256), whose
+    CFL test takes the exact velocity sup, forms lam^{-1/2} once: its steps
+    and ``riesz_velocity`` read the same cached (N-1)^2 table."""
+    g = build_square_geometry(256)
+    tables, inv_sqrt = [], op._inv_sqrt
+    monkeypatch.setattr(op, "_inv_sqrt", lambda g, K: (
+        tables.append(inv_sqrt(g, K)) or tables[-1]))
+    inv_sqrt.cache_clear()
+    sv.run(iq.constant_field(g), sv.SolverConfig(dt=2e-3, t_end=0.01))
+    info = inv_sqrt.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > len(tables)
+    assert tables and all(t is sv._inv_sqrt(g, g.n_interior) for t in tables)
+    assert not hasattr(g, "inv_sqrt_eigenvalues")
+
+
 def test_run_with_callback_matches_retained_run(geom):
     """Streaming snapshots to a callback changes no snapshot and no monitor."""
     theta0 = sp.mode_field(geom, 1, 1)
@@ -412,22 +448,20 @@ def test_geometry_mode_tables_keep_their_bits(geom):
     k = geom.wavenumbers
     assert np.array_equal(k, geom.modes * np.pi / geom.side_length)
     assert np.array_equal(geom.sqrt_eigenvalues, lam ** 0.5)
-    assert np.array_equal(geom.inv_sqrt_eigenvalues, lam ** -0.5)
     n = geom.n_interior
     assert np.array_equal(sv._decay(geom, 2e-3, n),
                           np.exp(-2e-3 * lam ** 0.5))
     assert sv._decay(geom, 2e-3, n) is sv._decay(geom, 2e-3, n)
     assert np.array_equal(sv._inv_sqrt(geom, n), lam ** -0.5)
     assert geom != build_square_geometry(128)     # compared by identity
-    for table in (k, geom.sqrt_eigenvalues, geom.inv_sqrt_eigenvalues,
-                  sv._decay(geom, 2e-3, n), sv._inv_sqrt(geom, n)):
+    for table in (k, geom.sqrt_eigenvalues, sv._decay(geom, 2e-3, n),
+                  sv._inv_sqrt(geom, n)):
         with pytest.raises(ValueError):
             table[0] = 1.0
     # the 2048 grid of the commutator check builds no whole-grid multiplier
     fine = build_square_geometry(2048)
     assert iq.verify_commutator_scaling(sp.mode_field(fine, 1, 1)).passed
-    assert not {"eigenvalues", "sqrt_eigenvalues",
-                "inv_sqrt_eigenvalues"} & set(vars(fine))
+    assert not {"eigenvalues", "sqrt_eigenvalues"} & set(vars(fine))
 
 
 @pytest.mark.parametrize("N", [64, 128, 512])
@@ -440,30 +474,38 @@ def test_block_mode_tables_have_the_bits_of_the_whole_tables(N):
             assert (sv._decay(g, dt, K).tobytes()
                     == np.exp(-dt * g.sqrt_eigenvalues)[:K, :K].tobytes())
         assert (sv._inv_sqrt(g, K).tobytes()
-                == g.inv_sqrt_eigenvalues[:K, :K].tobytes())
+                == (g.eigenvalues ** -0.5)[:K, :K].tobytes())
 
 
 def test_smooth_large_run_builds_no_whole_mode_table(tmp_path, monkeypatch):
     """The N = 512 run of 30 steps with a record every 2 (the benchmark's
-    large run) builds no lam^{-1/2} table of its grid, and every decay
+    large run) builds no whole table of its grid's modes or distances
+    (neither its ledger nor its records), and every decay and lam^{-1/2}
     table it reads is a block of at most twice its live extent."""
     from pathlib import Path
     from sqgbounds.cli import cmd_run
     from sqgbounds.config import load_config
+    from sqgbounds.geometry import Geometry
 
     tables, decay = [], sv._decay
     monkeypatch.setattr(sv, "_decay", lambda g, dt, K: (
         tables.append((g, K)) or decay(g, dt, K)))
+    blocks, rows = [], Geometry.eigenvalue_rows
+    monkeypatch.setattr(Geometry, "eigenvalue_rows", lambda g, *b: (
+        blocks.append(b) or rows(g, *b)))
+    sv._inv_sqrt.cache_clear()
     cfg = load_config(Path(__file__).resolve().parents[1]
                       / "configs" / "default.cfg")
     cfg.grid_size, cfg.t_end, cfg.output_interval = 512, 0.06, 0.004
     cfg.output_dir = str(tmp_path)
     assert cmd_run(cfg) == 0
     (g,) = {geometry for geometry, _ in tables}
-    assert "inv_sqrt_eigenvalues" not in vars(g)
+    assert not {"eigenvalues", "sqrt_eigenvalues", "distance"} & set(vars(g))
     summary = (tmp_path / "run_summary.txt").read_text()
     live = int(summary.split("live_modes: ")[1].split()[0])
     assert max(K for _, K in tables) <= 2 * live < g.n_interior // 4
+    assert all(b == (slice(b[0].stop),) * 2 and b[0].stop <= 2 * live
+               for b in blocks)
 
 
 def test_nan_raises_numeric_error(geom):
