@@ -315,6 +315,30 @@ def test_riesz_velocity_isometry_divergence_trace(geom):
     assert np.abs(_divergence(u)).max() < 1e-10 * scale
 
 
+def test_velocities_keep_the_bits_of_the_whole_table_forms(geom):
+    """riesz_velocity and short_time_velocity form psi on theta's support
+    block from the cached lam^{-1/2} block, with the bits of psi formed on
+    the whole spectrum, on a block-supported and a full-spectrum field."""
+    n = geom.n_interior
+    rng = np.random.default_rng(5)
+    lam = geom.eigenvalues
+    for K in (9, n):
+        c = np.zeros((n, n))
+        c[:K, :K] = rng.standard_normal((K, K))
+        f = sp.SpectralField(c, geom)
+        for j_sign in (1.0, -1.0):
+            whole = op._stream_velocity(
+                sp.SpectralField(c * lam ** -0.5, geom), j_sign)
+            u = op.riesz_velocity(f, j_sign)
+            assert u.u_x.values.tobytes() == whole.u_x.values.tobytes()
+            assert u.u_y.values.tobytes() == whole.u_y.values.tobytes()
+        whole = op._stream_velocity(sp.SpectralField(
+            lam ** -0.5 * op.erf(np.sqrt(lam * 0.01)) * c, geom), 1.0)
+        u = op.short_time_velocity(f, 0.01)
+        assert u.u_x.values.tobytes() == whole.u_x.values.tobytes()
+        assert u.u_y.values.tobytes() == whole.u_y.values.tobytes()
+
+
 def test_short_time_velocity_limits(geom):
     w11 = sp.mode_field(geom, 1, 1)
     full = op.riesz_velocity(w11)
