@@ -13,10 +13,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Geometry
+from .operators import _inv_sqrt
 from .spectral import (GridField, SpectralField, _leading, _max_abs,
                        _support, _times_k, eval_block, gradient, inverse)
 from .solver import SolverState, _prefix_squares, half_norm_sq
-from .operators import _inv_sqrt
 
 DEFAULT_PS = (2.0, 4.0)
 DEFAULT_MS = (2,)

@@ -33,8 +33,7 @@ from .spectral import (BoxField, GridField, SpectralField, _support, forward,
                        gradient, inverse, mode_field)
 
 
-# decay_envelope's anchor gate: drift-free runs read up to 8.2e-15, twice
-# or half the dissipation 0.76 or 1.10
+# anchor gate: drift-free runs read <= 8.2e-15, 2x or 0.5x dissipation ~1
 ANCHOR_TOL = 1e-10
 
 
